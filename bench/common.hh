@@ -55,15 +55,14 @@ struct BenchOptions
                     std::exit(1);
                 }
                 const char *text = argv[++i];
-                char *end = nullptr;
-                const std::uint64_t v = std::strtoull(text, &end, 0);
-                if (end == text || *end != '\0') {
+                const auto v = parseCliNumber(text);
+                if (!v) {
                     std::fprintf(stderr,
                                  "bad numeric value '%s' for %s\n",
                                  text, a.c_str());
                     std::exit(1);
                 }
-                return v;
+                return *v;
             };
             if (a == "--txns") {
                 o.txns = next();

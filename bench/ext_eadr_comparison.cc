@@ -9,12 +9,7 @@
  * envelope. The eADR reference here is the real EadrSecure machine
  * mode: dirty cache lines sit inside the persistence domain, CLWB
  * completes locally (no fence stalls), and the crash path runs the
- * energy-bounded holdup flush. One release of the old proxy — the
- * PostWpqUnprotected timing model that stood in for eADR before the
- * mode existed — stays as a cross-check column; the two should agree
- * closely on the steady-state numbers because they differ only in
- * CLWB handling and crash semantics, neither of which a crash-free
- * benchmark run exercises heavily.
+ * energy-bounded holdup flush.
  */
 
 #include "bench/common.hh"
@@ -36,23 +31,15 @@ main(int argc, char **argv)
                                     SecurityMode::DolosPartialWpq,
                                     SecurityMode::DolosPostWpq};
 
-    std::printf("%-12s %9s %9s %10s %10s %10s   %s\n", "benchmark",
-                "eADR", "proxy", "Full", "Partial", "Post",
-                "(speedup over baseline)");
+    std::printf("%-12s %9s %10s %10s %10s   %s\n", "benchmark", "eADR",
+                "Full", "Partial", "Post", "(speedup over baseline)");
     std::vector<double> frac[3];
-    std::vector<double> agreement;
     for (const auto &wl : workloads::workloadNames()) {
         const auto base = runOne(wl, SecurityMode::PreWpqSecure, opts);
         const auto eadr = runOne(wl, SecurityMode::EadrSecure, opts);
-        const auto proxy =
-            runOne(wl, SecurityMode::PostWpqUnprotected, opts);
         const double eadr_speedup =
             base.cyclesPerTx() / eadr.cyclesPerTx();
-        const double proxy_speedup =
-            base.cyclesPerTx() / proxy.cyclesPerTx();
         report.add(wl + ".eadrSpeedup", eadr_speedup);
-        report.add(wl + ".proxySpeedup", proxy_speedup);
-        agreement.push_back(proxy_speedup / eadr_speedup);
         double s[3];
         for (int d = 0; d < 3; ++d) {
             const auto res = runOne(wl, designs[d], opts);
@@ -63,22 +50,17 @@ main(int argc, char **argv)
         report.add(wl + ".fullSpeedup", s[0]);
         report.add(wl + ".partialSpeedup", s[1]);
         report.add(wl + ".postSpeedup", s[2]);
-        std::printf("%-12s %8.2fx %8.2fx %9.2fx %9.2fx %9.2fx\n",
-                    wl.c_str(), eadr_speedup, proxy_speedup, s[0],
-                    s[1], s[2]);
+        std::printf("%-12s %8.2fx %9.2fx %9.2fx %9.2fx\n", wl.c_str(),
+                    eadr_speedup, s[0], s[1], s[2]);
     }
     std::printf("\nfraction of the eADR gain captured at standard "
                 "ADR cost:\n");
     std::printf("%-12s %10.0f%% %9.0f%% %9.0f%%\n", "average",
                 100 * mean(frac[0]), 100 * mean(frac[1]),
                 100 * mean(frac[2]));
-    std::printf("proxy/eADR speedup agreement: %.3f (1.0 = the old "
-                "stand-in was exact)\n",
-                mean(agreement));
     report.add("avg.fracFull", mean(frac[0]));
     report.add("avg.fracPartial", mean(frac[1]));
     report.add("avg.fracPost", mean(frac[2]));
-    report.add("avg.proxyAgreement", mean(agreement));
     report.write();
     return 0;
 }

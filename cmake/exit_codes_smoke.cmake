@@ -1,6 +1,6 @@
 # Exit-code contract smoke test (ctest tier2).
 #
-# The documented dolos_sim / dolos_torture exit codes (see
+# The documented dolos_sim / dolos_torture / dolos_fuzz exit codes (see
 # src/sim/exit_codes.hh and docs/verification.md):
 #
 #   0  clean, verified run
@@ -14,10 +14,10 @@
 #
 # Invoked as:
 #   cmake -DSIM=<dolos-sim> -DTORTURE=<dolos_torture>
-#         -DREPORT=<dolos_report> -DWORKDIR=<dir>
+#         -DFUZZ=<dolos_fuzz> -DREPORT=<dolos_report> -DWORKDIR=<dir>
 #         -P exit_codes_smoke.cmake
 
-foreach(var SIM TORTURE REPORT WORKDIR)
+foreach(var SIM TORTURE FUZZ REPORT WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "exit_codes_smoke: ${var} not set")
     endif()
@@ -80,5 +80,14 @@ expect_rc(2 "${TORTURE}" --replay zz:1)
 expect_rc(4 "${TORTURE}" --replay w:3:7,x:3:9,f:3,s,c)
 expect_rc(1 "${TORTURE}" --mode dolos-partial --plant-bug drop-clwb:0
             --replay w:5:9,f:5,s,c)
+
+# 2: malformed numbers are usage errors, never a silent prefix parse.
+expect_rc(2 "${SIM}" --txns 10x)
+expect_rc(2 "${TORTURE}" --campaign abc)
+expect_rc(2 "${TORTURE}" --jobs 2x)
+expect_rc(2 "${TORTURE}" --seed -1)
+expect_rc(2 "${TORTURE}" --plant-bug drop-clwb:3x --replay s)
+expect_rc(2 "${FUZZ}" --crash-op 5x)
+expect_rc(2 "${FUZZ}" --jobs " 4")
 
 message(STATUS "exit_codes_smoke: OK")

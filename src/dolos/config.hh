@@ -67,6 +67,15 @@ enum class SecurityMode
 /** Human-readable mode name (bench output). */
 const char *securityModeName(SecurityMode mode);
 
+/**
+ * The mode's --mode spelling (dolos-partial, eadr, ...), as printed
+ * in REPRO lines: parseSecurityMode(securityModeCliName(m)) == m.
+ */
+const char *securityModeCliName(SecurityMode mode);
+
+/** Every --mode spelling joined by '|', for usage text. */
+std::string securityModeCliNames();
+
 /** True for the three Dolos Mi-SU modes. */
 bool isDolosMode(SecurityMode mode);
 
@@ -84,6 +93,13 @@ bool securityAfterWpq(SecurityMode mode);
  * reject them, never clamp to a default.
  */
 std::optional<SecurityMode> parseSecurityMode(const std::string &name);
+
+/**
+ * Strict CLI number: the whole token must be an unsigned base-0
+ * literal (decimal, 0x hex, 0 octal) that fits in 64 bits. Blanks,
+ * signs, trailing characters and overflow yield nullopt.
+ */
+std::optional<std::uint64_t> parseCliNumber(const std::string &text);
 
 /** WPQ and ADR parameters. */
 struct WpqParams

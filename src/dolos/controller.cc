@@ -19,28 +19,6 @@ constexpr std::uint64_t dumpMarker = 0x57505144554D5031ULL; // "WPQDUMP1"
 constexpr std::uint64_t journalMarker = 0x5245434A524E4C31ULL; // "RECJRNL1"
 } // namespace
 
-const char *
-securityModeName(SecurityMode mode)
-{
-    switch (mode) {
-      case SecurityMode::NonSecureIdeal:
-        return "NonSecureIdeal";
-      case SecurityMode::PreWpqSecure:
-        return "PreWpqSecure";
-      case SecurityMode::PostWpqUnprotected:
-        return "PostWpqUnprotected";
-      case SecurityMode::DolosFullWpq:
-        return "Dolos-Full-WPQ";
-      case SecurityMode::DolosPartialWpq:
-        return "Dolos-Partial-WPQ";
-      case SecurityMode::DolosPostWpq:
-        return "Dolos-Post-WPQ";
-      case SecurityMode::EadrSecure:
-        return "Eadr-Secure";
-    }
-    return "?";
-}
-
 bool
 isDolosMode(SecurityMode mode)
 {
@@ -55,168 +33,6 @@ securityAfterWpq(SecurityMode mode)
     return isDolosMode(mode) ||
            mode == SecurityMode::PostWpqUnprotected ||
            mode == SecurityMode::EadrSecure;
-}
-
-std::optional<SecurityMode>
-parseSecurityMode(const std::string &name)
-{
-    if (name == "ideal")
-        return SecurityMode::NonSecureIdeal;
-    if (name == "baseline")
-        return SecurityMode::PreWpqSecure;
-    if (name == "post-unprotected")
-        return SecurityMode::PostWpqUnprotected;
-    if (name == "dolos-full" || name == "full_wpq")
-        return SecurityMode::DolosFullWpq;
-    if (name == "dolos-partial" || name == "partial_wpq")
-        return SecurityMode::DolosPartialWpq;
-    if (name == "dolos-post" || name == "post_wpq")
-        return SecurityMode::DolosPostWpq;
-    if (name == "eadr")
-        return SecurityMode::EadrSecure;
-    return std::nullopt;
-}
-
-std::string
-validateConfig(const SystemConfig &cfg)
-{
-    const auto &w = cfg.wpq;
-    if (w.adrBudgetEntries == 0)
-        return "wpq.adrBudgetEntries must be nonzero";
-    if (w.entriesFor(cfg.mode) == 0)
-        return std::string("WPQ for mode ") +
-               securityModeName(cfg.mode) + " has zero usable entries";
-    if (w.partialEntries > w.adrBudgetEntries)
-        return "wpq.partialEntries exceeds the ADR budget";
-    if (w.postEntries > w.adrBudgetEntries)
-        return "wpq.postEntries exceeds the ADR budget";
-    if (w.retryInterval == 0)
-        return "wpq.retryInterval must be nonzero (insertion retries "
-               "would not advance time)";
-    if (cfg.nvm.numBanks == 0)
-        return "nvm.numBanks must be nonzero";
-    if (cfg.secure.functionalLeaves == 0)
-        return "secure.functionalLeaves must be nonzero";
-    if (cfg.secure.map.protectedBytes == 0)
-        return "secure.map.protectedBytes must be nonzero";
-    if (cfg.secure.crashScheme == CrashScheme::Osiris &&
-        cfg.secure.osirisStopLoss == 0)
-        return "secure.osirisStopLoss must be nonzero under Osiris";
-    if (cfg.secure.macOpsEagerWrite == 0 ||
-        cfg.secure.macOpsLazyWrite == 0)
-        return "secure.macOps per write must be nonzero";
-    if (cfg.secure.bmtPipeline && cfg.secure.bmtPipelineWindow == 0)
-        return "secure.bmtPipelineWindow must be nonzero when "
-               "bmtPipeline is enabled";
-    if (cfg.mode == SecurityMode::EadrSecure &&
-        cfg.eadr.energyBudgetCycles == 0)
-        return "eadr.energyBudgetCycles must be nonzero in eADR mode "
-               "(the holdup flush could never admit a line)";
-    return "";
-}
-
-std::optional<OptKnobs>
-parseOptKnobs(const std::string &spec)
-{
-    // The spec names the *exact* lever set — it does not toggle on
-    // top of the defaults, so a repro line parses to the same machine
-    // whatever the defaults of the build that replays it.
-    OptKnobs knobs;
-    knobs.bmtPipeline = false;
-    knobs.drainBatching = false;
-    knobs.tagPrefetch = false;
-    if (spec == "none")
-        return knobs;
-    if (spec == "all") {
-        knobs.bmtPipeline = true;
-        knobs.drainBatching = true;
-        knobs.tagPrefetch = true;
-        return knobs;
-    }
-    if (spec.empty())
-        return std::nullopt;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string name =
-            spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                        : comma - pos);
-        if (name == "bmt-pipeline")
-            knobs.bmtPipeline = true;
-        else if (name == "drain-batch")
-            knobs.drainBatching = true;
-        else if (name == "tag-prefetch")
-            knobs.tagPrefetch = true;
-        else if (name.rfind("bmt-window=", 0) == 0) {
-            const std::string val = name.substr(11);
-            if (val.empty())
-                return std::nullopt;
-            unsigned window = 0;
-            for (const char c : val) {
-                if (c < '0' || c > '9')
-                    return std::nullopt;
-                window = window * 10 + unsigned(c - '0');
-                if (window > 1u << 16)
-                    return std::nullopt;
-            }
-            if (window == 0)
-                return std::nullopt; // reject, never clamp
-            knobs.bmtPipelineWindow = window;
-        } else {
-            return std::nullopt;
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return knobs;
-}
-
-std::string
-formatOptKnobs(const OptKnobs &knobs)
-{
-    // Canonical spec: parseOptKnobs(formatOptKnobs(k)) == k. The
-    // "all"/"none" shortcuts only apply when no window override is
-    // set, because "none,bmt-window=N" would not re-parse.
-    const bool all =
-        knobs.bmtPipeline && knobs.drainBatching && knobs.tagPrefetch;
-    const bool none =
-        !knobs.bmtPipeline && !knobs.drainBatching && !knobs.tagPrefetch;
-    if (!knobs.bmtPipelineWindow) {
-        if (all)
-            return "all";
-        if (none)
-            return "none";
-    }
-    std::string out;
-    const auto append = [&out](const char *item) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    };
-    if (knobs.bmtPipeline)
-        append("bmt-pipeline");
-    if (knobs.drainBatching)
-        append("drain-batch");
-    if (knobs.tagPrefetch)
-        append("tag-prefetch");
-    if (knobs.bmtPipelineWindow) {
-        if (!out.empty())
-            out += ',';
-        out += "bmt-window=" +
-               std::to_string(*knobs.bmtPipelineWindow);
-    }
-    return out;
-}
-
-void
-applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs)
-{
-    cfg.secure.bmtPipeline = knobs.bmtPipeline;
-    cfg.wpq.drainBatching = knobs.drainBatching;
-    cfg.secure.tagPrefetch = knobs.tagPrefetch;
-    if (knobs.bmtPipelineWindow)
-        cfg.secure.bmtPipelineWindow = *knobs.bmtPipelineWindow;
 }
 
 SecureMemController::SecureMemController(const SystemConfig &cfg,

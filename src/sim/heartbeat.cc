@@ -78,11 +78,10 @@ CampaignMonitor::record(const char *type, bool withEta,
 }
 
 void
-CampaignMonitor::emitHeartbeat()
+CampaignMonitor::emit(const std::string &line)
 {
     if (!sink_)
         return;
-    const std::string line = record("heartbeat", true, true);
     std::fputs(line.c_str(), sink_);
     std::fputc('\n', sink_);
     std::fflush(sink_);
@@ -107,38 +106,29 @@ CampaignMonitor::caseDone(std::uint64_t seed, bool failed)
     }
     if (every_ && ++sinceBeat_ >= every_) {
         sinceBeat_ = 0;
-        emitHeartbeat();
+        emit(record("heartbeat", true, true));
     }
-}
-
-void
-CampaignMonitor::recordBatch(std::uint64_t done, std::uint64_t failed)
-{
-    const std::lock_guard<std::mutex> g(mu_);
-    done_ += done;
-    failures_ += failed;
 }
 
 void
 CampaignMonitor::finish()
 {
     const std::lock_guard<std::mutex> g(mu_);
-    if (!sink_)
-        return;
-    const std::string line = record("summary", false, false);
-    std::fputs(line.c_str(), sink_);
-    std::fputc('\n', sink_);
-    std::fflush(sink_);
+    emit(record("summary", false, false));
+}
+
+std::string
+CampaignMonitor::summary() const
+{
+    const std::lock_guard<std::mutex> g(mu_);
+    return record("summary", false, false);
 }
 
 bool
-CampaignMonitor::writeSummary(const std::string &path) const
+writeRecord(const std::string &path, const std::string &record)
 {
-    const std::lock_guard<std::mutex> g(mu_);
     std::ofstream out(path);
-    if (!out)
-        return false;
-    out << record("summary", false, false) << "\n";
+    out << record << "\n";
     return bool(out);
 }
 

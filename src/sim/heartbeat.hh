@@ -19,8 +19,9 @@
  *    "failures":1,"casesPerSec":12.48,"elapsedSec":16.03,
  *    "failedSeeds":[77]}
  *
- * writeSummary() additionally lands the summary record in a file so
- * CI can archive campaign outcomes without scraping logs. Timing uses
+ * writeRecord(path, summary()) additionally lands the summary record
+ * in a file so CI can archive campaign outcomes without scraping logs.
+ * The clock starts when the monitor is built. Timing uses
  * the host steady clock only — campaign pacing has no connection to
  * simulated time. See docs/observability.md.
  */
@@ -61,19 +62,11 @@ class CampaignMonitor
     /** Record one finished case; emits a heartbeat when due. */
     void caseDone(std::uint64_t seed, bool failed);
 
-    /**
-     * Record @p done cases (of which @p failed failed) finished by
-     * some driver that tracks its own seeds — e.g. the sweep path,
-     * which reports per-point batch outcomes. Never emits heartbeats
-     * (the driver emits its own per-case records); feeds the summary.
-     */
-    void recordBatch(std::uint64_t done, std::uint64_t failed);
-
     /** Emit the summary record to the sink. */
     void finish();
 
-    /** Write the summary record to @p path; false on I/O error. */
-    bool writeSummary(const std::string &path) const;
+    /** The summary record as of now (one NDJSON line, no newline). */
+    std::string summary() const;
 
     std::uint64_t
     done() const
@@ -97,8 +90,8 @@ class CampaignMonitor
     /** Caller holds mu_. */
     std::string record(const char *type, bool withEta,
                        bool withSeed) const;
-    /** Caller holds mu_. */
-    void emitHeartbeat();
+    /** Write one record line to the sink. Caller holds mu_. */
+    void emit(const std::string &line);
 
     mutable std::mutex mu_;
     std::string campaign_;
@@ -112,6 +105,9 @@ class CampaignMonitor
     std::uint64_t lastSeed_ = 0;
     std::vector<std::uint64_t> failedSeeds_;
 };
+
+/** Write @p record plus a newline to @p path; false on I/O error. */
+bool writeRecord(const std::string &path, const std::string &record);
 
 } // namespace dolos
 

@@ -41,7 +41,6 @@ const char *
 compName(Comp c)
 {
     switch (c) {
-      case Comp::EventKernel: return "eventKernel";
       case Comp::Core: return "core";
       case Comp::CacheModel: return "cacheModel";
       case Comp::Controller: return "controller";

@@ -40,7 +40,6 @@ namespace dolos::prof
 /** Component a profiled scope attributes its host time to. */
 enum class Comp : std::uint8_t
 {
-    EventKernel,    ///< event-queue dispatch loop
     Core,           ///< SimpleCore operation bookkeeping
     CacheModel,     ///< cache hierarchy lookups/fills
     Controller,     ///< memory controller + WPQ machinery

@@ -6,16 +6,13 @@
 #include "verify/sweep_driver.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "sim/crash_points.hh"
 #include "sim/heartbeat.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "verify/campaign.hh"
 #include "verify/fault_injector.hh"
 #include "workloads/pmem.hh"
 
@@ -324,8 +321,6 @@ sweepCrashPoints(const SweepOptions &opt)
 {
     SweepResult result;
     result.boundaries = enumerateCrashPoints(opt);
-    if (result.boundaries.empty())
-        return result;
 
     // Select the points to run: all of them, or a budgeted sample
     // that is evenly strided with a seeded start so repeated CI runs
@@ -360,51 +355,13 @@ sweepCrashPoints(const SweepOptions &opt)
     CampaignMonitor monitor("sweep", chosen.size(),
                             opt.heartbeatEvery);
     result.points.resize(chosen.size());
-    const std::size_t jobs = std::min<std::size_t>(
-        std::max(1u, opt.jobs), chosen.size());
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < chosen.size(); ++k) {
-            result.points[k] = runCrashPoint(opt, chosen[k]);
-            monitor.caseDone(chosen[k], !result.points[k].passed());
-        }
-    } else {
-        // Deterministic merge: worker w claims chosen-point indices
-        // from a shared counter and writes each outcome into its
-        // slot, so result.points is bit-identical to the serial run
-        // regardless of scheduling. Every point is self-contained
-        // (fresh System + thread-local crash-point registry), which
-        // is what the thread-shared lint audit guarantees.
-        std::atomic<std::size_t> next{0};
-        std::mutex errMu;
-        std::exception_ptr firstError;
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w)
-            workers.emplace_back([&] {
-                for (;;) {
-                    const std::size_t k =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (k >= chosen.size())
-                        return;
-                    try {
-                        result.points[k] = runCrashPoint(opt, chosen[k]);
-                    } catch (...) {
-                        const std::lock_guard<std::mutex> g(errMu);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                        return;
-                    }
-                    monitor.caseDone(chosen[k],
-                                     !result.points[k].passed());
-                }
-            });
-        for (auto &t : workers)
-            t.join();
-        if (firstError)
-            std::rethrow_exception(firstError);
-    }
+    runCampaign(chosen.size(), opt.jobs, monitor, [&](std::size_t k) {
+        result.points[k] = runCrashPoint(opt, chosen[k]);
+        return CaseVerdict{chosen[k], !result.points[k].passed()};
+    });
     if (opt.heartbeatEvery)
         monitor.finish();
+    result.summary = monitor.summary();
     return result;
 }
 

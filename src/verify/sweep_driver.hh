@@ -109,12 +109,9 @@ struct SweepOptions
     std::uint64_t heartbeatEvery = 0;
 
     /**
-     * Worker threads running crash points (<=1 = serial). Each point
-     * is fully self-contained (fresh System, golden model, and
-     * thread-local crash-point registry), so the sweep verdict is
-     * bit-identical to the serial run for any jobs value: results
-     * land in the slot of their chosen-point index, and only the
-     * heartbeat interleaving on stderr varies.
+     * Worker threads running crash points (0 counts as 1); see
+     * verify/campaign.hh. The sweep verdict is bit-identical for any
+     * jobs value.
      */
     unsigned jobs = 1;
 };
@@ -155,6 +152,12 @@ struct SweepResult
 {
     std::vector<std::uint64_t> boundaries; ///< all enumerated
     std::vector<CrashPointResult> points;  ///< the ones actually run
+
+    /**
+     * The sweep monitor's summary record (sim/heartbeat.hh): its clock
+     * spans the crash points and failedSeeds lists failing crash ops.
+     */
+    std::string summary;
 
     std::size_t
     failures() const

@@ -23,6 +23,7 @@ constexpr SecurityMode allModes[] = {
     SecurityMode::NonSecureIdeal,     SecurityMode::PreWpqSecure,
     SecurityMode::PostWpqUnprotected, SecurityMode::DolosFullWpq,
     SecurityMode::DolosPartialWpq,    SecurityMode::DolosPostWpq,
+    SecurityMode::EadrSecure,
 };
 
 TEST(WpqParamsConfig, EntriesForEveryMode)
@@ -82,6 +83,8 @@ TEST(SecurityModeConfig, ExpectedNames)
                  "Dolos-Partial-WPQ");
     EXPECT_STREQ(securityModeName(SecurityMode::DolosPostWpq),
                  "Dolos-Post-WPQ");
+    EXPECT_STREQ(securityModeName(SecurityMode::EadrSecure),
+                 "Eadr-Secure");
 }
 
 TEST(SecurityModeConfig, DolosFamilyClassification)
@@ -113,6 +116,11 @@ TEST(SecurityModeConfig, ParseAcceptsEveryCliNameAndAlias)
               SecurityMode::DolosPostWpq);
     EXPECT_EQ(parseSecurityMode("post_wpq"),
               SecurityMode::DolosPostWpq);
+    EXPECT_EQ(parseSecurityMode("eadr"), SecurityMode::EadrSecure);
+    // Every mode's printed CLI name (REPRO lines) parses back to it.
+    for (const auto mode : allModes)
+        EXPECT_EQ(parseSecurityMode(securityModeCliName(mode)), mode)
+            << securityModeCliName(mode);
 }
 
 TEST(SecurityModeConfig, ParseRejectsUnknownNames)
@@ -122,6 +130,18 @@ TEST(SecurityModeConfig, ParseRejectsUnknownNames)
     EXPECT_EQ(parseSecurityMode("dolos"), std::nullopt);
     EXPECT_EQ(parseSecurityMode("IDEAL"), std::nullopt);
     EXPECT_EQ(parseSecurityMode("full-wpq"), std::nullopt);
+}
+
+TEST(CliNumberConfig, ParseAcceptsOnlyAWholeUnsignedLiteral)
+{
+    EXPECT_EQ(parseCliNumber("0"), 0u);
+    EXPECT_EQ(parseCliNumber("42"), 42u);
+    EXPECT_EQ(parseCliNumber("0x10"), 16u);
+    EXPECT_EQ(parseCliNumber("18446744073709551615"),
+              18446744073709551615ull);
+    for (const char *bad : {"", "abc", "2x", "5 ", " 5", "-1", "+1",
+                            "0x", "18446744073709551616"})
+        EXPECT_EQ(parseCliNumber(bad), std::nullopt) << "'" << bad << "'";
 }
 
 TEST(ConfigValidation, PaperDefaultsAreValidForEveryMode)

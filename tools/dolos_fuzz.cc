@@ -26,17 +26,15 @@
  *   dolos_fuzz --campaign nightly   (8 episodes per mode+workload)
  */
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/exit_codes.hh"
 #include "sim/heartbeat.hh"
 #include "sim/thread_annotations.hh"
+#include "verify/campaign.hh"
 #include "verify/diff_oracle.hh"
 #include "verify/fault_injector.hh"
 #include "workloads/runner.hh"
@@ -73,8 +71,7 @@ usage(int code)
         "usage: dolos_fuzz [--campaign smoke|nightly] [options]\n"
         "       dolos_fuzz --mode M --workload W --seed S"
         " --crash-op N --fault F\n"
-        "  --mode MODE      ideal|baseline|post-unprotected|"
-        "dolos-full|dolos-partial|dolos-post\n"
+        "  --mode MODE      %s\n"
         "  --workload NAME  hashmap|ctree|btree|rbtree|nstore-ycsb|"
         "redis\n"
         "  --fault F        none|data-flip|mac-flip|counter-rollback|"
@@ -92,30 +89,9 @@ usage(int code)
         "(default 1;\n"
         "                   verdicts are bit-identical to --jobs 1)\n"
         "  --summary-json FILE  write the campaign-summary record\n"
-        "  --seed N | --crash-op N | --txns N | --help\n");
+        "  --seed N | --crash-op N | --txns N | --help\n",
+        securityModeCliNames().c_str());
     std::exit(code);
-}
-
-const char *
-modeCliName(SecurityMode mode)
-{
-    switch (mode) {
-      case SecurityMode::NonSecureIdeal:
-        return "ideal";
-      case SecurityMode::PreWpqSecure:
-        return "baseline";
-      case SecurityMode::PostWpqUnprotected:
-        return "post-unprotected";
-      case SecurityMode::DolosFullWpq:
-        return "dolos-full";
-      case SecurityMode::DolosPartialWpq:
-        return "dolos-partial";
-      case SecurityMode::DolosPostWpq:
-        return "dolos-post";
-      case SecurityMode::EadrSecure:
-        return "eadr";
-    }
-    return "?";
 }
 
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
@@ -257,11 +233,8 @@ runEpisode(const EpisodeSpec &spec)
     // Blocks a media fault rendered unrecoverable are expected to
     // diverge (they read back as quarantined zeros); the oracle must
     // still hold on every healthy block.
-    std::set<Addr> skip;
-    for (const Addr block : golden.trackedBlocks())
-        if (sys.nvmDevice().hasUnhealableFault(block))
-            skip.insert(blockAlign(block));
-    const auto report = checkAgainstGolden(sys, golden, skip);
+    const auto report =
+        checkAgainstGolden(sys, golden, mediaSkipSet(sys, golden));
     sys.core().setObserver(nullptr);
 
     out.attackDetected = sys.attackDetected();
@@ -327,7 +300,7 @@ printRepro(const EpisodeSpec &spec)
 {
     std::printf("REPRO: dolos_fuzz --mode %s --workload %s --seed %llu"
                 " --crash-op %llu --fault %s --opt-knobs %s\n",
-                modeCliName(spec.mode), spec.workload.c_str(),
+                securityModeCliName(spec.mode), spec.workload.c_str(),
                 (unsigned long long)spec.seed,
                 (unsigned long long)spec.crashOp,
                 faultKindName(spec.fault),
@@ -342,7 +315,7 @@ DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
 unsigned campaignJobs = 1;
 
 int
-runCampaign(const std::string &name, std::uint64_t base_seed)
+runNamedCampaign(const std::string &name, std::uint64_t base_seed)
 {
     unsigned episodes_per_combo = 0;
     if (name == "smoke") {
@@ -402,32 +375,10 @@ runCampaign(const std::string &name, std::uint64_t base_seed)
     CampaignMonitor monitor("fuzz-" + name, specs.size(),
                             heartbeatEvery);
     std::vector<EpisodeOutcome> outcomes(specs.size());
-    const unsigned jobs = unsigned(std::min<std::size_t>(
-        std::max(1u, campaignJobs), specs.size()));
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < specs.size(); ++k) {
-            outcomes[k] = runEpisode(specs[k]);
-            monitor.caseDone(specs[k].seed, !outcomes[k].passed);
-        }
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (unsigned w = 0; w < jobs; ++w)
-            workers.emplace_back([&] {
-                for (;;) {
-                    const std::size_t k =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (k >= specs.size())
-                        return;
-                    outcomes[k] = runEpisode(specs[k]);
-                    monitor.caseDone(specs[k].seed,
-                                     !outcomes[k].passed);
-                }
-            });
-        for (auto &t : workers)
-            t.join();
-    }
+    runCampaign(specs.size(), campaignJobs, monitor, [&](std::size_t k) {
+        outcomes[k] = runEpisode(specs[k]);
+        return CaseVerdict{specs[k].seed, !outcomes[k].passed};
+    });
     // Report serially in campaign order: the failure log and REPRO
     // lines read the same however many workers ran the episodes.
     for (std::size_t k = 0; k < specs.size(); ++k) {
@@ -447,7 +398,7 @@ runCampaign(const std::string &name, std::uint64_t base_seed)
     }
     monitor.finish();
     if (!summaryJsonFile.empty() &&
-        !monitor.writeSummary(summaryJsonFile)) {
+        !writeRecord(summaryJsonFile, monitor.summary())) {
         std::fprintf(stderr, "cannot write %s\n",
                      summaryJsonFile.c_str());
         return ExitUsage;
@@ -478,6 +429,16 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&]() -> std::uint64_t {
+            const char *text = value();
+            const auto v = parseCliNumber(text);
+            if (!v) {
+                std::fprintf(stderr, "bad numeric value '%s' for %s\n",
+                             text, a.c_str());
+                usage(ExitUsage);
+            }
+            return *v;
+        };
         if (a == "--campaign") {
             campaign = value();
         } else if (a == "--mode") {
@@ -492,17 +453,16 @@ main(int argc, char **argv)
             spec.workload = value();
             single = true;
         } else if (a == "--seed") {
-            seed = std::strtoull(value(), nullptr, 0);
+            seed = number();
         } else if (a == "--crash-op") {
-            spec.crashOp = std::strtoull(value(), nullptr, 0);
+            spec.crashOp = number();
             single = true;
         } else if (a == "--txns") {
-            episodeTxns = std::strtoull(value(), nullptr, 0);
+            episodeTxns = number();
         } else if (a == "--heartbeat") {
-            heartbeatEvery = std::strtoull(value(), nullptr, 0);
+            heartbeatEvery = number();
         } else if (a == "--jobs") {
-            campaignJobs =
-                unsigned(std::strtoull(value(), nullptr, 0));
+            campaignJobs = unsigned(number());
             if (campaignJobs == 0) {
                 std::fprintf(stderr, "--jobs must be >= 1\n");
                 usage(ExitUsage);
@@ -543,13 +503,13 @@ main(int argc, char **argv)
         campaign = "smoke";
 
     if (!campaign.empty())
-        return runCampaign(campaign, seed);
+        return runNamedCampaign(campaign, seed);
 
     spec.seed = seed;
     const auto out = runEpisode(spec);
     std::printf("episode %s/%s fault=%s crash-op=%llu: %s "
                 "(attack=%d structure=%d oracle-violations=%llu)%s%s\n",
-                modeCliName(spec.mode), spec.workload.c_str(),
+                securityModeCliName(spec.mode), spec.workload.c_str(),
                 faultKindName(spec.fault),
                 (unsigned long long)spec.crashOp,
                 out.passed ? "PASS" : "FAIL", int(out.attackDetected),

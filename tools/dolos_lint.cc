@@ -975,9 +975,8 @@ scanProfScopes(const std::string &file, const std::vector<Token> &toks)
     // component would only fail in DOLOS_SELFPROF=ON builds, so the
     // lint catches it in every configuration.
     static const std::set<std::string> known = {
-        "EventKernel", "Core", "CacheModel", "Controller",
-        "SecurityEngine", "Aes", "Mac", "Sha", "CtrPad", "Nvm",
-        "Verify"};
+        "Core", "CacheModel", "Controller", "SecurityEngine", "Aes",
+        "Mac", "Sha", "CtrPad", "Nvm", "Verify"};
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
         if (!isIdent(toks[i], "DOLOS_PROF_SCOPE") ||
             !isPunct(toks[i + 1], "("))

@@ -74,8 +74,7 @@ usage(int code)
         "usage: dolos_sim [options]\n"
         "  --workload NAME     hashmap|ctree|btree|rbtree|nstore-ycsb|"
         "redis (--list)\n"
-        "  --mode MODE         ideal|baseline|post-unprotected|"
-        "dolos-full|dolos-partial|dolos-post|eadr\n"
+        "  --mode MODE         %s\n"
         "                      (aliases: full_wpq|partial_wpq|post_wpq)\n"
         "  --eadr-budget N     eADR holdup energy budget in cycles\n"
         "                      (nonzero; an under-provisioned budget\n"
@@ -118,7 +117,7 @@ usage(int code)
         "                      all three Mi-SU modes, then exit\n"
         "  --opt-knobs SPEC    persist-path optimizations: none|all|\n"
         "                      comma list of bmt-pipeline,drain-batch,\n"
-        "                      tag-prefetch (default none)\n"
+        "                      tag-prefetch (default all)\n"
         "  --sample-interval N sample the stat tree every N simulated\n"
         "                      cycles into a windowed timeline\n"
         "  --stats-timeline F  write the timeline to F (JSON, or CSV\n"
@@ -131,22 +130,9 @@ usage(int code)
         "  --seed N | --stats | --list | --help\n"
         "exit codes: 0 ok, 1 verification failure, 2 usage, "
         "3 attack alarm,\n"
-        "            4 unrecoverable media fault\n");
+        "            4 unrecoverable media fault\n",
+        securityModeCliNames().c_str());
     std::exit(code);
-}
-
-/** Strict base-0 integer parse: the whole token must be a number. */
-std::uint64_t
-parseNum(const char *opt, const char *text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "bad numeric value '%s' for %s\n", text,
-                     opt);
-        usage(ExitUsage);
-    }
-    return v;
 }
 
 Options
@@ -163,7 +149,16 @@ parse(int argc, char **argv)
             }
             return argv[++i];
         };
-        auto numValue = [&]() { return parseNum(a.c_str(), value()); };
+        auto numValue = [&]() -> std::uint64_t {
+            const char *text = value();
+            const auto v = parseCliNumber(text);
+            if (!v) {
+                std::fprintf(stderr, "bad numeric value '%s' for %s\n",
+                             text, a.c_str());
+                usage(ExitUsage);
+            }
+            return *v;
+        };
         if (a == "--workload")
             o.workload = value();
         else if (a == "--mode")

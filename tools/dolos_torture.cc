@@ -40,14 +40,11 @@
  * 2 usage, 3 attack alarm, 4 unrecoverable media.
  */
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "secure/address_map.hh"
@@ -57,6 +54,7 @@
 #include "sim/heartbeat.hh"
 #include "sim/random.hh"
 #include "sim/thread_annotations.hh"
+#include "verify/campaign.hh"
 #include "verify/diff_oracle.hh"
 #include "verify/fault_injector.hh"
 #include "verify/sweep_driver.hh"
@@ -120,8 +118,7 @@ usage(int code)
         " [--txns N]\n"
         "                     [--points every-op|wpq|microstep] "
         "[--recovery-crash K]\n"
-        "  --mode MODE   ideal|baseline|post-unprotected|dolos-full|"
-        "dolos-partial|dolos-post|eadr\n"
+        "  --mode MODE   %s\n"
         "  SPEC          comma-separated ops: w:SLOT:VAL f:SLOT s c"
         " r:K m:K t:SLOT:BIT k:SLOT:BIT x:SLOT:N\n"
         "                FC:SLOT:BIT FB:SLOT:BIT FM:SLOT:BIT "
@@ -147,7 +144,8 @@ usage(int code)
         "                (default 1; verdicts are bit-identical to "
         "--jobs 1)\n"
         "  --summary-json FILE\n"
-        "                write the campaign-summary record to FILE\n");
+        "                write the campaign-summary record to FILE\n",
+        securityModeCliNames().c_str());
     std::exit(code);
 }
 
@@ -464,11 +462,8 @@ runProgram(SecurityMode mode, const std::vector<Op> &ops,
 
     // Blocks this schedule deliberately destroyed are expected to
     // diverge; the oracle must hold on every other block.
-    std::set<Addr> skip;
-    for (const Addr block : golden.trackedBlocks())
-        if (sys.nvmDevice().hasUnhealableFault(block))
-            skip.insert(blockAlign(block));
-    const auto report = checkAgainstGolden(sys, golden, skip);
+    const auto report =
+        checkAgainstGolden(sys, golden, mediaSkipSet(sys, golden));
     sys.core().setObserver(nullptr);
 
     out.attack = sys.attackDetected();
@@ -522,28 +517,6 @@ minimizeOps(std::vector<Op> ops,
     return ops;
 }
 
-const char *
-modeCliName(SecurityMode mode)
-{
-    switch (mode) {
-      case SecurityMode::NonSecureIdeal:
-        return "ideal";
-      case SecurityMode::PreWpqSecure:
-        return "baseline";
-      case SecurityMode::PostWpqUnprotected:
-        return "post-unprotected";
-      case SecurityMode::DolosFullWpq:
-        return "dolos-full";
-      case SecurityMode::DolosPartialWpq:
-        return "dolos-partial";
-      case SecurityMode::DolosPostWpq:
-        return "dolos-post";
-      case SecurityMode::EadrSecure:
-        return "eadr";
-    }
-    return "?";
-}
-
 void
 printRepro(SecurityMode mode, const std::vector<Op> &ops,
            const PlantSpec &plant)
@@ -560,7 +533,7 @@ printRepro(SecurityMode mode, const std::vector<Op> &ops,
     // default flip must rebuild the same machine after it.
     std::printf("REPRO: dolos_torture --mode %s%s%s --opt-knobs %s "
                 "--replay %s\n",
-                modeCliName(mode), bug.c_str(), budget.c_str(),
+                securityModeCliName(mode), bug.c_str(), budget.c_str(),
                 formatOptKnobs(gOptKnobs).c_str(),
                 formatOps(ops).c_str());
 }
@@ -612,13 +585,22 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&]() -> std::uint64_t {
+            const char *text = value();
+            const auto v = parseCliNumber(text);
+            if (!v) {
+                std::fprintf(stderr, "bad numeric value '%s' for %s\n",
+                             text, a.c_str());
+                usage(ExitUsage);
+            }
+            return *v;
+        };
         if (a == "--seed") {
-            seed = std::strtoull(value(), nullptr, 0);
+            seed = number();
         } else if (a == "--campaign") {
-            campaign = unsigned(std::strtoull(value(), nullptr, 0));
+            campaign = unsigned(number());
         } else if (a == "--ops") {
-            opsPerEpisode =
-                unsigned(std::strtoull(value(), nullptr, 0));
+            opsPerEpisode = unsigned(number());
         } else if (a == "--mode") {
             const auto m = parseSecurityMode(value());
             if (!m) {
@@ -630,19 +612,20 @@ main(int argc, char **argv)
             replaySpec = value();
         } else if (a == "--plant-bug") {
             const std::string spec = value();
-            unsigned long long k = 0;
+            const auto k = spec.rfind("drop-clwb:", 0) == 0
+                               ? parseCliNumber(spec.substr(10))
+                               : std::nullopt;
             if (spec == "bad-counter-repair") {
                 plant.badCounterRepair = true;
-            } else if (std::sscanf(spec.c_str(), "drop-clwb:%llu",
-                                   &k) == 1) {
-                plant.clwbDrop = k;
+            } else if (k) {
+                plant.clwbDrop = *k;
             } else {
                 std::fprintf(stderr, "unknown bug spec '%s'\n",
                              spec.c_str());
                 usage(ExitUsage);
             }
         } else if (a == "--expect-bug") {
-            expectBug = unsigned(std::strtoull(value(), nullptr, 0));
+            expectBug = unsigned(number());
         } else if (a == "--sweep") {
             sweep = true;
         } else if (a == "--workload") {
@@ -650,15 +633,13 @@ main(int argc, char **argv)
         } else if (a == "--points") {
             sweepPoints = value();
         } else if (a == "--budget") {
-            sweepBudget = std::strtoull(value(), nullptr, 0);
+            sweepBudget = number();
         } else if (a == "--txns") {
-            sweepTxns = std::strtoull(value(), nullptr, 0);
+            sweepTxns = number();
         } else if (a == "--recovery-crash") {
-            recoveryCrash =
-                unsigned(std::strtoull(value(), nullptr, 0));
+            recoveryCrash = unsigned(number());
         } else if (a == "--eadr-budget") {
-            const std::uint64_t v =
-                std::strtoull(value(), nullptr, 0);
+            const std::uint64_t v = number();
             if (v == 0) {
                 std::fprintf(stderr,
                              "--eadr-budget must be nonzero (a zero "
@@ -669,9 +650,9 @@ main(int argc, char **argv)
         } else if (a == "--meta-faults") {
             metaFaults = true;
         } else if (a == "--heartbeat") {
-            heartbeat = std::strtoull(value(), nullptr, 0);
+            heartbeat = number();
         } else if (a == "--jobs") {
-            jobs = unsigned(std::strtoull(value(), nullptr, 0));
+            jobs = unsigned(number());
             if (jobs == 0) {
                 std::fprintf(stderr, "--jobs must be >= 1\n");
                 usage(ExitUsage);
@@ -695,6 +676,16 @@ main(int argc, char **argv)
         }
     }
 
+    // Modes with an interruptible persist surface (see genProgram).
+    const bool microstepOps =
+        isDolosMode(mode) || mode == SecurityMode::EadrSecure;
+    const auto writeSummary = [&](const std::string &record) {
+        if (summaryJson.empty() || writeRecord(summaryJson, record))
+            return true;
+        std::fprintf(stderr, "cannot write %s\n", summaryJson.c_str());
+        return false;
+    };
+
     if (sweep) {
         // Arbitrary-cycle crash sweep (optionally with a compound
         // mid-recovery crash at every point) — the sanitizer lane's
@@ -716,15 +707,14 @@ main(int argc, char **argv)
         } else if (sweepPoints == "wpq") {
             opt.pointSet = CrashPoints::WpqBoundaries;
         } else if (sweepPoints == "microstep") {
-            if (!isDolosMode(mode) &&
-                mode != SecurityMode::EadrSecure) {
+            if (!microstepOps) {
                 std::fprintf(stderr,
                              "--points microstep needs a mode with an "
                              "interruptible persist surface: "
                              "dolos-full|dolos-partial|dolos-post "
                              "(the re-drainable ADR dump) or eadr "
                              "(the holdup flush); got %s\n",
-                             modeCliName(mode));
+                             securityModeCliName(mode));
                 usage(ExitUsage);
             }
             opt.pointSet = CrashPoints::Microstep;
@@ -743,17 +733,8 @@ main(int argc, char **argv)
                     describeSweep(opt).c_str(),
                     result.boundaries.size(), result.points.size(),
                     result.failures());
-        if (!summaryJson.empty()) {
-            CampaignMonitor monitor("sweep", result.points.size(), 0,
-                                    nullptr);
-            monitor.recordBatch(result.points.size(),
-                                result.failures());
-            if (!monitor.writeSummary(summaryJson)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             summaryJson.c_str());
-                return ExitUsage;
-            }
-        }
+        if (!writeSummary(result.summary))
+            return ExitUsage;
         if (!result.allPassed()) {
             std::printf("FAIL: %s\n", result.firstFailure().c_str());
             const std::string budget_arg =
@@ -767,7 +748,7 @@ main(int argc, char **argv)
                         "--workload %s --txns %llu --budget %zu "
                         "--seed %llu --points %s%s%s%s%s "
                         "--opt-knobs %s --jobs %u\n",
-                        modeCliName(mode), sweepWorkload.c_str(),
+                        securityModeCliName(mode), sweepWorkload.c_str(),
                         (unsigned long long)sweepTxns, sweepBudget,
                         (unsigned long long)seed, sweepPoints.c_str(),
                         recoveryCrash ? " --recovery-crash " : "",
@@ -815,10 +796,8 @@ main(int argc, char **argv)
         const auto hunt = [&](const PlantSpec &spec,
                               const char *label) -> bool {
             for (unsigned ep = 0; ep < 50; ++ep) {
-                const auto ops = genProgram(
-                    seed + ep, opsPerEpisode,
-                    isDolosMode(mode) ||
-                        mode == SecurityMode::EadrSecure);
+                const auto ops =
+                    genProgram(seed + ep, opsPerEpisode, microstepOps);
                 const auto out = runProgram(mode, ops, spec);
                 if (!out.failed)
                     continue;
@@ -872,72 +851,33 @@ main(int argc, char **argv)
                 campaign, opsPerEpisode, securityModeName(mode),
                 (unsigned long long)seed,
                 formatOptKnobs(gOptKnobs).c_str(), jobs);
+    // Two phases: episodes run into per-episode slots (each is seeded
+    // and self-contained), then failures are reported and minimized
+    // in episode order, so stdout is the same for any --jobs.
     CampaignMonitor monitor("torture", campaign, heartbeat);
-    if (jobs <= 1) {
-        for (unsigned ep = 0; ep < campaign; ++ep) {
-            const std::uint64_t ep_seed = seed + ep;
-            const auto ops = genProgram(
-                ep_seed, opsPerEpisode,
-                isDolosMode(mode) || mode == SecurityMode::EadrSecure);
-            const auto out = runProgram(mode, ops, PlantSpec{});
-            monitor.caseDone(ep_seed, out.failed);
-            if (!out.failed)
-                continue;
-            ++failed;
-            any_attack |= out.attack;
-            std::printf("FAIL episode %u (seed %llu): %s\n", ep,
-                        (unsigned long long)ep_seed, out.note.c_str());
-            minimizeAndReport(mode, ops, PlantSpec{});
-        }
-    } else {
-        // Two-phase parallel campaign: workers run episodes into
-        // per-episode slots (each episode is seeded and
-        // self-contained, so the outcome set is identical to the
-        // serial run), then failures are reported and minimized
-        // serially in episode order so the log and the minimizer's
-        // stdout stay deterministic.
-        std::vector<Outcome> outcomes(campaign);
-        std::atomic<unsigned> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (unsigned w = 0; w < std::min(jobs, campaign); ++w)
-            workers.emplace_back([&] {
-                for (;;) {
-                    const unsigned ep =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (ep >= campaign)
-                        return;
-                    const std::uint64_t ep_seed = seed + ep;
-                    const auto ops = genProgram(
-                        ep_seed, opsPerEpisode,
-                        isDolosMode(mode) ||
-                            mode == SecurityMode::EadrSecure);
-                    outcomes[ep] = runProgram(mode, ops, PlantSpec{});
-                    monitor.caseDone(ep_seed, outcomes[ep].failed);
-                }
-            });
-        for (auto &t : workers)
-            t.join();
-        for (unsigned ep = 0; ep < campaign; ++ep) {
-            const auto &out = outcomes[ep];
-            if (!out.failed)
-                continue;
-            ++failed;
-            any_attack |= out.attack;
-            const std::uint64_t ep_seed = seed + ep;
-            std::printf("FAIL episode %u (seed %llu): %s\n", ep,
-                        (unsigned long long)ep_seed, out.note.c_str());
-            const auto ops = genProgram(
-                ep_seed, opsPerEpisode,
-                isDolosMode(mode) || mode == SecurityMode::EadrSecure);
-            minimizeAndReport(mode, ops, PlantSpec{});
-        }
+    std::vector<Outcome> outcomes(campaign);
+    runCampaign(campaign, jobs, monitor, [&](std::size_t ep) {
+        outcomes[ep] = runProgram(
+            mode, genProgram(seed + ep, opsPerEpisode, microstepOps),
+            PlantSpec{});
+        return CaseVerdict{seed + ep, outcomes[ep].failed};
+    });
+    for (unsigned ep = 0; ep < campaign; ++ep) {
+        const auto &out = outcomes[ep];
+        if (!out.failed)
+            continue;
+        ++failed;
+        any_attack |= out.attack;
+        const std::uint64_t ep_seed = seed + ep;
+        std::printf("FAIL episode %u (seed %llu): %s\n", ep,
+                    (unsigned long long)ep_seed, out.note.c_str());
+        minimizeAndReport(
+            mode, genProgram(ep_seed, opsPerEpisode, microstepOps),
+            PlantSpec{});
     }
     monitor.finish();
-    if (!summaryJson.empty() && !monitor.writeSummary(summaryJson)) {
-        std::fprintf(stderr, "cannot write %s\n", summaryJson.c_str());
+    if (!writeSummary(monitor.summary()))
         return ExitUsage;
-    }
     std::printf("campaign done: %u/%u episodes failed\n", failed,
                 campaign);
     if (failed)
