@@ -17,19 +17,14 @@ double
 speedupWith(const std::string &wl, const BenchOptions &opts,
             Cycles misu_mac, bool coalescing)
 {
-    auto cfg = SystemConfig::paperDefault();
-    applyOptKnobs(cfg, opts.knobs);
-    cfg.mode = SecurityMode::PreWpqSecure;
-    cfg.wpq.coalescing = coalescing;
-    System base(cfg);
-    auto w1 = workloads::makeWorkload(wl, presetFor(wl, opts));
-    const auto rb = workloads::runWorkload(base, *w1, opts.txns);
-
-    cfg.mode = SecurityMode::DolosPartialWpq;
-    cfg.wpq.misuMacLatency = misu_mac;
-    System dolos(cfg);
-    auto w2 = workloads::makeWorkload(wl, presetFor(wl, opts));
-    const auto rd = workloads::runWorkload(dolos, *w2, opts.txns);
+    const auto tweak = [&](SystemConfig &cfg) {
+        cfg.wpq.coalescing = coalescing;
+        cfg.wpq.misuMacLatency = misu_mac;
+    };
+    const auto rb =
+        runOne(wl, SecurityMode::PreWpqSecure, opts, 1024, tweak);
+    const auto rd =
+        runOne(wl, SecurityMode::DolosPartialWpq, opts, 1024, tweak);
     return rb.cyclesPerTx() / rd.cyclesPerTx();
 }
 

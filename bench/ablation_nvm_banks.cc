@@ -28,18 +28,13 @@ main(int argc, char **argv)
     for (const auto &wl : workloads::workloadNames()) {
         std::printf("%-12s", wl.c_str());
         for (const unsigned b : banks) {
-            auto run = [&](SecurityMode mode) {
-                auto cfg = SystemConfig::paperDefault();
-                applyOptKnobs(cfg, opts.knobs);
-                cfg.mode = mode;
+            const auto tweak = [b](SystemConfig &cfg) {
                 cfg.nvm.numBanks = b;
-                System sys(cfg);
-                auto w = workloads::makeWorkload(
-                    wl, presetFor(wl, opts));
-                return workloads::runWorkload(sys, *w, opts.txns);
             };
-            const auto base = run(SecurityMode::PreWpqSecure);
-            const auto dolos = run(SecurityMode::DolosPartialWpq);
+            const auto base =
+                runOne(wl, SecurityMode::PreWpqSecure, opts, 1024, tweak);
+            const auto dolos = runOne(wl, SecurityMode::DolosPartialWpq,
+                                      opts, 1024, tweak);
             std::printf(" %8.2fx",
                         base.cyclesPerTx() / dolos.cyclesPerTx());
         }

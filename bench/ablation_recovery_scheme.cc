@@ -32,19 +32,15 @@ main(int argc, char **argv)
         const CrashScheme schemes[] = {CrashScheme::Anubis,
                                        CrashScheme::Osiris};
         for (int s = 0; s < 2; ++s) {
-            auto cfg = SystemConfig::paperDefault();
-            applyOptKnobs(cfg, opts.knobs);
-            cfg.mode = SecurityMode::PreWpqSecure;
-            cfg.secure.crashScheme = schemes[s];
-            System base(cfg);
-            auto w1 = workloads::makeWorkload(wl, presetFor(wl, opts));
-            const auto rb = workloads::runWorkload(base, *w1, opts.txns);
-
-            cfg.mode = SecurityMode::DolosPartialWpq;
-            System dolos(cfg);
-            auto w2 = workloads::makeWorkload(wl, presetFor(wl, opts));
+            const auto scheme = [&](SystemConfig &cfg) {
+                cfg.secure.crashScheme = schemes[s];
+            };
+            const auto rb =
+                runOne(wl, SecurityMode::PreWpqSecure, opts, 1024, scheme);
+            System dolos(
+                benchConfig(SecurityMode::DolosPartialWpq, opts, scheme));
             const auto rd =
-                workloads::runWorkload(dolos, *w2, opts.txns);
+                runVerified(dolos, wl, presetFor(wl, opts), opts);
             speedup[s] = rb.cyclesPerTx() / rd.cyclesPerTx();
             nvm_writes[s] = dolos.nvmDevice().writes();
         }
@@ -57,12 +53,11 @@ main(int argc, char **argv)
     // Recovery-side contrast: same write sequence, then a crash.
     std::printf("\nrecovery work after 500 writes:\n");
     for (int s = 0; s < 2; ++s) {
-        auto cfg = SystemConfig::paperDefault();
-        applyOptKnobs(cfg, opts.knobs);
-        cfg.mode = SecurityMode::DolosPartialWpq;
-        cfg.secure.crashScheme =
-            s == 0 ? CrashScheme::Anubis : CrashScheme::Osiris;
-        System sys(cfg);
+        System sys(benchConfig(
+            SecurityMode::DolosPartialWpq, opts, [s](SystemConfig &cfg) {
+                cfg.secure.crashScheme =
+                    s == 0 ? CrashScheme::Anubis : CrashScheme::Osiris;
+            }));
         Block b{};
         Tick t = 0;
         Random rng(7);

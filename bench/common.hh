@@ -18,12 +18,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 #include "workloads/runner.hh"
 
@@ -42,65 +43,39 @@ struct BenchOptions
     OptKnobs knobs;        ///< persist-path levers (default: all on;
                            ///< --opt-knobs none = the paper's machine)
 
+    [[noreturn]] static void
+    usage(int code)
+    {
+        std::printf("options: --txns N | --full | --keys N | --seed N"
+                    " | --no-verify | --json [FILE]"
+                    " | --opt-knobs K (none = paper's machine)\n");
+        std::exit(code);
+    }
+
     static BenchOptions
     parse(int argc, char **argv)
     {
         BenchOptions o;
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            auto next = [&]() -> std::uint64_t {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n",
-                                 a.c_str());
-                    std::exit(1);
-                }
-                const char *text = argv[++i];
-                const auto v = parseCliNumber(text);
-                if (!v) {
-                    std::fprintf(stderr,
-                                 "bad numeric value '%s' for %s\n",
-                                 text, a.c_str());
-                    std::exit(1);
-                }
-                return *v;
-            };
-            if (a == "--txns") {
-                o.txns = next();
-            } else if (a == "--full") {
+        CliReader r(argc, argv, 1, usage);
+        while (r.next()) {
+            if (r.is("--txns")) {
+                o.txns = r.number();
+            } else if (r.is("--full")) {
                 o.txns = 50000;
-            } else if (a == "--keys") {
-                o.numKeys = next();
-            } else if (a == "--seed") {
-                o.seed = next();
-            } else if (a == "--no-verify") {
+            } else if (r.is("--keys")) {
+                o.numKeys = r.number();
+            } else if (r.is("--seed")) {
+                o.seed = r.number();
+            } else if (r.is("--no-verify")) {
                 o.verify = false;
-            } else if (a == "--json") {
+            } else if (r.is("--json")) {
                 o.json = true;
                 // Optional value: a path that names the artifact.
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    o.jsonFile = argv[++i];
-            } else if (a == "--opt-knobs") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n",
-                                 a.c_str());
-                    std::exit(1);
-                }
-                const auto parsed = parseOptKnobs(argv[++i]);
-                if (!parsed) {
-                    std::fprintf(stderr, "bad --opt-knobs spec '%s'\n",
-                                 argv[i]);
-                    std::exit(1);
-                }
-                o.knobs = *parsed;
-            } else if (a == "--help" || a == "-h") {
-                std::printf(
-                    "options: --txns N | --full | --keys N | --seed N"
-                    " | --no-verify | --json [FILE]"
-                    " | --opt-knobs K (none = paper's machine)\n");
-                std::exit(0);
+                o.jsonFile = r.optionalValue().value_or("");
+            } else if (r.is("--opt-knobs")) {
+                o.knobs = r.parsed(parseOptKnobs, "bad --opt-knobs spec");
             } else {
-                std::fprintf(stderr, "unknown option %s\n", a.c_str());
-                std::exit(1);
+                r.unknown();
             }
         }
         return o;
@@ -226,33 +201,51 @@ presetFor(const std::string &workload, const BenchOptions &opts,
     return p;
 }
 
-/** Run one workload on one mode; optionally verify. */
-inline workloads::RunResult
-runOne(const std::string &workload, SecurityMode mode,
-       const BenchOptions &opts, unsigned tx_size = 1024,
-       TreeUpdatePolicy policy = TreeUpdatePolicy::EagerMerkle,
-       const WpqParams *wpq_override = nullptr)
+/** A driver's change to the machine, applied after the knob spec. */
+using ConfigTweak = std::function<void(SystemConfig &)>;
+
+/**
+ * The paper's machine in @p mode, with the --opt-knobs levers and
+ * then @p tweak applied.
+ */
+inline SystemConfig
+benchConfig(SecurityMode mode, const BenchOptions &opts,
+            const ConfigTweak &tweak = {})
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.mode = mode;
-    cfg.secure.treePolicy = policy;
-    if (wpq_override)
-        cfg.wpq = *wpq_override;
-    // After the WPQ override: the knob spec must win over the
-    // override's drainBatching default too.
     applyOptKnobs(cfg, opts.knobs);
-    System sys(cfg);
-    auto wl = workloads::makeWorkload(workload,
-                                      presetFor(workload, opts, tx_size));
+    if (tweak)
+        tweak(cfg);
+    return cfg;
+}
+
+/** Run @p workload on @p sys; exit 1 if verification is on and fails. */
+inline workloads::RunResult
+runVerified(System &sys, const std::string &workload,
+            const workloads::WorkloadParams &params,
+            const BenchOptions &opts)
+{
+    auto wl = workloads::makeWorkload(workload, params);
     auto res = workloads::runWorkload(sys, *wl, opts.txns);
     if (opts.verify && !res.verified) {
-        std::fprintf(stderr,
-                     "VERIFICATION FAILED: %s on %s: %s\n",
-                     workload.c_str(), securityModeName(mode),
+        std::fprintf(stderr, "VERIFICATION FAILED: %s on %s: %s\n",
+                     workload.c_str(), securityModeName(res.mode),
                      res.verifyDiagnostic.c_str());
         std::exit(1);
     }
     return res;
+}
+
+/** Run one workload's preset on benchConfig(mode, opts, tweak). */
+inline workloads::RunResult
+runOne(const std::string &workload, SecurityMode mode,
+       const BenchOptions &opts, unsigned tx_size = 1024,
+       const ConfigTweak &tweak = {})
+{
+    System sys(benchConfig(mode, opts, tweak));
+    return runVerified(sys, workload, presetFor(workload, opts, tx_size),
+                       opts);
 }
 
 /** Geometric mean. */

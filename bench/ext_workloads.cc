@@ -33,18 +33,8 @@ main(int argc, char **argv)
         p.readsPerTx = 2;
 
         auto run = [&](SecurityMode mode) {
-            auto cfg = SystemConfig::paperDefault();
-            applyOptKnobs(cfg, opts.knobs);
-            cfg.mode = mode;
-            System sys(cfg);
-            auto w = workloads::makeWorkload(wl, p);
-            auto res = workloads::runWorkload(sys, *w, opts.txns);
-            if (opts.verify && !res.verified) {
-                std::fprintf(stderr, "VERIFICATION FAILED: %s\n",
-                             res.verifyDiagnostic.c_str());
-                std::exit(1);
-            }
-            return res;
+            System sys(benchConfig(mode, opts));
+            return runVerified(sys, wl, p, opts);
         };
 
         const auto base = run(SecurityMode::PreWpqSecure);

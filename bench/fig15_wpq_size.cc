@@ -39,15 +39,14 @@ main(int argc, char **argv)
     for (const auto &wl : workloads::workloadNames()) {
         std::printf("%-12s", wl.c_str());
         for (std::size_t i = 0; i < std::size(points); ++i) {
-            WpqParams wpq;
-            wpq.adrBudgetEntries = points[i].budget;
-            wpq.partialEntries = points[i].partial;
+            const auto wpq = [&](SystemConfig &cfg) {
+                cfg.wpq.adrBudgetEntries = points[i].budget;
+                cfg.wpq.partialEntries = points[i].partial;
+            };
             const auto base =
-                runOne(wl, SecurityMode::PreWpqSecure, opts, 1024,
-                       TreeUpdatePolicy::EagerMerkle, &wpq);
+                runOne(wl, SecurityMode::PreWpqSecure, opts, 1024, wpq);
             const auto dolos =
-                runOne(wl, SecurityMode::DolosPartialWpq, opts, 1024,
-                       TreeUpdatePolicy::EagerMerkle, &wpq);
+                runOne(wl, SecurityMode::DolosPartialWpq, opts, 1024, wpq);
             const double s = base.cyclesPerTx() / dolos.cyclesPerTx();
             speedups[i].push_back(s);
             retries[i].push_back(dolos.retriesPerKwr);

@@ -28,14 +28,16 @@ main(int argc, char **argv)
 
     std::printf("%-12s %10s %10s %10s\n", "benchmark", "Full",
                 "Partial", "Post");
+    const auto lazy = [](SystemConfig &cfg) {
+        cfg.secure.treePolicy = TreeUpdatePolicy::LazyToc;
+    };
     std::vector<double> avg[3];
     for (const auto &wl : workloads::workloadNames()) {
-        const auto base = runOne(wl, SecurityMode::PreWpqSecure, opts,
-                                 1024, TreeUpdatePolicy::LazyToc);
+        const auto base =
+            runOne(wl, SecurityMode::PreWpqSecure, opts, 1024, lazy);
         double speedup[3];
         for (int d = 0; d < 3; ++d) {
-            const auto res = runOne(wl, designs[d], opts, 1024,
-                                    TreeUpdatePolicy::LazyToc);
+            const auto res = runOne(wl, designs[d], opts, 1024, lazy);
             speedup[d] = base.cyclesPerTx() / res.cyclesPerTx();
             avg[d].push_back(speedup[d]);
         }

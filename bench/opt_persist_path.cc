@@ -45,15 +45,8 @@ runLeg(const std::string &workload, SecurityMode mode,
     cfg.mode = mode;
     applyOptKnobs(cfg, knobs);
     System sys(cfg);
-    auto wl = workloads::makeWorkload(workload,
-                                      presetFor(workload, opts));
-    const auto res = workloads::runWorkload(sys, *wl, opts.txns);
-    if (opts.verify && !res.verified) {
-        std::fprintf(stderr, "VERIFICATION FAILED: %s on %s: %s\n",
-                     workload.c_str(), securityModeName(mode),
-                     res.verifyDiagnostic.c_str());
-        std::exit(1);
-    }
+    const auto res =
+        runVerified(sys, workload, presetFor(workload, opts), opts);
     Leg leg;
     leg.wpqStallCycles = sys.controller().wpqStallCycles();
     leg.bmtCycles = sys.engine().bmtCycles();

@@ -31,10 +31,7 @@ main(int argc, char **argv)
     for (const auto mode : {SecurityMode::DolosFullWpq,
                             SecurityMode::DolosPartialWpq,
                             SecurityMode::DolosPostWpq}) {
-        auto cfg = SystemConfig::paperDefault();
-        applyOptKnobs(cfg, opts.knobs);
-        cfg.mode = mode;
-        System sys(cfg);
+        System sys(benchConfig(mode, opts));
 
         // Fill the WPQ, then pull the plug.
         Block data{};

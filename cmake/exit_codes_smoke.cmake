@@ -14,10 +14,11 @@
 #
 # Invoked as:
 #   cmake -DSIM=<dolos-sim> -DTORTURE=<dolos_torture>
-#         -DFUZZ=<dolos_fuzz> -DREPORT=<dolos_report> -DWORKDIR=<dir>
+#         -DFUZZ=<dolos_fuzz> -DREPORT=<dolos_report>
+#         -DBENCH=<any experiment driver> -DWORKDIR=<dir>
 #         -P exit_codes_smoke.cmake
 
-foreach(var SIM TORTURE FUZZ REPORT WORKDIR)
+foreach(var SIM TORTURE FUZZ REPORT BENCH WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "exit_codes_smoke: ${var} not set")
     endif()
@@ -89,5 +90,28 @@ expect_rc(2 "${TORTURE}" --seed -1)
 expect_rc(2 "${TORTURE}" --plant-bug drop-clwb:3x --replay s)
 expect_rc(2 "${FUZZ}" --crash-op 5x)
 expect_rc(2 "${FUZZ}" --jobs " 4")
+
+# 2: unknown --tree / --crash-scheme values are rejected, not run as
+#    the default scheme.
+expect_rc(2 "${SIM}" --tree lazzy --txns 10)
+expect_rc(2 "${SIM}" --crash-scheme osirs --txns 10)
+
+# A flag without its value is a usage error in every tool; the report
+# tool and the experiment drivers exit 1 on usage errors.
+expect_rc(2 "${SIM}" --txns)
+expect_rc(2 "${TORTURE}" --seed)
+expect_rc(2 "${FUZZ}" --mode)
+expect_rc(1 "${REPORT}" --check)
+expect_rc(1 "${BENCH}" --keys)
+expect_rc(1 "${BENCH}" --txns 3x)
+
+# 1: a rate that halves is a regression, though its name says
+#    "cycles".
+file(WRITE "${WORKDIR}/rate_old.json"
+     "{\"results\":{\"hashmap.simCyclesPerSec\":400000000}}\n")
+file(WRITE "${WORKDIR}/rate_new.json"
+     "{\"results\":{\"hashmap.simCyclesPerSec\":200000000}}\n")
+expect_rc(1 "${REPORT}" "${WORKDIR}/rate_old.json"
+            "${WORKDIR}/rate_new.json")
 
 message(STATUS "exit_codes_smoke: OK")

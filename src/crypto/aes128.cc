@@ -40,6 +40,12 @@ struct SboxTables
 {
     std::array<std::uint8_t, 256> sbox{};
     std::array<std::uint8_t, 256> inv{};
+    /**
+     * Encryption T-tables: te[r][x] is the MixColumns column that
+     * S-box output sbox[x] contributes from row r, packed big-endian
+     * (row 0 in the top byte). te[r] is te[0] rotated right 8r bits.
+     */
+    std::array<std::array<std::uint32_t, 256>, 4> te{};
 
     SboxTables()
     {
@@ -69,6 +75,16 @@ struct SboxTables
         }
         for (int x = 0; x < 256; ++x)
             inv[sbox[x]] = std::uint8_t(x);
+        for (int x = 0; x < 256; ++x) {
+            const std::uint32_t s = sbox[x];
+            const std::uint32_t s2 = xtime(sbox[x]);
+            const std::uint32_t w = (s2 << 24) | (s << 16) | (s << 8) |
+                                    (s2 ^ s);
+            te[0][x] = w;
+            te[1][x] = (w >> 8) | (w << 24);
+            te[2][x] = (w >> 16) | (w << 16);
+            te[3][x] = (w >> 24) | (w << 8);
+        }
     }
 };
 
@@ -77,14 +93,6 @@ tables()
 {
     static const SboxTables t;
     return t;
-}
-
-void
-subBytes(std::uint8_t *st)
-{
-    const auto &t = tables().sbox;
-    for (int i = 0; i < 16; ++i)
-        st[i] = t[st[i]];
 }
 
 void
@@ -99,16 +107,6 @@ invSubBytes(std::uint8_t *st)
 // the FIPS-197 byte ordering of the input block).
 
 void
-shiftRows(std::uint8_t *st)
-{
-    std::uint8_t tmp[16];
-    std::memcpy(tmp, st, 16);
-    for (int r = 1; r < 4; ++r)
-        for (int c = 0; c < 4; ++c)
-            st[4 * c + r] = tmp[4 * ((c + r) % 4) + r];
-}
-
-void
 invShiftRows(std::uint8_t *st)
 {
     std::uint8_t tmp[16];
@@ -116,20 +114,6 @@ invShiftRows(std::uint8_t *st)
     for (int r = 1; r < 4; ++r)
         for (int c = 0; c < 4; ++c)
             st[4 * ((c + r) % 4) + r] = tmp[4 * c + r];
-}
-
-void
-mixColumns(std::uint8_t *st)
-{
-    for (int c = 0; c < 4; ++c) {
-        std::uint8_t *col = st + 4 * c;
-        const std::uint8_t a0 = col[0], a1 = col[1];
-        const std::uint8_t a2 = col[2], a3 = col[3];
-        col[0] = std::uint8_t(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        col[1] = std::uint8_t(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        col[2] = std::uint8_t(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        col[3] = std::uint8_t((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-    }
 }
 
 void
@@ -155,6 +139,23 @@ addRoundKey(std::uint8_t *st, const std::uint8_t *rk)
 {
     for (int i = 0; i < 16; ++i)
         st[i] ^= rk[i];
+}
+
+/** Big-endian load of one state column. */
+std::uint32_t
+loadColumn(const std::uint8_t *p)
+{
+    return (std::uint32_t(p[0]) << 24) | (std::uint32_t(p[1]) << 16) |
+           (std::uint32_t(p[2]) << 8) | std::uint32_t(p[3]);
+}
+
+void
+storeColumn(std::uint8_t *p, std::uint32_t w)
+{
+    p[0] = std::uint8_t(w >> 24);
+    p[1] = std::uint8_t(w >> 16);
+    p[2] = std::uint8_t(w >> 8);
+    p[3] = std::uint8_t(w);
 }
 
 } // namespace
@@ -185,18 +186,50 @@ AesBlock
 Aes128::encryptBlock(const AesBlock &plaintext) const
 {
     DOLOS_PROF_SCOPE(Aes);
-    AesBlock st = plaintext;
-    addRoundKey(st.data(), roundKeys.data());
+    // One column per word: each middle round is SubBytes, ShiftRows
+    // and MixColumns as four T-table lookups per column (ShiftRows
+    // picks row r from column c + r), then AddRoundKey.
+    const auto &t = tables();
+    const auto &te = t.te;
+    const std::uint8_t *in = plaintext.data();
+    const std::uint8_t *rk = roundKeys.data();
+    std::uint32_t s0 = loadColumn(in) ^ loadColumn(rk);
+    std::uint32_t s1 = loadColumn(in + 4) ^ loadColumn(rk + 4);
+    std::uint32_t s2 = loadColumn(in + 8) ^ loadColumn(rk + 8);
+    std::uint32_t s3 = loadColumn(in + 12) ^ loadColumn(rk + 12);
+    auto column = [&te](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                        std::uint32_t d, const std::uint8_t *k) {
+        return te[0][a >> 24] ^ te[1][(b >> 16) & 0xFF] ^
+               te[2][(c >> 8) & 0xFF] ^ te[3][d & 0xFF] ^ loadColumn(k);
+    };
     for (int round = 1; round < numRounds; ++round) {
-        subBytes(st.data());
-        shiftRows(st.data());
-        mixColumns(st.data());
-        addRoundKey(st.data(), roundKeys.data() + 16 * round);
+        rk += 16;
+        const std::uint32_t n0 = column(s0, s1, s2, s3, rk);
+        const std::uint32_t n1 = column(s1, s2, s3, s0, rk + 4);
+        const std::uint32_t n2 = column(s2, s3, s0, s1, rk + 8);
+        const std::uint32_t n3 = column(s3, s0, s1, s2, rk + 12);
+        s0 = n0;
+        s1 = n1;
+        s2 = n2;
+        s3 = n3;
     }
-    subBytes(st.data());
-    shiftRows(st.data());
-    addRoundKey(st.data(), roundKeys.data() + 16 * numRounds);
-    return st;
+    // Final round: no MixColumns.
+    rk += 16;
+    const auto &sbox = t.sbox;
+    auto last = [&sbox](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                        std::uint32_t d, const std::uint8_t *k) {
+        return ((std::uint32_t(sbox[a >> 24]) << 24) |
+                (std::uint32_t(sbox[(b >> 16) & 0xFF]) << 16) |
+                (std::uint32_t(sbox[(c >> 8) & 0xFF]) << 8) |
+                std::uint32_t(sbox[d & 0xFF])) ^
+               loadColumn(k);
+    };
+    AesBlock out;
+    storeColumn(out.data(), last(s0, s1, s2, s3, rk));
+    storeColumn(out.data() + 4, last(s1, s2, s3, s0, rk + 4));
+    storeColumn(out.data() + 8, last(s2, s3, s0, s1, rk + 8));
+    storeColumn(out.data() + 12, last(s3, s0, s1, s2, rk + 12));
+    return out;
 }
 
 AesBlock

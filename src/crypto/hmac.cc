@@ -19,24 +19,27 @@ HmacSha256::HmacSha256(const void *key, std::size_t key_len)
     } else {
         std::memcpy(k.data(), key, key_len);
     }
+    std::array<std::uint8_t, 64> ipad, opad;
     for (int i = 0; i < 64; ++i) {
         ipad[i] = std::uint8_t(k[i] ^ 0x36);
         opad[i] = std::uint8_t(k[i] ^ 0x5C);
     }
+    // The padded key fills exactly one block, so each tag starts from
+    // these states and skips two of its compressions.
+    inner.update(ipad.data(), ipad.size());
+    outer.update(opad.data(), opad.size());
 }
 
 Sha256Digest
 HmacSha256::compute(const void *data, std::size_t len) const
 {
-    Sha256 inner;
-    inner.update(ipad.data(), ipad.size());
-    inner.update(data, len);
-    const auto inner_digest = inner.finalize();
+    Sha256 in = inner;
+    in.update(data, len);
+    const auto inner_digest = in.finalize();
 
-    Sha256 outer;
-    outer.update(opad.data(), opad.size());
-    outer.update(inner_digest.data(), inner_digest.size());
-    return outer.finalize();
+    Sha256 out = outer;
+    out.update(inner_digest.data(), inner_digest.size());
+    return out.finalize();
 }
 
 bool

@@ -28,8 +28,9 @@ class HmacSha256
     Sha256Digest compute(const void *data, std::size_t len) const;
 
   private:
-    std::array<std::uint8_t, 64> ipad{};
-    std::array<std::uint8_t, 64> opad{};
+    /** Hasher states after absorbing the key XOR ipad / opad block. */
+    Sha256 inner;
+    Sha256 outer;
 };
 
 /**

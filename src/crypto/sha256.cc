@@ -109,6 +109,12 @@ Sha256::update(const void *data, std::size_t len)
     const auto *p = static_cast<const std::uint8_t *>(data);
     bitLength += u64(len) * 8;
     while (len > 0) {
+        if (bufferLen == 0 && len >= buffer.size()) {
+            processBlock(p);
+            p += buffer.size();
+            len -= buffer.size();
+            continue;
+        }
         const std::size_t take = std::min(len, buffer.size() - bufferLen);
         std::memcpy(buffer.data() + bufferLen, p, take);
         bufferLen += take;
@@ -124,18 +130,17 @@ Sha256::update(const void *data, std::size_t len)
 Sha256Digest
 Sha256::finalize()
 {
-    const u64 total_bits = bitLength;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0;
-    while (bufferLen != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
+    buffer[bufferLen++] = 0x80;
+    if (bufferLen > 56) {
+        std::memset(buffer.data() + bufferLen, 0, 64 - bufferLen);
+        processBlock(buffer.data());
+        bufferLen = 0;
+    }
+    std::memset(buffer.data() + bufferLen, 0, 56 - bufferLen);
     for (int i = 0; i < 8; ++i)
-        len_be[i] = std::uint8_t(total_bits >> (56 - 8 * i));
-    // update() would double-count the length bytes in bitLength, but
-    // we've already captured total_bits, so that is harmless.
-    update(len_be, 8);
+        buffer[56 + i] = std::uint8_t(bitLength >> (56 - 8 * i));
+    processBlock(buffer.data());
+    bufferLen = 0;
 
     Sha256Digest out;
     for (int i = 0; i < 8; ++i) {

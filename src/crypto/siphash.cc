@@ -30,7 +30,9 @@ loadLe64(const std::uint8_t *p)
     return v;
 }
 
-void
+// Forced inline: as an out-of-line call the four state words go
+// through memory on every one of a MAC's dozens of rounds.
+[[gnu::always_inline]] inline void
 sipround(u64 &v0, u64 &v1, u64 &v2, u64 &v3)
 {
     v0 += v1;

@@ -1,14 +1,10 @@
 /**
  * @file
  * Configuration vocabulary: the security-mode name table, config
- * validation, the --opt-knobs spec, and strict CLI number parsing.
+ * validation and the --opt-knobs spec.
  */
 
 #include "dolos/config.hh"
-
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 
 namespace dolos
 {
@@ -69,8 +65,11 @@ std::string
 securityModeCliNames()
 {
     std::string out;
-    for (const auto &n : modeTable)
-        out += (out.empty() ? "" : "|") + std::string(n.cli);
+    for (const auto &n : modeTable) {
+        if (!out.empty())
+            out += '|';
+        out += n.cli;
+    }
     return out;
 }
 
@@ -81,22 +80,6 @@ parseSecurityMode(const std::string &name)
         if (name == n.cli || (n.alias && name == n.alias))
             return n.mode;
     return std::nullopt;
-}
-
-std::optional<std::uint64_t>
-parseCliNumber(const std::string &text)
-{
-    // strtoull alone skips leading blanks, accepts a sign (wrapping
-    // "-1" to 2^64-1) and saturates on overflow: demand a bare
-    // unsigned literal that fills the whole token.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    if (*end != '\0' || errno == ERANGE)
-        return std::nullopt;
-    return v;
 }
 
 std::string

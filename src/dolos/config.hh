@@ -94,13 +94,6 @@ bool securityAfterWpq(SecurityMode mode);
  */
 std::optional<SecurityMode> parseSecurityMode(const std::string &name);
 
-/**
- * Strict CLI number: the whole token must be an unsigned base-0
- * literal (decimal, 0x hex, 0 octal) that fits in 64 bits. Blanks,
- * signs, trailing characters and overflow yield nullopt.
- */
-std::optional<std::uint64_t> parseCliNumber(const std::string &text);
-
 /** WPQ and ADR parameters. */
 struct WpqParams
 {
@@ -222,12 +215,6 @@ struct OptKnobs
 
     /** BMT pipeline window override (nullopt keeps the config's). */
     std::optional<unsigned> bmtPipelineWindow;
-
-    bool
-    any() const
-    {
-        return bmtPipeline || drainBatching || tagPrefetch;
-    }
 };
 
 /**

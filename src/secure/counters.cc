@@ -12,17 +12,16 @@ Block
 CounterPage::pack() const
 {
     // Layout: bytes [0,8) little-endian major; bytes [8,64) hold 64
-    // 7-bit minors as a dense bit stream.
+    // 7-bit minors as a dense little-endian bit stream, i.e. eight
+    // groups of eight minors, each group filling exactly 7 bytes.
     Block b{};
     storeWord(b, 0, major);
-    for (unsigned i = 0; i < 64; ++i) {
-        const unsigned bitpos = i * 7;
-        const unsigned byte = 8 + bitpos / 8;
-        const unsigned shift = bitpos % 8;
-        const std::uint16_t v = std::uint16_t(minors[i] & 0x7F) << shift;
-        b[byte] |= std::uint8_t(v);
-        if (shift > 1)
-            b[byte + 1] |= std::uint8_t(v >> 8);
+    for (unsigned g = 0; g < 8; ++g) {
+        std::uint64_t w = 0;
+        for (unsigned j = 0; j < 8; ++j)
+            w |= std::uint64_t(minors[8 * g + j] & 0x7F) << (7 * j);
+        for (unsigned k = 0; k < 7; ++k)
+            b[8 + 7 * g + k] = std::uint8_t(w >> (8 * k));
     }
     return b;
 }
@@ -32,14 +31,12 @@ CounterPage::unpack(const Block &b)
 {
     CounterPage p;
     p.major = loadWord(b, 0);
-    for (unsigned i = 0; i < 64; ++i) {
-        const unsigned bitpos = i * 7;
-        const unsigned byte = 8 + bitpos / 8;
-        const unsigned shift = bitpos % 8;
-        std::uint16_t v = b[byte] >> shift;
-        if (shift > 1)
-            v |= std::uint16_t(b[byte + 1]) << (8 - shift);
-        p.minors[i] = std::uint8_t(v & 0x7F);
+    for (unsigned g = 0; g < 8; ++g) {
+        std::uint64_t w = 0;
+        for (unsigned k = 0; k < 7; ++k)
+            w |= std::uint64_t(b[8 + 7 * g + k]) << (8 * k);
+        for (unsigned j = 0; j < 8; ++j)
+            p.minors[8 * g + j] = std::uint8_t((w >> (7 * j)) & 0x7F);
     }
     return p;
 }

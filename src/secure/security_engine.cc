@@ -770,13 +770,12 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
     }
 
     // Pipelined engines accept the next write one MAC-slot after
-    // this write's metadata was ready; a non-pipelined engine is
-    // occupied for the full latency. The lazy ToC scheme is
-    // pipelined by construction: the paper assumes parallel AES-GCM
-    // engines updating the tree levels concurrently (Phoenix / [22]).
-    // The BMT pipeline implies per-level engines, so it frees the
-    // front of the engine the same way.
-    const bool piped = params.pipelinedWrites || params.bmtPipeline ||
+    // this write's metadata was ready; a serial engine is occupied
+    // for the full latency. The BMT pipeline's per-level engines free
+    // the front this way, and the lazy ToC scheme is pipelined by
+    // construction: the paper assumes parallel AES-GCM engines
+    // updating the tree levels concurrently (Phoenix / [22]).
+    const bool piped = params.bmtPipeline ||
                        params.treePolicy == TreeUpdatePolicy::LazyToc;
     busyUntil_ = piped ? crypto_start + params.macLatency : t;
 

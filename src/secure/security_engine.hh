@@ -74,24 +74,19 @@ struct SecureParams
     unsigned macOpsLazyWrite = 4;
 
     /**
-     * When true, tree updates pipeline across writes (per-level MAC
-     * engines, as explored by Freij et al. [10]): a write's security
-     * work keeps the full serial-MAC *latency*, but a new write may
-     * enter the engine every macLatency cycles. The paper's baseline
-     * and Ma-SU serialize updates ("all levels are updated serially,
-     * similar to prior work"), so the default is false; the pipelined
-     * engine is provided as an ablation (bench/ablation_pipeline).
-     */
-    bool pipelinedWrites = false;
-
-    /**
      * BMT update pipeline (Freij et al. [10] style): the engine keeps
      * a small window of in-flight root-path updates and, when a new
      * write's tree path shares ancestors with one of them, only the
      * non-shared levels are charged — the shared upper levels (and
      * the root, which is always updated last) coalesce onto the
-     * in-flight update. Timing-only: the functional tree/root update
-     * is unchanged. Default on (survived the microstep crash sweeps;
+     * in-flight update. The per-level engines also free the engine
+     * front: a new write may enter one MAC slot after the previous
+     * write's metadata was ready, instead of after its full serial
+     * latency. This is the one backend-pipelining setting; the paper's
+     * baseline and Ma-SU serialize updates ("all levels are updated
+     * serially, similar to prior work"), and bench/ablation_pipeline
+     * sweeps it. Timing-only: the functional tree/root update is
+     * unchanged. Default on (survived the microstep crash sweeps;
      * `--opt-knobs none` restores the paper's serial Ma-SU).
      */
     bool bmtPipeline = true;

@@ -1,17 +1,19 @@
 /**
  * @file
- * SHA-256 known-answer and property tests.
+ * SHA-256 and HMAC-SHA256 known-answer and property tests.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
 
 namespace
 {
 
+using dolos::crypto::HmacSha256;
 using dolos::crypto::Sha256;
 
 std::string
@@ -87,6 +89,40 @@ TEST(Sha256, ResetAllowsReuse)
     EXPECT_EQ(Sha256::toHex(h.finalize()),
               "ba7816bf8f01cfea414140de5dae2223"
               "b00361a396177a9cb410ff61f20015ad");
+}
+
+std::string
+hmacHex(const std::string &key, const std::string &msg)
+{
+    const HmacSha256 h(key.data(), key.size());
+    return Sha256::toHex(h.compute(msg.data(), msg.size()));
+}
+
+// RFC 4231 test cases 1, 2 and 7 (7: key and data both longer than
+// one block).
+TEST(HmacSha256, Rfc4231KnownAnswer)
+{
+    EXPECT_EQ(hmacHex(std::string(20, '\x0b'), "Hi There"),
+              "b0344c61d8db38535ca8afceaf0bf12b"
+              "881dc200c9833da726e9376c2e32cff7");
+    EXPECT_EQ(hmacHex("Jefe", "what do ya want for nothing?"),
+              "5bdcc146bf60754e6a042426089575c7"
+              "5a003f089d2739839dec58b964ec3843");
+    EXPECT_EQ(hmacHex(std::string(131, '\xaa'),
+                      "This is a test using a larger than block-size "
+                      "key and a larger than block-size data. The key "
+                      "needs to be hashed before being used by the "
+                      "HMAC algorithm."),
+              "9b09ffa71b942fcb27635fbcd5b0e944"
+              "bfdc63644f0713938a7f51535c3a35e2");
+}
+
+TEST(HmacSha256, RepeatedComputeIsStable)
+{
+    const HmacSha256 h("Jefe", 4);
+    const std::string msg(200, 'm');
+    EXPECT_EQ(h.compute(msg.data(), msg.size()),
+              h.compute(msg.data(), msg.size()));
 }
 
 } // namespace

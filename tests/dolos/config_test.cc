@@ -132,18 +132,6 @@ TEST(SecurityModeConfig, ParseRejectsUnknownNames)
     EXPECT_EQ(parseSecurityMode("full-wpq"), std::nullopt);
 }
 
-TEST(CliNumberConfig, ParseAcceptsOnlyAWholeUnsignedLiteral)
-{
-    EXPECT_EQ(parseCliNumber("0"), 0u);
-    EXPECT_EQ(parseCliNumber("42"), 42u);
-    EXPECT_EQ(parseCliNumber("0x10"), 16u);
-    EXPECT_EQ(parseCliNumber("18446744073709551615"),
-              18446744073709551615ull);
-    for (const char *bad : {"", "abc", "2x", "5 ", " 5", "-1", "+1",
-                            "0x", "18446744073709551616"})
-        EXPECT_EQ(parseCliNumber(bad), std::nullopt) << "'" << bad << "'";
-}
-
 TEST(ConfigValidation, PaperDefaultsAreValidForEveryMode)
 {
     for (const auto mode : allModes) {
@@ -256,7 +244,8 @@ TEST(OptKnobsConfig, ParseNamesTheExactLeverSet)
 {
     const auto none = parseOptKnobs("none");
     ASSERT_TRUE(none);
-    EXPECT_FALSE(none->any());
+    EXPECT_FALSE(none->bmtPipeline || none->drainBatching ||
+                 none->tagPrefetch);
 
     const auto all = parseOptKnobs("all");
     ASSERT_TRUE(all);

@@ -36,6 +36,26 @@ TEST(CounterPage, PackedFitsExactlyOneBlock)
     EXPECT_EQ(CounterPage::unpack(b), p);
 }
 
+TEST(CounterPage, PackedLayoutIsALittleEndianBitStream)
+{
+    // Minor i occupies bits [7i, 7i + 7) of bytes [8, 64), least
+    // significant bit first: the persisted counter-block format.
+    CounterPage p;
+    p.major = 0x0102030405060708ULL;
+    p.minors[1] = 0x7F;  // bits 7..13
+    p.minors[8] = 0x01;  // bit 56
+    p.minors[63] = 0x41; // bits 441..447
+    const Block b = p.pack();
+    EXPECT_EQ(b[0], 0x08);
+    EXPECT_EQ(b[7], 0x01);
+    EXPECT_EQ(b[8], 0x80);
+    EXPECT_EQ(b[9], 0x3F);
+    EXPECT_EQ(b[10], 0x00);
+    EXPECT_EQ(b[15], 0x01);
+    EXPECT_EQ(b[63], 0x82);
+    EXPECT_EQ(b[62], 0x00);
+}
+
 TEST(CounterPage, CounterOfCombinesMajorAndMinor)
 {
     CounterPage p;

@@ -134,15 +134,25 @@ TEST_F(SecurityEngineTest, SerialEngineFullySerializesWrites)
 
 TEST_F(SecurityEngineTest, PipelinedEngineIssuesEveryMacSlot)
 {
-    // Ablation model: same page (counter hit for the second write),
-    // writes complete one MAC slot (160 cycles) apart.
+    // bmtPipeline's per-level engines free the engine front one MAC
+    // slot (160 cycles) after a write's metadata is ready, long before
+    // the write's climb completes; the serial engine stays busy until
+    // the write is done. Same page: the second write hits the counter
+    // cache, so its metadata is ready the moment the front frees.
     auto p = testParams();
-    p.pipelinedWrites = true;
+    p.bmtPipeline = true;
     NvmDevice nvm2{NvmParams{}};
     SecurityEngine piped(p, nvm2);
     const auto r1 = piped.secureWrite(0x1000, pattern(0), 0);
-    const auto r2 = piped.secureWrite(0x1040, pattern(1), 10);
-    EXPECT_EQ(r2.doneTick, r1.doneTick + 160);
+    const Tick front1 = piped.busyUntil();
+    // Crypto started one slot before the front freed; the write
+    // itself still takes the full serial AES + 10 MAC composition.
+    EXPECT_EQ(r1.doneTick - (front1 - 160), 40u + 10u * 160u);
+    piped.secureWrite(0x1040, pattern(1), 10);
+    EXPECT_EQ(piped.busyUntil(), front1 + 160);
+
+    const auto s1 = eng.secureWrite(0x1000, pattern(0), 0);
+    EXPECT_EQ(eng.busyUntil(), s1.doneTick);
 }
 
 TEST_F(SecurityEngineTest, TamperedCiphertextDetectedOnRead)

@@ -72,7 +72,10 @@ TEST(JsonEscape, ControlAndQuoteCharacters)
 TEST(JsonEscape, RoundTripsThroughParse)
 {
     const std::string nasty = "q\"b\\s\n\t\r\x02 end";
-    const auto doc = parse("\"" + escape(nasty) + "\"");
+    std::string quoted = "\"";
+    quoted += escape(nasty);
+    quoted += '"';
+    const auto doc = parse(quoted);
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->string(), nasty);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "secure/security_engine.hh"
+#include "workloads/runner.hh"
 
 namespace
 {
@@ -204,6 +205,28 @@ TEST(BmtPipeline, CrashClearsInflightWindow)
     rig.eng.secureWrite(0x0040, pattern(2), 0);
     EXPECT_EQ(rig.eng.bmtCycles() - before, kBmtLevels * kMac);
     EXPECT_EQ(rig.eng.bmtCoalescedUpdates(), 0u);
+}
+
+TEST(BmtPipeline, ToggleChangesDolosPartialCyclesPerTx)
+{
+    // bmtPipeline is the one backend-pipelining setting, so on the
+    // paper's default machine flipping it must move Dolos-Partial's
+    // end-to-end cycles/tx — the premise of bench/ablation_pipeline.
+    const auto cyclesPerTx = [](bool pipeline) {
+        auto cfg = SystemConfig::paperDefault();
+        cfg.mode = SecurityMode::DolosPartialWpq;
+        cfg.secure.bmtPipeline = pipeline;
+        System sys(cfg);
+        workloads::WorkloadParams p;
+        p.numKeys = 256;
+        p.thinkTime = 60800; // the bench preset for 1 KB hashmap tx
+        p.readsPerTx = 1;
+        auto wl = workloads::makeWorkload("hashmap", p);
+        const auto res = workloads::runWorkload(sys, *wl, 60);
+        EXPECT_TRUE(res.verified) << res.verifyDiagnostic;
+        return res.cyclesPerTx();
+    };
+    EXPECT_NE(cyclesPerTx(false), cyclesPerTx(true));
 }
 
 } // namespace

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/exit_codes.hh"
 #include "sim/heartbeat.hh"
 #include "sim/thread_annotations.hh"
@@ -317,15 +318,7 @@ unsigned campaignJobs = 1;
 int
 runNamedCampaign(const std::string &name, std::uint64_t base_seed)
 {
-    unsigned episodes_per_combo = 0;
-    if (name == "smoke") {
-        episodes_per_combo = 2;
-    } else if (name == "nightly") {
-        episodes_per_combo = 8;
-    } else {
-        std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
-        usage(ExitUsage);
-    }
+    const unsigned episodes_per_combo = name == "smoke" ? 2 : 8;
 
     const SecurityMode modes[] = {
         SecurityMode::NonSecureIdeal,
@@ -419,77 +412,38 @@ main(int argc, char **argv)
     bool single = false;
     std::uint64_t seed = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(ExitUsage);
-            }
-            return argv[++i];
-        };
-        auto number = [&]() -> std::uint64_t {
-            const char *text = value();
-            const auto v = parseCliNumber(text);
-            if (!v) {
-                std::fprintf(stderr, "bad numeric value '%s' for %s\n",
-                             text, a.c_str());
-                usage(ExitUsage);
-            }
-            return *v;
-        };
-        if (a == "--campaign") {
-            campaign = value();
-        } else if (a == "--mode") {
-            const auto m = parseSecurityMode(value());
-            if (!m) {
-                std::fprintf(stderr, "unknown mode '%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
-            spec.mode = *m;
+    CliReader r(argc, argv, ExitUsage, usage);
+    while (r.next()) {
+        if (r.is("--campaign")) {
+            campaign = r.value();
+            if (campaign != "smoke" && campaign != "nightly")
+                r.fail("unknown campaign '" + campaign + "'");
+        } else if (r.is("--mode")) {
+            spec.mode = r.parsed(parseSecurityMode, "unknown mode");
             single = true;
-        } else if (a == "--workload") {
-            spec.workload = value();
+        } else if (r.is("--workload")) {
+            spec.workload = r.value();
             single = true;
-        } else if (a == "--seed") {
-            seed = number();
-        } else if (a == "--crash-op") {
-            spec.crashOp = number();
+        } else if (r.is("--seed")) {
+            seed = r.number();
+        } else if (r.is("--crash-op")) {
+            spec.crashOp = r.number();
             single = true;
-        } else if (a == "--txns") {
-            episodeTxns = number();
-        } else if (a == "--heartbeat") {
-            heartbeatEvery = number();
-        } else if (a == "--jobs") {
-            campaignJobs = unsigned(number());
-            if (campaignJobs == 0) {
-                std::fprintf(stderr, "--jobs must be >= 1\n");
-                usage(ExitUsage);
-            }
-        } else if (a == "--summary-json") {
-            summaryJsonFile = value();
-        } else if (a == "--opt-knobs") {
-            const auto knobs = parseOptKnobs(value());
-            if (!knobs) {
-                std::fprintf(stderr, "bad --opt-knobs spec '%s'\n",
-                             argv[i]);
-                usage(ExitUsage);
-            }
-            gOptKnobs = *knobs;
-        } else if (a == "--fault") {
-            const auto kind = parseFaultKind(value());
-            if (!kind) {
-                std::fprintf(stderr, "unknown fault '%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
-            spec.fault = *kind;
+        } else if (r.is("--txns")) {
+            episodeTxns = r.number();
+        } else if (r.is("--heartbeat")) {
+            heartbeatEvery = r.number();
+        } else if (r.is("--jobs")) {
+            campaignJobs = r.jobs();
+        } else if (r.is("--summary-json")) {
+            summaryJsonFile = r.value();
+        } else if (r.is("--opt-knobs")) {
+            gOptKnobs = r.parsed(parseOptKnobs, "bad --opt-knobs spec");
+        } else if (r.is("--fault")) {
+            spec.fault = r.parsed(parseFaultKind, "unknown fault");
             single = true;
-        } else if (a == "--help" || a == "-h") {
-            usage(ExitOk);
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(ExitUsage);
+            r.unknown();
         }
     }
 

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 
 namespace
@@ -64,6 +65,15 @@ usage(int code)
         "  --timeline        sparklines for a --stats-timeline "
         "artifact; with two files, a window-aligned delta table\n");
     std::exit(code);
+}
+
+/** Parse a --threshold percentage: the whole token is a number. */
+std::optional<double>
+parsePercent(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    return text.empty() || *end ? std::nullopt : std::optional(v);
 }
 
 std::optional<dolos::json::Value>
@@ -98,8 +108,10 @@ containsWord(const std::string &path, const char *word)
 
 /**
  * Direction heuristic: +1 means larger values are worse (latency,
- * stalls), -1 means larger values are better (speedup, hits), 0
- * means neutral (counts we cannot judge — reported but never flagged).
+ * stalls), -1 means larger values are better (speedup, hits, rates),
+ * 0 means neutral (counts we cannot judge — reported but never
+ * flagged). Rates are matched first: "simCyclesPerSec" names cycles,
+ * but more of them per second is better.
  */
 int
 direction(const std::string &path)
@@ -107,7 +119,9 @@ direction(const std::string &path)
     static const char *worse[] = {"cycle",   "latency", "stall",
                                   "retries", "cpi",     "queueing",
                                   "miss",    "dropped", "conflict"};
-    static const char *better[] = {"speedup", "hit", "persec"};
+    static const char *better[] = {"speedup", "hit"};
+    if (containsWord(path, "persec"))
+        return -1;
     for (const char *w : worse)
         if (containsWord(path, w))
             return 1;
@@ -446,36 +460,20 @@ main(int argc, char **argv)
     bool timeline = false;
     double threshold = 5.0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(1);
-            }
-            return argv[++i];
-        };
-        if (a == "--check")
-            checkFile = value();
-        else if (a == "--diff")
+    dolos::CliReader r(argc, argv, 1, usage);
+    while (r.next()) {
+        if (r.is("--check"))
+            checkFile = r.value();
+        else if (r.is("--diff"))
             diff = true;
-        else if (a == "--timeline")
+        else if (r.is("--timeline"))
             timeline = true;
-        else if (a == "--threshold") {
-            char *end = nullptr;
-            threshold = std::strtod(value(), &end);
-            if (!end || *end != '\0') {
-                std::fprintf(stderr, "bad threshold\n");
-                usage(1);
-            }
-        } else if (a == "--help" || a == "-h")
-            usage(0);
-        else if (!a.empty() && a[0] == '-') {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(1);
-        } else
-            positional.push_back(a);
+        else if (r.is("--threshold"))
+            threshold = r.parsed(parsePercent, "bad threshold");
+        else if (!r.arg().empty() && r.arg()[0] == '-')
+            r.unknown();
+        else
+            positional.push_back(r.arg());
     }
 
     if (!checkFile.empty()) {

@@ -21,6 +21,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "sim/cli.hh"
 #include "sim/exit_codes.hh"
 #include "sim/stat_sampler.hh"
 #include "sim/trace.hh"
@@ -39,29 +40,29 @@ namespace
 struct Options
 {
     std::string workload = "hashmap";
-    std::string mode = "dolos-partial";
+    SecurityMode mode = SecurityMode::DolosPartialWpq;
     std::uint64_t txns = 1000;
     unsigned txSize = 1024;
     std::uint64_t numKeys = 1024;
     std::uint64_t seed = 42;
     Cycles thinkTime = 60000;
     unsigned wpqBudget = 16;
-    std::string tree = "eager";
-    std::string crashScheme = "anubis";
+    TreeUpdatePolicy tree = TreeUpdatePolicy::EagerMerkle;
+    CrashScheme crashScheme = CrashScheme::Anubis;
     std::optional<std::uint64_t> crashAt;
     bool stats = false;
     bool noCoalescing = false;
     std::string traceFile;     ///< --trace: Chrome trace_event JSON
     std::string statsJsonFile; ///< --stats-json: machine-readable stats
-    std::string injectFault;   ///< --inject-fault: post-run fault kind
-    std::string mediaRegion = "data"; ///< --media-region: fault target
+    std::optional<verify::FaultKind> injectFault; ///< post-run fault
+    NvmRegion mediaRegion = NvmRegion::Data; ///< --media-region target
     std::string damageJsonFile; ///< --damage-json: media damage report
     std::uint64_t scrubInterval = 0;  ///< --scrub-interval (0 = off)
     std::optional<unsigned> spares;   ///< --spares: NVM spare frames
     std::optional<std::uint64_t> eadrBudget; ///< --eadr-budget cycles
     bool verifyManifest = false; ///< --verify-manifest: crash-state check
     bool verifyPerfEquiv = false; ///< --verify-perf-equiv: timing diff
-    std::string optKnobs; ///< --opt-knobs: none|all|comma list
+    std::optional<OptKnobs> optKnobs; ///< --opt-knobs
     std::uint64_t sampleInterval = 0; ///< --sample-interval (0 = off)
     std::string timelineFile; ///< --stats-timeline (.csv => CSV)
     bool selfbench = false;   ///< --selfbench: host-speed self-profile
@@ -139,92 +140,86 @@ Options
 parse(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(ExitUsage);
-            }
-            return argv[++i];
-        };
-        auto numValue = [&]() -> std::uint64_t {
-            const char *text = value();
-            const auto v = parseCliNumber(text);
-            if (!v) {
-                std::fprintf(stderr, "bad numeric value '%s' for %s\n",
-                             text, a.c_str());
-                usage(ExitUsage);
-            }
-            return *v;
-        };
-        if (a == "--workload")
-            o.workload = value();
-        else if (a == "--mode")
-            o.mode = value();
-        else if (a == "--txns")
-            o.txns = numValue();
-        else if (a == "--tx-size")
-            o.txSize = unsigned(numValue());
-        else if (a == "--keys")
-            o.numKeys = numValue();
-        else if (a == "--think")
-            o.thinkTime = numValue();
-        else if (a == "--wpq")
-            o.wpqBudget = unsigned(numValue());
-        else if (a == "--tree")
-            o.tree = value();
-        else if (a == "--crash-scheme")
-            o.crashScheme = value();
-        else if (a == "--crash-at")
-            o.crashAt = numValue();
-        else if (a == "--seed")
-            o.seed = numValue();
-        else if (a == "--stats")
+    CliReader r(argc, argv, ExitUsage, usage);
+    while (r.next()) {
+        if (r.is("--workload"))
+            o.workload = r.value();
+        else if (r.is("--mode"))
+            o.mode = r.parsed(parseSecurityMode, "unknown mode");
+        else if (r.is("--txns"))
+            o.txns = r.number();
+        else if (r.is("--tx-size"))
+            o.txSize = unsigned(r.number());
+        else if (r.is("--keys"))
+            o.numKeys = r.number();
+        else if (r.is("--think"))
+            o.thinkTime = r.number();
+        else if (r.is("--wpq"))
+            o.wpqBudget = unsigned(r.number());
+        else if (r.is("--tree"))
+            o.tree = r.choice<TreeUpdatePolicy>(
+                {{"eager", TreeUpdatePolicy::EagerMerkle},
+                 {"lazy", TreeUpdatePolicy::LazyToc}},
+                "unknown tree scheme");
+        else if (r.is("--crash-scheme"))
+            o.crashScheme = r.choice<CrashScheme>(
+                {{"anubis", CrashScheme::Anubis},
+                 {"osiris", CrashScheme::Osiris}},
+                "unknown crash scheme");
+        else if (r.is("--crash-at"))
+            o.crashAt = r.number();
+        else if (r.is("--seed"))
+            o.seed = r.number();
+        else if (r.is("--stats"))
             o.stats = true;
-        else if (a == "--no-coalescing")
+        else if (r.is("--no-coalescing"))
             o.noCoalescing = true;
-        else if (a == "--trace")
-            o.traceFile = value();
-        else if (a == "--stats-json")
-            o.statsJsonFile = value();
-        else if (a == "--inject-fault")
-            o.injectFault = value();
-        else if (a == "--media-fault")
-            o.injectFault = std::string("media-") + value();
-        else if (a == "--media-region")
-            o.mediaRegion = value();
-        else if (a == "--scrub-interval")
-            o.scrubInterval = numValue();
-        else if (a == "--spares")
-            o.spares = unsigned(numValue());
-        else if (a == "--eadr-budget")
-            o.eadrBudget = numValue();
-        else if (a == "--damage-json")
-            o.damageJsonFile = value();
-        else if (a == "--verify-manifest")
+        else if (r.is("--trace"))
+            o.traceFile = r.value();
+        else if (r.is("--stats-json"))
+            o.statsJsonFile = r.value();
+        else if (r.is("--inject-fault"))
+            o.injectFault =
+                r.parsed(verify::parseFaultKind, "unknown fault kind");
+        else if (r.is("--media-fault"))
+            o.injectFault = r.parsed(
+                [](const std::string &k) {
+                    return verify::parseFaultKind("media-" + k);
+                },
+                "unknown media fault");
+        else if (r.is("--media-region"))
+            o.mediaRegion = r.choice<NvmRegion>(
+                {{"data", NvmRegion::Data},
+                 {"counter", NvmRegion::Counter},
+                 {"tree", NvmRegion::Tree},
+                 {"mac", NvmRegion::Mac}},
+                "unknown media region");
+        else if (r.is("--scrub-interval"))
+            o.scrubInterval = r.number();
+        else if (r.is("--spares"))
+            o.spares = unsigned(r.number());
+        else if (r.is("--eadr-budget"))
+            o.eadrBudget = r.number();
+        else if (r.is("--damage-json"))
+            o.damageJsonFile = r.value();
+        else if (r.is("--verify-manifest"))
             o.verifyManifest = true;
-        else if (a == "--verify-perf-equiv")
+        else if (r.is("--verify-perf-equiv"))
             o.verifyPerfEquiv = true;
-        else if (a == "--opt-knobs")
-            o.optKnobs = value();
-        else if (a == "--sample-interval")
-            o.sampleInterval = numValue();
-        else if (a == "--stats-timeline")
-            o.timelineFile = value();
-        else if (a == "--selfbench")
+        else if (r.is("--opt-knobs"))
+            o.optKnobs = r.parsed(parseOptKnobs, "unknown opt knob in");
+        else if (r.is("--sample-interval"))
+            o.sampleInterval = r.number();
+        else if (r.is("--stats-timeline"))
+            o.timelineFile = r.value();
+        else if (r.is("--selfbench"))
             o.selfbench = true;
-        else if (a == "--list") {
+        else if (r.is("--list")) {
             for (const auto &n : extendedWorkloadNames())
                 std::printf("%s\n", n.c_str());
             std::exit(0);
-        } else if (a == "--help" || a == "-h")
-            usage(ExitOk);
-        else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(ExitUsage);
-        }
+        } else
+            r.unknown();
     }
     return o;
 }
@@ -274,12 +269,7 @@ main(int argc, char **argv)
         sb.txns = o.txns;
         sb.numKeys = o.numKeys;
         sb.seed = o.seed;
-        const auto mode = parseSecurityMode(o.mode);
-        if (!mode) {
-            std::fprintf(stderr, "unknown mode '%s'\n", o.mode.c_str());
-            usage(ExitUsage);
-        }
-        sb.mode = *mode;
+        sb.mode = o.mode;
         const auto r = runSelfbench(sb);
         formatSelfbench(r, std::cout);
         return ExitOk;
@@ -319,32 +309,10 @@ main(int argc, char **argv)
 #endif
     }
 
-    std::optional<verify::FaultKind> injectKind;
-    if (!o.injectFault.empty()) {
-        injectKind = verify::parseFaultKind(o.injectFault);
-        if (!injectKind) {
-            std::fprintf(stderr, "unknown fault kind '%s'\n",
-                         o.injectFault.c_str());
-            usage(ExitUsage);
-        }
-    }
-
-    NvmRegion mediaRegion = NvmRegion::Data;
-    if (o.mediaRegion == "counter")
-        mediaRegion = NvmRegion::Counter;
-    else if (o.mediaRegion == "tree")
-        mediaRegion = NvmRegion::Tree;
-    else if (o.mediaRegion == "mac")
-        mediaRegion = NvmRegion::Mac;
-    else if (o.mediaRegion != "data") {
-        std::fprintf(stderr, "unknown media region '%s'\n",
-                     o.mediaRegion.c_str());
-        usage(ExitUsage);
-    }
-    if (mediaRegion != NvmRegion::Data &&
-        (!injectKind ||
-         (*injectKind != verify::FaultKind::MediaTransient &&
-          *injectKind != verify::FaultKind::MediaStuck))) {
+    if (o.mediaRegion != NvmRegion::Data &&
+        (!o.injectFault ||
+         (*o.injectFault != verify::FaultKind::MediaTransient &&
+          *o.injectFault != verify::FaultKind::MediaStuck))) {
         std::fprintf(stderr,
                      "--media-region needs --media-fault "
                      "transient|stuck\n");
@@ -352,31 +320,16 @@ main(int argc, char **argv)
     }
 
     auto cfg = SystemConfig::paperDefault();
-    const auto mode = parseSecurityMode(o.mode);
-    if (!mode) {
-        std::fprintf(stderr, "unknown mode '%s'\n", o.mode.c_str());
-        usage(ExitUsage);
-    }
-    cfg.mode = *mode;
-    cfg.secure.treePolicy = o.tree == "lazy" ? TreeUpdatePolicy::LazyToc
-                                             : TreeUpdatePolicy::EagerMerkle;
-    cfg.secure.crashScheme = o.crashScheme == "osiris"
-                                 ? CrashScheme::Osiris
-                                 : CrashScheme::Anubis;
+    cfg.mode = o.mode;
+    cfg.secure.treePolicy = o.tree;
+    cfg.secure.crashScheme = o.crashScheme;
     cfg.wpq.adrBudgetEntries = o.wpqBudget;
     cfg.wpq.partialEntries = o.wpqBudget * 8 / 9 - 1;
     cfg.wpq.postEntries =
         o.wpqBudget > 6 ? o.wpqBudget * 8 / 9 - 4 : o.wpqBudget / 2;
     cfg.wpq.coalescing = !o.noCoalescing;
-    if (!o.optKnobs.empty()) {
-        const auto knobs = parseOptKnobs(o.optKnobs);
-        if (!knobs) {
-            std::fprintf(stderr, "unknown opt knob in '%s'\n",
-                         o.optKnobs.c_str());
-            usage(ExitUsage);
-        }
-        applyOptKnobs(cfg, *knobs);
-    }
+    if (o.optKnobs)
+        applyOptKnobs(cfg, *o.optKnobs);
     cfg.secure.scrubIntervalWrites = o.scrubInterval;
     if (o.spares)
         cfg.nvm.spareBlocks = *o.spares;
@@ -458,19 +411,19 @@ main(int argc, char **argv)
     std::printf("attacks detected    : %" PRIu64 "\n",
                 std::uint64_t(sys.engine().attacksDetected()));
 
-    if (injectKind) {
+    if (o.injectFault) {
         // Post-run fault phase, mirroring the fuzz episodes: power-
         // cycle to a cold machine, inject, then provoke the detector
         // with a demand access to the victim block.
         using verify::FaultKind;
         verify::FaultInjector inj(sys, o.seed);
         verify::InjectionRecord rec;
-        if (*injectKind == FaultKind::CounterRollback) {
+        if (*o.injectFault == FaultKind::CounterRollback) {
             sys.crash();
-            rec = inj.inject(*injectKind);
+            rec = inj.inject(*o.injectFault);
             sys.recoverToCompletion();
-        } else if (*injectKind == FaultKind::MediaWriteFail) {
-            rec = inj.inject(*injectKind);
+        } else if (*o.injectFault == FaultKind::MediaWriteFail) {
+            rec = inj.inject(*o.injectFault);
             if (rec.injected) {
                 // Provoke: rewrite the victim so the failing write
                 // path has to retry and eventually quarantine.
@@ -482,13 +435,13 @@ main(int argc, char **argv)
                 sys.core().compute(1'000'000);
                 sys.controller().drainTo(sys.core().now());
             }
-        } else if (mediaRegion != NvmRegion::Data) {
+        } else if (o.mediaRegion != NvmRegion::Data) {
             // Metadata faults land BEFORE the crash: the worn frame
             // is then read by recovery itself, which must
             // disambiguate wear from tamper and repair or cascade.
-            rec = *injectKind == FaultKind::MediaTransient
-                      ? inj.injectMediaTransient(mediaRegion)
-                      : inj.injectMediaStuck(mediaRegion);
+            rec = *o.injectFault == FaultKind::MediaTransient
+                      ? inj.injectMediaTransient(o.mediaRegion)
+                      : inj.injectMediaStuck(o.mediaRegion);
             sys.crash();
             sys.recoverToCompletion();
             if (rec.injected) {
@@ -498,14 +451,14 @@ main(int argc, char **argv)
         } else {
             sys.crash();
             sys.recoverToCompletion();
-            rec = inj.inject(*injectKind);
+            rec = inj.inject(*o.injectFault);
             if (rec.injected) {
                 Block buf;
                 sys.core().load(rec.victim, buf.data(), blockSize);
             }
         }
         std::printf("fault injected      : %s%s (%s)\n",
-                    verify::faultKindName(*injectKind),
+                    verify::faultKindName(*o.injectFault),
                     rec.injected ? "" : " [no target found]",
                     rec.detail.c_str());
         std::printf("post-fault alarms   : %" PRIu64 "\n",

@@ -49,6 +49,7 @@
 
 #include "secure/address_map.hh"
 #include "secure/merkle_tree.hh"
+#include "sim/cli.hh"
 #include "sim/crash_points.hh"
 #include "sim/exit_codes.hh"
 #include "sim/heartbeat.hh"
@@ -92,9 +93,24 @@ struct PlantSpec
 {
     std::optional<std::uint64_t> clwbDrop; ///< drop the K-th CLWB
     bool badCounterRepair = false; ///< counter repair adopts garbage
-
-    bool any() const { return clwbDrop.has_value() || badCounterRepair; }
 };
+
+/** Parse a --plant-bug spec: drop-clwb:K or bad-counter-repair. */
+std::optional<PlantSpec>
+parsePlantSpec(const std::string &spec)
+{
+    PlantSpec plant;
+    if (spec == "bad-counter-repair") {
+        plant.badCounterRepair = true;
+        return plant;
+    }
+    if (spec.rfind("drop-clwb:", 0) != 0)
+        return std::nullopt;
+    plant.clwbDrop = parseCliNumber(spec.substr(10));
+    if (!plant.clwbDrop)
+        return std::nullopt;
+    return plant;
+}
 
 struct Outcome
 {
@@ -561,7 +577,7 @@ main(int argc, char **argv)
     unsigned campaign = 0;
     unsigned opsPerEpisode = 80;
     SecurityMode mode = SecurityMode::DolosPartialWpq;
-    std::string replaySpec;
+    std::optional<std::vector<Op>> replayOps;
     PlantSpec plant;
     std::optional<unsigned> expectBug;
     bool sweep = false;
@@ -575,104 +591,54 @@ main(int argc, char **argv)
     std::uint64_t sweepTxns = 3;
     std::optional<unsigned> recoveryCrash;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(ExitUsage);
-            }
-            return argv[++i];
-        };
-        auto number = [&]() -> std::uint64_t {
-            const char *text = value();
-            const auto v = parseCliNumber(text);
-            if (!v) {
-                std::fprintf(stderr, "bad numeric value '%s' for %s\n",
-                             text, a.c_str());
-                usage(ExitUsage);
-            }
-            return *v;
-        };
-        if (a == "--seed") {
-            seed = number();
-        } else if (a == "--campaign") {
-            campaign = unsigned(number());
-        } else if (a == "--ops") {
-            opsPerEpisode = unsigned(number());
-        } else if (a == "--mode") {
-            const auto m = parseSecurityMode(value());
-            if (!m) {
-                std::fprintf(stderr, "unknown mode '%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
-            mode = *m;
-        } else if (a == "--replay") {
-            replaySpec = value();
-        } else if (a == "--plant-bug") {
-            const std::string spec = value();
-            const auto k = spec.rfind("drop-clwb:", 0) == 0
-                               ? parseCliNumber(spec.substr(10))
-                               : std::nullopt;
-            if (spec == "bad-counter-repair") {
-                plant.badCounterRepair = true;
-            } else if (k) {
-                plant.clwbDrop = *k;
-            } else {
-                std::fprintf(stderr, "unknown bug spec '%s'\n",
-                             spec.c_str());
-                usage(ExitUsage);
-            }
-        } else if (a == "--expect-bug") {
-            expectBug = unsigned(number());
-        } else if (a == "--sweep") {
+    CliReader r(argc, argv, ExitUsage, usage);
+    while (r.next()) {
+        if (r.is("--seed")) {
+            seed = r.number();
+        } else if (r.is("--campaign")) {
+            campaign = unsigned(r.number());
+        } else if (r.is("--ops")) {
+            opsPerEpisode = unsigned(r.number());
+        } else if (r.is("--mode")) {
+            mode = r.parsed(parseSecurityMode, "unknown mode");
+        } else if (r.is("--replay")) {
+            replayOps = r.parsed(parseOps, "bad replay spec");
+        } else if (r.is("--plant-bug")) {
+            plant = r.parsed(parsePlantSpec, "unknown bug spec");
+        } else if (r.is("--expect-bug")) {
+            expectBug = unsigned(r.number());
+        } else if (r.is("--sweep")) {
             sweep = true;
-        } else if (a == "--workload") {
-            sweepWorkload = value();
-        } else if (a == "--points") {
-            sweepPoints = value();
-        } else if (a == "--budget") {
-            sweepBudget = number();
-        } else if (a == "--txns") {
-            sweepTxns = number();
-        } else if (a == "--recovery-crash") {
-            recoveryCrash = unsigned(number());
-        } else if (a == "--eadr-budget") {
-            const std::uint64_t v = number();
-            if (v == 0) {
-                std::fprintf(stderr,
-                             "--eadr-budget must be nonzero (a zero "
-                             "budget could never admit a line)\n");
-                usage(ExitUsage);
-            }
-            gEadrBudget = v;
-        } else if (a == "--meta-faults") {
+        } else if (r.is("--workload")) {
+            sweepWorkload = r.value();
+        } else if (r.is("--points")) {
+            sweepPoints = r.value();
+            if (sweepPoints != "every-op" && sweepPoints != "wpq" &&
+                sweepPoints != "microstep")
+                r.fail("unknown --points '" + sweepPoints + "'");
+        } else if (r.is("--budget")) {
+            sweepBudget = r.number();
+        } else if (r.is("--txns")) {
+            sweepTxns = r.number();
+        } else if (r.is("--recovery-crash")) {
+            recoveryCrash = unsigned(r.number());
+        } else if (r.is("--eadr-budget")) {
+            gEadrBudget = r.number();
+            if (*gEadrBudget == 0)
+                r.fail("--eadr-budget must be nonzero (a zero budget "
+                       "could never admit a line)");
+        } else if (r.is("--meta-faults")) {
             metaFaults = true;
-        } else if (a == "--heartbeat") {
-            heartbeat = number();
-        } else if (a == "--jobs") {
-            jobs = unsigned(number());
-            if (jobs == 0) {
-                std::fprintf(stderr, "--jobs must be >= 1\n");
-                usage(ExitUsage);
-            }
-        } else if (a == "--summary-json") {
-            summaryJson = value();
-        } else if (a == "--opt-knobs") {
-            const std::string spec = value();
-            const auto knobs = parseOptKnobs(spec);
-            if (!knobs) {
-                std::fprintf(stderr, "bad --opt-knobs spec '%s'\n",
-                             spec.c_str());
-                usage(ExitUsage);
-            }
-            gOptKnobs = *knobs;
-        } else if (a == "--help" || a == "-h") {
-            usage(ExitOk);
+        } else if (r.is("--heartbeat")) {
+            heartbeat = r.number();
+        } else if (r.is("--jobs")) {
+            jobs = r.jobs();
+        } else if (r.is("--summary-json")) {
+            summaryJson = r.value();
+        } else if (r.is("--opt-knobs")) {
+            gOptKnobs = r.parsed(parseOptKnobs, "bad --opt-knobs spec");
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(ExitUsage);
+            r.unknown();
         }
     }
 
@@ -702,25 +668,17 @@ main(int argc, char **argv)
         opt.params.readsPerTx = 1;
         opt.budget = sweepBudget;
         opt.sampleSeed = seed;
-        if (sweepPoints == "every-op") {
-            opt.pointSet = CrashPoints::EveryOp;
-        } else if (sweepPoints == "wpq") {
-            opt.pointSet = CrashPoints::WpqBoundaries;
-        } else if (sweepPoints == "microstep") {
-            if (!microstepOps) {
-                std::fprintf(stderr,
-                             "--points microstep needs a mode with an "
-                             "interruptible persist surface: "
-                             "dolos-full|dolos-partial|dolos-post "
-                             "(the re-drainable ADR dump) or eadr "
-                             "(the holdup flush); got %s\n",
-                             securityModeCliName(mode));
-                usage(ExitUsage);
-            }
-            opt.pointSet = CrashPoints::Microstep;
-        } else {
-            std::fprintf(stderr, "unknown --points '%s'\n",
-                         sweepPoints.c_str());
+        opt.pointSet = sweepPoints == "wpq" ? CrashPoints::WpqBoundaries
+                       : sweepPoints == "microstep" ? CrashPoints::Microstep
+                                                    : CrashPoints::EveryOp;
+        if (opt.pointSet == CrashPoints::Microstep && !microstepOps) {
+            std::fprintf(stderr,
+                         "--points microstep needs a mode with an "
+                         "interruptible persist surface: "
+                         "dolos-full|dolos-partial|dolos-post "
+                         "(the re-drainable ADR dump) or eadr "
+                         "(the holdup flush); got %s\n",
+                         securityModeCliName(mode));
             usage(ExitUsage);
         }
         opt.recoveryCrashStep = recoveryCrash;
@@ -763,24 +721,19 @@ main(int argc, char **argv)
         return ExitOk;
     }
 
-    if (!replaySpec.empty()) {
-        const auto ops = parseOps(replaySpec);
-        if (!ops) {
-            std::fprintf(stderr, "bad replay spec '%s'\n",
-                         replaySpec.c_str());
-            usage(ExitUsage);
-        }
-        const auto out = runProgram(mode, *ops, plant);
+    if (replayOps) {
+        const auto &ops = *replayOps;
+        const auto out = runProgram(mode, ops, plant);
         std::printf("replay %zu ops on %s: %s (attack=%d "
                     "violations=%llu quarantined=%zu extra-boots=%u)"
                     "%s%s\n",
-                    ops->size(), securityModeName(mode),
+                    ops.size(), securityModeName(mode),
                     out.failed ? "FAIL" : "PASS", int(out.attack),
                     (unsigned long long)out.violations,
                     out.quarantined, out.recoveryBoots,
                     out.note.empty() ? "" : " — ", out.note.c_str());
         if (out.failed)
-            minimizeAndReport(mode, *ops, plant);
+            minimizeAndReport(mode, ops, plant);
         return exitCodeFor(!out.failed, out.attack,
                            out.quarantined != 0 && !out.failed);
     }
