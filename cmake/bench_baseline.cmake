@@ -4,7 +4,7 @@
 # baseline artifact was recorded with, then diffs the fresh artifact
 # against the baseline with dolos_report. The simulator is
 # deterministic, so any drift is a real modeling change: regressions
-# beyond the threshold fail the gate, and an intentional change is
+# beyond 2% fail the gate, and an intentional change is
 # blessed by re-recording the baseline with the same driver flags,
 # e.g.:
 #
@@ -16,11 +16,7 @@
 # Invoked as:
 #   cmake -DBENCH=<driver> -DREPORT=<dolos_report>
 #         -DBASELINE=<BENCH_*.json> -DWORKDIR=<dir>
-#         [-DTXNS=N] [-DKEYS=N] [-DSEED=N] [-DTHRESHOLD=PCT]
-#         -P bench_baseline.cmake
-#
-# THRESHOLD defaults to the deterministic-simulation gate (2%); the
-# selfbench gate measures host wall-clock and needs a far looser one.
+#         [-DTXNS=N] [-DKEYS=N] [-DSEED=N] -P bench_baseline.cmake
 
 foreach(var BENCH REPORT BASELINE WORKDIR)
     if(NOT DEFINED ${var})
@@ -38,9 +34,6 @@ if(NOT DEFINED KEYS)
 endif()
 if(NOT DEFINED SEED)
     set(SEED 7)
-endif()
-if(NOT DEFINED THRESHOLD)
-    set(THRESHOLD 2)
 endif()
 
 if(NOT EXISTS "${BASELINE}")
@@ -77,7 +70,7 @@ endif()
 
 execute_process(
     COMMAND "${REPORT}" "${BASELINE}" "${candidate}"
-            --threshold ${THRESHOLD}
+            --threshold 2
     RESULT_VARIABLE diff_rc
     OUTPUT_VARIABLE diff_out
     ERROR_VARIABLE diff_err)

@@ -51,12 +51,6 @@ expect_flag(manifest_dup_field.cc 1
     "registers 'field' twice")
 expect_flag(dup_stat_name.cc 1
     "stat 'hits' registered twice on 'stats_'")
-expect_flag(trace_arity.cc 1
-    "DOLOS_TRACE expects 5 arguments")
-# 2 planted: an unknown component and a wrong arity; the adjacent
-# correct site must not be flagged.
-expect_flag(prof_scope_bad.cc 2
-    "'AesEngine' is not a prof::Comp component")
 # 3 planted mismatches; the adjacent correct call must not be flagged,
 # and the suppressed malloc in raw_alloc.cc must not be either.
 expect_flag(format_mismatch.cc 3

@@ -626,13 +626,7 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
         // the persistence domain, then the volatile state dies.
         CrashDumpReport report;
         eadrHoldupFlush(at, complete_in_flight, eadr_lines, report);
-        adrTear.reset();
-        wpq.clear();
-        tagArray.clear();
-        drainCursor = nextId;
-        lastDrainIssue = 0;
-        engine.crash();
-        nvm.crash();
+        loseVolatileState();
         return report;
     }
 
@@ -650,15 +644,7 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
     // below would orphan the undrained entries. Preserve the dump
     // and the journal; the restarted recovery resumes from them.
     if (isDolosMode(cfg.mode) && readJournal()) {
-        adrTear.reset();
-        wpq.clear();
-        tagArray.clear();
-        drainCursor = nextId;
-        lastDrainIssue = 0;
-        if (misu_)
-            misu_->crash();
-        engine.crash();
-        nvm.crash();
+        loseVolatileState();
         return report;
     }
 
@@ -749,7 +735,15 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
       }
     }
 
+    loseVolatileState();
+    return report;
+}
+
+void
+SecureMemController::loseVolatileState()
+{
     // Volatile state dies with the power.
+    adrTear.reset();
     wpq.clear();
     tagArray.clear();
     drainCursor = nextId;
@@ -758,7 +752,6 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
         misu_->crash();
     engine.crash();
     nvm.crash();
-    return report;
 }
 
 ControllerRecoveryReport

@@ -194,6 +194,9 @@ class SecureMemController : public PersistController
     /** Lazily process FIFO drains whose start time has passed. */
     void processDrainsUntil(Tick t);
 
+    /** End of every crash() path: drop all volatile state. */
+    void loseVolatileState();
+
     /** Drain one entry (mode-specific); sets drained/releaseTick. */
     void drainEntry(WpqEntry &e);
 

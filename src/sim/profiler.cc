@@ -154,8 +154,8 @@ void
 Profiler::reportJson(std::ostream &os) const
 {
     const double total = double(attributedNanos());
-    os << "{\"selfprof\":{\"attributedSec\":"
-       << secStr(total * 1e-9) << ",\"components\":{";
+    os << "{\"attributedSec\":" << secStr(total * 1e-9)
+       << ",\"components\":{";
     bool first = true;
     for (std::size_t i = 0; i < numComps; ++i) {
         if (!calls_[i])
@@ -168,7 +168,7 @@ Profiler::reportJson(std::ostream &os) const
            << ",\"calls\":" << calls_[i] << "}";
         first = false;
     }
-    os << "}}}\n";
+    os << "}}";
 }
 
 } // namespace dolos::prof

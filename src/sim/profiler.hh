@@ -17,9 +17,11 @@
  * Like DOLOS_TRACE, the sites compile out entirely with
  * -DDOLOS_SELFPROF=0 (CMake option DOLOS_SELFPROF=OFF) and cost one
  * predicted-not-taken branch when compiled in but not enabled.
- * `dolos-sim --selfbench` runs the profiler over a workload and
- * reports events/sec plus the per-component shares
- * (src/workloads/selfbench.hh).
+ * `dolos-sim --stats` / `--stats-json` profile the run they simulate
+ * and print report() / reportJson() next to its host seconds and
+ * host tx/s. The noise-robust host-speed figure is perfbench's
+ * `host_tx_per_s` (perfbench/README.md), which also reads these
+ * counters for its `host.<comp>.share` attribution.
  */
 
 #ifndef DOLOS_SIM_PROFILER_HH
@@ -102,9 +104,9 @@ class Profiler
     void report(std::ostream &os) const;
 
     /**
-     * {"selfprof":{"attributedSec":...,"components":{name:
-     * {"seconds":...,"share":...,"calls":...}}}} — components in
-     * fixed enum order (deterministic, byte-diffable).
+     * {"attributedSec":...,"components":{name:{"seconds":...,
+     * "share":...,"calls":...}}} — one JSON object, no trailing
+     * newline, components in fixed enum order.
      */
     void reportJson(std::ostream &os) const;
 

@@ -232,15 +232,7 @@ enumerateCrashPoints(const SweepOptions &opt)
 
     // Every-op sweep: probe run counts the measured run's operations;
     // a crash can then land after any one of them.
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-    const std::uint64_t ops0 = env.opCount();
-    for (std::uint64_t i = 0; i < opt.numTx; ++i)
-        workload->transaction(env, i);
-    const std::uint64_t total = env.opCount() - ops0;
-
+    const std::uint64_t total = measuredOps(opt);
     std::vector<std::uint64_t> points;
     points.reserve(std::size_t(total));
     for (std::uint64_t op = 1; op <= total; ++op)

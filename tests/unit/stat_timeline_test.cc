@@ -8,6 +8,9 @@
  *  2. Non-perturbation — the sampler is a pure observer: a run with
  *     sampling attached finishes with bit-identical final stats and
  *     cycle counts to the same run without it.
+ *  3. Host work — the self-profiler is an observer too, and the
+ *     number of times each component is entered on a fixed run is an
+ *     exact, host-independent count of the simulator's work.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <sstream>
 
 #include "dolos/system.hh"
+#include "sim/profiler.hh"
 #include "sim/stat_sampler.hh"
 #include "workloads/runner.hh"
 
@@ -133,6 +137,53 @@ TEST(StatTimeline, SamplingDoesNotPerturbTheSimulation)
     std::ostringstream sampledStats;
     sampled.dumpStatsJson(sampledStats);
     EXPECT_EQ(sampledStats.str(), refStats.str());
+}
+
+TEST(StatTimeline, SelfProfilerPinsHostWorkAndDoesNotPerturb)
+{
+#if !DOLOS_SELFPROF
+    GTEST_SKIP() << "self-profiler compiled out (DOLOS_SELFPROF=0)";
+#else
+    // hashmap on the paper machine in Dolos-Partial, 64 keys, seed 7,
+    // 300 transactions. Returns the run's final stat JSON; the call
+    // counts stay in the profiler.
+    const auto run_once = [](bool profile) {
+        auto cfg = SystemConfig::paperDefault();
+        cfg.mode = SecurityMode::DolosPartialWpq;
+        System sys(cfg);
+        WorkloadParams params;
+        params.numKeys = 64;
+        params.seed = 7;
+        auto wl = makeWorkload("hashmap", params);
+        auto &prof = prof::Profiler::instance();
+        if (profile)
+            prof.enable();
+        const auto res = runWorkload(sys, *wl, 300);
+        prof.disable();
+        EXPECT_TRUE(res.verified) << res.verifyDiagnostic;
+        std::ostringstream os;
+        sys.dumpStatsJson(os);
+        return os.str();
+    };
+
+    const std::string plain_stats = run_once(false);
+    EXPECT_EQ(run_once(true), plain_stats);
+
+    // A change to these counts is a change to the simulator's host
+    // work: re-pin them only when that change is intended.
+    using prof::Comp;
+    const std::pair<Comp, std::uint64_t> expected[] = {
+        {Comp::Core, 25414},       {Comp::CacheModel, 22800},
+        {Comp::Controller, 67198}, {Comp::SecurityEngine, 13432},
+        {Comp::Aes, 51960},        {Comp::Mac, 235761},
+        {Comp::Sha, 0},            {Comp::CtrPad, 12990},
+        {Comp::Nvm, 38812},        {Comp::Verify, 0},
+    };
+    auto &prof = prof::Profiler::instance();
+    for (const auto &[comp, calls] : expected)
+        EXPECT_EQ(prof.calls(comp), calls) << prof::compName(comp);
+    prof.reset();
+#endif
 }
 
 } // namespace

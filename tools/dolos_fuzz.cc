@@ -343,20 +343,23 @@ runNamedCampaign(const std::string &name, std::uint64_t base_seed)
     // is a pure function of (base seed, mode, workload, episode
     // index), so the parallel phase can hand specs to workers by
     // index and the verdict set is identical for any --jobs value.
+    // The workload enters by its index in workloadNames(), never by a
+    // hash of its name: std::hash is implementation-defined, and the
+    // same --seed must run the same episodes under any standard library.
+    const auto wl_names = workloadNames();
     std::vector<EpisodeSpec> specs;
     for (const auto mode : modes) {
         const auto faults = applicableFaults(mode);
         unsigned fault_cursor = unsigned(base_seed % faults.size());
-        for (const auto &wl : workloadNames()) {
+        for (std::size_t w = 0; w < wl_names.size(); ++w) {
             for (unsigned ep = 0; ep < episodes_per_combo; ++ep) {
                 EpisodeSpec spec;
                 spec.mode = mode;
-                spec.workload = wl;
+                spec.workload = wl_names[w];
                 spec.fault = faults[fault_cursor++ % faults.size()];
                 // Mix the coordinates into distinct per-episode seeds.
                 spec.seed = base_seed * 1000003ULL +
-                            unsigned(mode) * 131ULL +
-                            std::hash<std::string>{}(wl) % 1009 +
+                            unsigned(mode) * 131ULL + w * 1009ULL +
                             ep * 7919ULL;
                 spec.crashOp = 1 + spec.seed % 1500;
                 specs.push_back(spec);

@@ -18,10 +18,6 @@
  *  stat-name     No two statistics registered on the same group in
  *                the same file share a name (the runtime panics on
  *                collisions only when that constructor actually runs).
- *  trace-arity   DOLOS_TRACE sites pass exactly 5 arguments.
- *  prof-scope    DOLOS_PROF_SCOPE sites name a real prof::Comp
- *                component (typos would otherwise only break
- *                DOLOS_SELFPROF=ON builds).
  *  format        printf-family and logging calls with literal format
  *                strings have matching conversion/argument counts.
  *  raw-alloc     No raw new/malloc/calloc/realloc outside approved
@@ -95,9 +91,6 @@ constexpr CheckDef g_checkTable[] = {
      "name-for-name with consistent persistence kinds"},
     {"stat-name",
      "no two statistics on one group in one file share a name"},
-    {"trace-arity", "DOLOS_TRACE sites pass exactly 5 arguments"},
-    {"prof-scope",
-     "DOLOS_PROF_SCOPE names a real prof::Comp component"},
     {"format",
      "printf-family literal format strings consume exactly the "
      "supplied arguments"},
@@ -946,63 +939,6 @@ scanStatNames(const std::string &file, const std::vector<Token> &toks)
     }
 }
 
-// --- check: DOLOS_TRACE arity ---------------------------------------
-
-void
-scanTraceSites(const std::string &file, const std::vector<Token> &toks)
-{
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (!isIdent(toks[i], "DOLOS_TRACE") ||
-            !isPunct(toks[i + 1], "("))
-            continue;
-        const std::size_t cp = matchBracket(toks, i + 1);
-        const auto args = splitArgs(toks, i + 1, cp);
-        if (args.size() != 5)
-            report(file, toks[i].line, "trace-arity",
-                   "DOLOS_TRACE expects 5 arguments (stage, start, "
-                   "end, addr, id), got " +
-                       std::to_string(args.size()));
-        i = cp;
-    }
-}
-
-// --- check: DOLOS_PROF_SCOPE component names ------------------------
-
-void
-scanProfScopes(const std::string &file, const std::vector<Token> &toks)
-{
-    // Must mirror prof::Comp in src/sim/profiler.hh: a typo'd
-    // component would only fail in DOLOS_SELFPROF=ON builds, so the
-    // lint catches it in every configuration.
-    static const std::set<std::string> known = {
-        "Core", "CacheModel", "Controller", "SecurityEngine", "Aes",
-        "Mac", "Sha", "CtrPad", "Nvm", "Verify"};
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (!isIdent(toks[i], "DOLOS_PROF_SCOPE") ||
-            !isPunct(toks[i + 1], "("))
-            continue;
-        const std::size_t cp = matchBracket(toks, i + 1);
-        const auto args = splitArgs(toks, i + 1, cp);
-        if (args.size() != 1) {
-            report(file, toks[i].line, "prof-scope",
-                   "DOLOS_PROF_SCOPE expects 1 argument (the "
-                   "component), got " +
-                       std::to_string(args.size()));
-        } else {
-            const auto &[b, e] = args[0];
-            const bool single_ident =
-                e == b + 1 && toks[b].type == Token::Ident;
-            if (!single_ident || !known.count(toks[b].text))
-                report(file, toks[i].line, "prof-scope",
-                       "DOLOS_PROF_SCOPE argument '" +
-                           (b < e ? toks[b].text : std::string()) +
-                           "' is not a prof::Comp component "
-                           "(see src/sim/profiler.hh)");
-        }
-        i = cp;
-    }
-}
-
 // --- check: printf-style format/argument agreement ------------------
 
 /** Format-string argument index per checked function. */
@@ -1710,8 +1646,6 @@ lintFile(const std::string &path)
     }
     scanManifests(path, toks);
     scanStatNames(path, toks);
-    scanTraceSites(path, toks);
-    scanProfScopes(path, toks);
     scanFormatCalls(path, toks);
     scanRawAllocs(path, toks);
     scanThreadShared(path, toks);

@@ -111,11 +111,15 @@ containsWord(const std::string &path, const char *word)
  * stalls), -1 means larger values are better (speedup, hits, rates),
  * 0 means neutral (counts we cannot judge — reported but never
  * flagged). Rates are matched first: "simCyclesPerSec" names cycles,
- * but more of them per second is better.
+ * but more of them per second is better. A --stats-json "host"
+ * object is one run's wall-clock, which differs run to run, so it
+ * is neutral; perfbench is where host speed is measured and gated.
  */
 int
 direction(const std::string &path)
 {
+    if (path.rfind("host.", 0) == 0)
+        return 0;
     static const char *worse[] = {"cycle",   "latency", "stall",
                                   "retries", "cpi",     "queueing",
                                   "miss",    "dropped", "conflict"};

@@ -13,6 +13,7 @@
  *   dolos_sim --list
  */
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -23,13 +24,13 @@
 
 #include "sim/cli.hh"
 #include "sim/exit_codes.hh"
+#include "sim/profiler.hh"
 #include "sim/stat_sampler.hh"
 #include "sim/trace.hh"
 #include "verify/fault_injector.hh"
 #include "verify/manifest_check.hh"
 #include "verify/perf_equiv.hh"
 #include "workloads/runner.hh"
-#include "workloads/selfbench.hh"
 
 using namespace dolos;
 using namespace dolos::workloads;
@@ -65,7 +66,6 @@ struct Options
     std::optional<OptKnobs> optKnobs; ///< --opt-knobs
     std::uint64_t sampleInterval = 0; ///< --sample-interval (0 = off)
     std::string timelineFile; ///< --stats-timeline (.csv => CSV)
-    bool selfbench = false;   ///< --selfbench: host-speed self-profile
 };
 
 [[noreturn]] void
@@ -91,7 +91,10 @@ usage(int code)
         "  --no-coalescing     disable the WPQ tag-array coalescing\n"
         "  --trace FILE        write a Chrome trace_event JSON of the\n"
         "                      persist critical path (chrome://tracing)\n"
-        "  --stats-json FILE   write run metrics + stat tree as JSON\n"
+        "  --stats             print the stat tree, then the run's host\n"
+        "                      time and self-profile\n"
+        "  --stats-json FILE   write run metrics + stat tree + host time\n"
+        "                      and self-profile as JSON\n"
         "  --inject-fault KIND inject one fault after the run: "
         "data-flip|mac-flip|\n"
         "                      counter-rollback|bmt-flip|"
@@ -124,11 +127,7 @@ usage(int code)
         "  --stats-timeline F  write the timeline to F (JSON, or CSV\n"
         "                      when F ends in .csv); needs\n"
         "                      --sample-interval\n"
-        "  --selfbench         benchmark the simulator itself: report\n"
-        "                      simulated instructions/sec and, when\n"
-        "                      compiled in, per-component host-time\n"
-        "                      attribution, then exit\n"
-        "  --seed N | --stats | --list | --help\n"
+        "  --seed N | --list | --help\n"
         "exit codes: 0 ok, 1 verification failure, 2 usage, "
         "3 attack alarm,\n"
         "            4 unrecoverable media fault\n",
@@ -212,8 +211,6 @@ parse(int argc, char **argv)
             o.sampleInterval = r.number();
         else if (r.is("--stats-timeline"))
             o.timelineFile = r.value();
-        else if (r.is("--selfbench"))
-            o.selfbench = true;
         else if (r.is("--list")) {
             for (const auto &n : extendedWorkloadNames())
                 std::printf("%s\n", n.c_str());
@@ -224,9 +221,37 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** Write the run metrics + full stat tree as one JSON document. */
+const char *const selfprofOff =
+    "self-profiler compiled out (rebuild with -DDOLOS_SELFPROF=ON)";
+
+/** Host tx/s of a run that took @p host_sec wall-clock seconds. */
+double
+hostTxPerSec(const RunResult &res, double host_sec)
+{
+    return host_sec > 0 ? double(res.transactions) / host_sec : 0;
+}
+
+/** Host cost of the run: wall-clock, tx/s and the self-profile. */
 void
-writeStatsJson(std::ostream &os, const System &sys, const RunResult &res)
+printHostReport(const RunResult &res, double host_sec)
+{
+    std::printf("\nhost time           : %.3f s (%.0f tx/s)\n", host_sec,
+                hostTxPerSec(res, host_sec));
+#if DOLOS_SELFPROF
+    prof::Profiler::instance().report(std::cout);
+#else
+    std::printf("%s\n", selfprofOff);
+#endif
+}
+
+/**
+ * Write the run metrics, the full stat tree and the run's host cost
+ * as one JSON document. "run" and "stats" are deterministic; "host"
+ * is this run's wall-clock and self-profile.
+ */
+void
+writeStatsJson(std::ostream &os, const System &sys, const RunResult &res,
+               double host_sec)
 {
     os << "{\"run\":{"
        << "\"workload\":\"" << res.workload << "\""
@@ -246,7 +271,15 @@ writeStatsJson(std::ostream &os, const System &sys, const RunResult &res)
        << ",\"verified\":" << (res.verified ? "true" : "false")
        << "},\"stats\":";
     sys.dumpStatsJson(os);
-    os << "}\n";
+    os << ",\"host\":{\"seconds\":" << host_sec
+       << ",\"txPerSec\":" << hostTxPerSec(res, host_sec)
+       << ",\"selfprof\":";
+#if DOLOS_SELFPROF
+    prof::Profiler::instance().reportJson(os);
+#else
+    os << "\"" << selfprofOff << "\"";
+#endif
+    os << "}}\n";
 }
 
 } // namespace
@@ -261,18 +294,6 @@ main(int argc, char **argv)
                      "--sample-interval and --stats-timeline must be "
                      "used together\n");
         usage(ExitUsage);
-    }
-
-    if (o.selfbench) {
-        SelfbenchOptions sb;
-        sb.workload = o.workload;
-        sb.txns = o.txns;
-        sb.numKeys = o.numKeys;
-        sb.seed = o.seed;
-        sb.mode = o.mode;
-        const auto r = runSelfbench(sb);
-        formatSelfbench(r, std::cout);
-        return ExitOk;
     }
 
     if (o.verifyManifest) {
@@ -366,7 +387,18 @@ main(int argc, char **argv)
         sampler->begin(sys.core().now());
     }
 
+    // --stats / --stats-json also report the run's host cost, so the
+    // profile always comes from the machine the options describe.
+    auto &profiler = prof::Profiler::instance();
+    if (o.stats || !o.statsJsonFile.empty())
+        profiler.enable();
+    const auto host_start = std::chrono::steady_clock::now();
     const auto res = runWorkload(sys, *wl, o.txns, crash);
+    const double host_sec = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() -
+                                host_start)
+                                .count();
+    profiler.disable();
 
     if (sampler) {
         sampler->finish(sys.core().now());
@@ -503,6 +535,7 @@ main(int argc, char **argv)
     if (o.stats) {
         std::printf("\n");
         sys.dumpStats(std::cout);
+        printHostReport(res, host_sec);
     }
 
     if (!o.statsJsonFile.empty()) {
@@ -512,7 +545,7 @@ main(int argc, char **argv)
                          o.statsJsonFile.c_str());
             return 1;
         }
-        writeStatsJson(out, sys, res);
+        writeStatsJson(out, sys, res, host_sec);
         std::printf("stats json          : %s\n",
                     o.statsJsonFile.c_str());
     }
