@@ -1,6 +1,6 @@
 # Exit-code contract smoke test (ctest tier2).
 #
-# The documented dolos_sim / dolos_torture / dolos_fuzz exit codes (see
+# The documented dolos_sim / dolos_torture exit codes (see
 # src/sim/exit_codes.hh and docs/verification.md):
 #
 #   0  clean, verified run
@@ -14,11 +14,11 @@
 #
 # Invoked as:
 #   cmake -DSIM=<dolos-sim> -DTORTURE=<dolos_torture>
-#         -DFUZZ=<dolos_fuzz> -DREPORT=<dolos_report>
+#         -DREPORT=<dolos_report>
 #         -DBENCH=<any experiment driver> -DWORKDIR=<dir>
 #         -P exit_codes_smoke.cmake
 
-foreach(var SIM TORTURE FUZZ REPORT BENCH WORKDIR)
+foreach(var SIM TORTURE REPORT BENCH WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "exit_codes_smoke: ${var} not set")
     endif()
@@ -53,6 +53,18 @@ expect_rc(2 "${SIM}" --wpq 1 --txns 10)
 expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --inject-fault data-flip)
 
+# --inject-fault takes only kinds it injects (2 for none). The
+# crash-path kinds are armed before the run: the crash tears the ADR
+# dump, which Mi-SU authentication catches (3), or the dropped flush
+# loses committed data the structural verifier catches (1).
+expect_rc(2 "${SIM}" --inject-fault none --txns 10)
+expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial
+            --txns 40 --keys 64 --crash-at 100
+            --inject-fault torn-adr-dump)
+expect_rc(1 "${SIM}" --workload hashmap --mode dolos-partial
+            --txns 40 --keys 64 --crash-at 300
+            --inject-fault dropped-clwb)
+
 # 4: unhealable media fault degrades gracefully (quarantine, no
 #    abort) and emits a structured damage report.
 set(damage "${WORKDIR}/damage.json")
@@ -82,14 +94,33 @@ expect_rc(4 "${TORTURE}" --replay w:3:7,x:3:9,f:3,s,c)
 expect_rc(1 "${TORTURE}" --mode dolos-partial --plant-bug drop-clwb:0
             --replay w:5:9,f:5,s,c)
 
+# One-fault episodes: the same flip is caught by the Mi-SU/Ma-SU
+# (contract held, 0) and corrupts silently without a security engine
+# (contract violated, 1).
+expect_rc(0 "${TORTURE}" --mode dolos-partial --workload hashmap
+            --seed 123 --fault data-flip)
+expect_rc(1 "${TORTURE}" --mode ideal --workload hashmap
+            --seed 123 --fault data-flip)
+
 # 2: malformed numbers are usage errors, never a silent prefix parse.
 expect_rc(2 "${SIM}" --txns 10x)
 expect_rc(2 "${TORTURE}" --campaign abc)
 expect_rc(2 "${TORTURE}" --jobs 2x)
 expect_rc(2 "${TORTURE}" --seed -1)
 expect_rc(2 "${TORTURE}" --plant-bug drop-clwb:3x --replay s)
-expect_rc(2 "${FUZZ}" --crash-op 5x)
-expect_rc(2 "${FUZZ}" --jobs " 4")
+expect_rc(2 "${TORTURE}" --fault none --crash-op 5x)
+expect_rc(2 "${TORTURE}" --faults 2 --jobs " 4")
+
+# 2: exactly one action per run, and no flag another action would
+#    silently drop.
+expect_rc(2 "${TORTURE}" --seed 3)
+expect_rc(2 "${TORTURE}" --sweep --replay s)
+expect_rc(2 "${TORTURE}" --campaign 2 --replay s)
+expect_rc(2 "${TORTURE}" --faults 2 --fault data-flip)
+expect_rc(2 "${TORTURE}" --campaign 2 --points microstep)
+expect_rc(2 "${TORTURE}" --replay s --meta-faults)
+expect_rc(2 "${TORTURE}" --faults 2 --crash-op 5)
+expect_rc(2 "${TORTURE}" --faults 2 --mode dolos-full)
 
 # 2: unknown --tree / --crash-scheme values are rejected, not run as
 #    the default scheme.
@@ -100,7 +131,7 @@ expect_rc(2 "${SIM}" --crash-scheme osirs --txns 10)
 # tool and the experiment drivers exit 1 on usage errors.
 expect_rc(2 "${SIM}" --txns)
 expect_rc(2 "${TORTURE}" --seed)
-expect_rc(2 "${FUZZ}" --mode)
+expect_rc(2 "${TORTURE}" --fault data-flip --mode)
 expect_rc(1 "${REPORT}" --check)
 expect_rc(1 "${BENCH}" --keys)
 expect_rc(1 "${BENCH}" --txns 3x)

@@ -34,7 +34,7 @@ if(LANE STREQUAL "sanitize")
     set(targets dolos_torture_cli dolos_sim_cli)
 elseif(LANE STREQUAL "tsan")
     set(options -DDOLOS_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo)
-    set(targets dolos_torture_cli dolos_fuzz_cli)
+    set(targets dolos_torture_cli)
     set(run_env TSAN_OPTIONS=halt_on_error=1)
 elseif(LANE STREQUAL "release_werror")
     set(options -DCMAKE_BUILD_TYPE=Release)
@@ -125,7 +125,6 @@ step(build "${CMAKE_COMMAND}" --build "${build}" -j ${jobs}
 
 set(torture "${build}/tools/dolos_torture")
 set(sim "${build}/tools/dolos-sim")
-set(fuzz "${build}/tools/dolos_fuzz")
 
 if(LANE STREQUAL "sanitize")
     # Crash sweep with a mid-recovery crash armed at every point.
@@ -184,8 +183,8 @@ elseif(LANE STREQUAL "tsan")
     # debug-flag set, campaign monitor, and the per-thread singletons.
     expect_rc(0 "${torture}" --campaign 8 --seed 11 --ops 60 --jobs 4)
 
-    # Parallel fuzz campaign slice: all modes x workloads with faults.
-    expect_rc(0 "${fuzz}" --campaign smoke --jobs 4 --heartbeat 3)
+    # Parallel one-fault campaign: all modes x workloads with faults.
+    expect_rc(0 "${torture}" --faults 2 --jobs 4 --heartbeat 3)
 endif()
 
 message(STATUS "${lane}: OK")

@@ -1,11 +1,11 @@
 /**
  * @file
  * The one command-line reader of dolos-sim, dolos_torture,
- * dolos_fuzz, dolos_report and the experiment drivers. A tool keeps
- * only its flag table and usage text; the reader owns the shared
- * rules: a flag's value must be present, numbers are strict, a parsed
- * value (mode, fault kind, --opt-knobs, ...) is rejected rather than
- * defaulted, --jobs is at least 1, and an unknown option is an error.
+ * dolos_report and the experiment drivers. A tool keeps only its flag
+ * table and usage text; the reader owns the shared rules: a flag's
+ * value must be present, numbers are strict, a parsed value (mode,
+ * fault kind, --opt-knobs, ...) is rejected rather than defaulted,
+ * --jobs is at least 1, and an unknown option is an error.
  * Every error prints one diagnostic line on stderr and ends the
  * process with the tool's usage exit code; --help prints the usage.
  */

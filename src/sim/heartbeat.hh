@@ -2,7 +2,7 @@
  * @file
  * Campaign heartbeats: structured progress for long-running drivers.
  *
- * dolos_torture, dolos_fuzz and the crash-point sweep can run for
+ * dolos_torture campaigns and the crash-point sweep can run for
  * minutes to hours; until now they were silent until the final
  * verdict. A CampaignMonitor emits one NDJSON heartbeat record to its
  * sink (stderr by default, so stdout-parsing tests and pipelines are

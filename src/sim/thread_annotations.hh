@@ -2,8 +2,9 @@
  * @file
  * Thread-sharing annotations: the machine-checked concurrency model.
  *
- * The parallel sweep lanes (--jobs N in SweepDriver, dolos_torture,
- * dolos_fuzz) run one fully self-contained System per worker thread.
+ * The parallel sweep lanes (--jobs N in SweepDriver and the
+ * dolos_torture campaigns) run one fully self-contained System per
+ * worker thread.
  * That only works if every piece of mutable state outside a System is
  * either (a) confined to one worker (thread_local, or per-worker by
  * construction) or (b) explicitly synchronized. This header gives

@@ -1,7 +1,8 @@
 /**
  * @file
- * The one campaign runner: the crash-point sweep, dolos_torture and
- * dolos_fuzz all run their cases through runCampaign.
+ * The one campaign runner: the crash-point sweep and the dolos_torture
+ * campaigns (random op programs and one-fault episodes) all run their
+ * cases through runCampaign.
  *
  * Cases are self-contained (fresh System, golden model and thread-local
  * crash-point registry each) and case k writes its outcome into slot k

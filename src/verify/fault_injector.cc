@@ -120,71 +120,6 @@ FaultInjector::armDroppedClwb(std::uint64_t nth)
     return rec;
 }
 
-InjectionRecord
-FaultInjector::armRecoveryCrash(unsigned after_steps)
-{
-    InjectionRecord rec;
-    rec.kind = FaultKind::None;
-    rec.injected = true;
-    sys.controller().armRecoveryCrash(after_steps);
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "power armed to die after %u recovery steps",
-                  after_steps);
-    rec.detail = buf;
-    return rec;
-}
-
-InjectionRecord
-FaultInjector::injectMediaTransient()
-{
-    InjectionRecord rec;
-    rec.kind = FaultKind::MediaTransient;
-    const auto victim = pickVictimDataBlock();
-    if (!victim) {
-        rec.detail = "no protected data block stored yet";
-        return rec;
-    }
-    rec.victim = rec.target = *victim;
-    rec.bit = unsigned(rng.below(blockSize * 8));
-    sys.nvmDevice().injectTransientFlip(*victim, rec.bit);
-    rec.injected = true;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "armed transient flip of bit %u on next read of "
-                  "0x%llx",
-                  rec.bit, (unsigned long long)*victim);
-    rec.detail = buf;
-    return rec;
-}
-
-InjectionRecord
-FaultInjector::injectMediaStuck()
-{
-    InjectionRecord rec;
-    rec.kind = FaultKind::MediaStuck;
-    const auto victim = pickVictimDataBlock();
-    if (!victim) {
-        rec.detail = "no protected data block stored yet";
-        return rec;
-    }
-    // Stick the cell at the complement of its stored value so the
-    // fault is visible on the very next read.
-    rec.victim = rec.target = *victim;
-    rec.bit = unsigned(rng.below(blockSize * 8));
-    const Block stored = sys.nvmDevice().readFunctional(*victim);
-    const bool current =
-        stored[rec.bit / 8] & std::uint8_t(1u << (rec.bit % 8));
-    sys.nvmDevice().injectStuckBit(*victim, rec.bit, !current);
-    rec.injected = true;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "stuck bit %u of 0x%llx at %d", rec.bit,
-                  (unsigned long long)*victim, int(!current));
-    rec.detail = buf;
-    return rec;
-}
-
 namespace
 {
 /** The metadata frame of @p region that covers data block @p victim. */
@@ -203,66 +138,81 @@ metadataTargetFor(NvmRegion region, Addr victim)
         return victim;
     }
 }
+
+/** "0xV" for a data target, "REGION block 0xT" for a metadata one. */
+std::string
+describeTarget(const InjectionRecord &rec)
+{
+    char buf[64];
+    if (rec.region == NvmRegion::Data)
+        std::snprintf(buf, sizeof(buf), "0x%llx",
+                      (unsigned long long)rec.target);
+    else
+        std::snprintf(buf, sizeof(buf), "%s block 0x%llx",
+                      nvmRegionName(rec.region),
+                      (unsigned long long)rec.target);
+    return buf;
+}
+
+/** " (covers 0xV)" for a metadata target. */
+std::string
+describeCover(const InjectionRecord &rec)
+{
+    if (rec.region == NvmRegion::Data)
+        return "";
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), " (covers 0x%llx)",
+                  (unsigned long long)rec.victim);
+    return buf;
+}
 } // namespace
 
-InjectionRecord
-FaultInjector::injectMediaTransient(NvmRegion region)
+bool
+FaultInjector::pickMediaTarget(InjectionRecord &rec, NvmRegion region)
 {
-    if (region == NvmRegion::Data)
-        return injectMediaTransient();
-    InjectionRecord rec;
-    rec.kind = FaultKind::MediaTransient;
     rec.region = region;
     const auto victim = pickVictimDataBlock();
     if (!victim) {
         rec.detail = "no protected data block stored yet";
-        return rec;
+        return false;
     }
     rec.victim = *victim;
     rec.target = metadataTargetFor(region, *victim);
     rec.bit = unsigned(rng.below(blockSize * 8));
-    sys.nvmDevice().injectTransientFlip(rec.target, rec.bit);
     rec.injected = true;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "armed transient flip of bit %u on next read of %s "
-                  "block 0x%llx (covers 0x%llx)",
-                  rec.bit, nvmRegionName(region),
-                  (unsigned long long)rec.target,
-                  (unsigned long long)*victim);
-    rec.detail = buf;
+    return true;
+}
+
+InjectionRecord
+FaultInjector::injectMediaTransient(NvmRegion region)
+{
+    InjectionRecord rec;
+    rec.kind = FaultKind::MediaTransient;
+    if (!pickMediaTarget(rec, region))
+        return rec;
+    sys.nvmDevice().injectTransientFlip(rec.target, rec.bit);
+    rec.detail = "armed transient flip of bit " + std::to_string(rec.bit) +
+                 " on next read of " + describeTarget(rec) +
+                 describeCover(rec);
     return rec;
 }
 
 InjectionRecord
 FaultInjector::injectMediaStuck(NvmRegion region)
 {
-    if (region == NvmRegion::Data)
-        return injectMediaStuck();
     InjectionRecord rec;
     rec.kind = FaultKind::MediaStuck;
-    rec.region = region;
-    const auto victim = pickVictimDataBlock();
-    if (!victim) {
-        rec.detail = "no protected data block stored yet";
+    if (!pickMediaTarget(rec, region))
         return rec;
-    }
-    rec.victim = *victim;
-    rec.target = metadataTargetFor(region, *victim);
-    rec.bit = unsigned(rng.below(blockSize * 8));
+    // Stick the cell at the complement of its stored value so the
+    // fault is visible on the very next read.
     const Block stored = sys.nvmDevice().readFunctional(rec.target);
     const bool current =
         stored[rec.bit / 8] & std::uint8_t(1u << (rec.bit % 8));
     sys.nvmDevice().injectStuckBit(rec.target, rec.bit, !current);
-    rec.injected = true;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "stuck bit %u of %s block 0x%llx at %d (covers "
-                  "0x%llx)",
-                  rec.bit, nvmRegionName(region),
-                  (unsigned long long)rec.target, int(!current),
-                  (unsigned long long)*victim);
-    rec.detail = buf;
+    rec.detail = "stuck bit " + std::to_string(rec.bit) + " of " +
+                 describeTarget(rec) + " at " +
+                 std::to_string(int(!current)) + describeCover(rec);
     return rec;
 }
 
@@ -475,6 +425,149 @@ FaultInjector::inject(FaultKind kind)
     rec.kind = kind;
     rec.detail = "kind is not an NVM image mutation";
     return rec;
+}
+
+FaultEpisode::FaultEpisode(System &sys, FaultKind kind,
+                           std::uint64_t seed, NvmRegion region)
+    : sys(sys), inj(sys, seed), kind(kind), seed(seed), region(region)
+{
+}
+
+void
+FaultEpisode::arm()
+{
+    if (kind == FaultKind::TornAdrDump) {
+        const unsigned entries =
+            sys.config().wpq.entriesFor(sys.config().mode);
+        rec = inj.armTornAdrDump(unsigned(seed % entries));
+    } else if (kind == FaultKind::DroppedClwb) {
+        rec = inj.armDroppedClwb(seed % 64);
+    }
+}
+
+const InjectionRecord &
+FaultEpisode::strike(bool run_crashed)
+{
+    switch (kind) {
+      case FaultKind::None:
+      case FaultKind::DroppedClwb:
+        break;
+      case FaultKind::TornAdrDump:
+        if (!run_crashed) {
+            sys.crash();
+            sys.recoverToCompletion();
+        }
+        break;
+      case FaultKind::CounterRollback:
+        sys.crash();
+        rec = inj.inject(kind);
+        sys.recoverToCompletion();
+        break;
+      case FaultKind::MediaTransient:
+      case FaultKind::MediaStuck:
+        if (region != NvmRegion::Data) {
+            rec = kind == FaultKind::MediaTransient
+                      ? inj.injectMediaTransient(region)
+                      : inj.injectMediaStuck(region);
+            sys.crash();
+            sys.recoverToCompletion();
+            provoke();
+            break;
+        }
+        [[fallthrough]];
+      default:
+        sys.crash();
+        sys.recoverToCompletion();
+        rec = inj.inject(kind);
+        provoke();
+        break;
+    }
+    return rec;
+}
+
+void
+FaultEpisode::provoke()
+{
+    if (!rec.injected)
+        return;
+    if (kind == FaultKind::MediaWriteFail) {
+        // Rewrite the victim so the failing write path has to retry
+        // and eventually quarantine.
+        const Block cur = sys.nvmDevice().readFunctional(rec.victim);
+        sys.core().store(rec.victim, cur.data(), blockSize);
+        sys.core().clwb(rec.victim);
+        sys.core().sfence();
+        sys.core().compute(1'000'000);
+        sys.controller().drainTo(sys.core().now());
+        return;
+    }
+    // A stuck cell is *expected* to read back as quarantined zeros —
+    // the graceful-degradation contract, not a violation — so that
+    // load bypasses any attached oracle. Every other provoking load
+    // stays adjudicated.
+    CoreObserver *const observer = sys.core().currentObserver();
+    if (kind == FaultKind::MediaStuck)
+        sys.core().setObserver(nullptr);
+    Block buf;
+    sys.core().load(rec.victim, buf.data(), blockSize);
+    sys.core().setObserver(observer);
+}
+
+FaultVerdict
+FaultEpisode::judge(const workloads::RunResult &res,
+                    const OracleReport &report) const
+{
+    FaultVerdict v;
+    v.crashed = res.crashed;
+    v.structureVerified = res.verified;
+    v.attackDetected = sys.attackDetected();
+    v.oracleViolations = report.violations;
+    const bool clean = res.verified && report.clean() && !v.attackDetected;
+    switch (kind) {
+      case FaultKind::None:
+        v.passed = clean;
+        if (!v.passed)
+            v.note = res.verified ? report.summary() : res.verifyDiagnostic;
+        break;
+      case FaultKind::DroppedClwb:
+        // Losing a flush is a software/platform bug: it must never
+        // masquerade as an attack.
+        v.passed = !v.attackDetected;
+        if (report.violations > 0 || !res.verified)
+            v.note = "oracle caught the dropped flush";
+        break;
+      case FaultKind::MediaTransient:
+        // A one-shot device flip must be healed by the bounded retry.
+        v.passed = clean && !sys.unrecoverableMedia();
+        if (!v.passed)
+            v.note = "transient media fault not healed: " +
+                     report.summary();
+        break;
+      case FaultKind::MediaStuck:
+      case FaultKind::MediaWriteFail:
+        // An unhealable cell must be disambiguated from tamper: the
+        // block is quarantined (unrecoverable media, NOT an attack
+        // alarm) and every healthy block still verifies.
+        v.passed = !v.attackDetected && report.clean() &&
+                   (!rec.injected || sys.unrecoverableMedia());
+        if (!v.passed)
+            v.note = v.attackDetected
+                         ? "media fault misreported as attack"
+                         : "quarantine missing or collateral damage: " +
+                               report.summary();
+        break;
+      default:
+        // Silent corruption fails the episode; a fault with nothing
+        // to corrupt (e.g. no tail to tear off) is absorbed cleanly.
+        v.passed = v.attackDetected || (res.verified && report.clean());
+        if (!v.passed)
+            v.note = "silent corruption: " + report.summary();
+        break;
+    }
+    if (rec.kind != FaultKind::None && !rec.detail.empty() &&
+        v.note.empty())
+        v.note = rec.detail;
+    return v;
 }
 
 } // namespace dolos::verify

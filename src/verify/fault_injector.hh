@@ -24,7 +24,8 @@
  * Crash-path faults (the last two) are armed ahead of time and fire
  * inside the machine. Victim selection is seeded and deterministic:
  * the same (seed, machine history) always injects the same fault,
- * which is what makes fuzz failures reproducible from one line.
+ * which is what makes a failed fault episode reproducible from one
+ * line. FaultEpisode sequences one fault around one workload run.
  */
 
 #ifndef DOLOS_VERIFY_FAULT_INJECTOR_HH
@@ -35,6 +36,8 @@
 
 #include "dolos/system.hh"
 #include "sim/random.hh"
+#include "verify/diff_oracle.hh"
+#include "workloads/runner.hh"
 
 namespace dolos::verify
 {
@@ -93,22 +96,16 @@ class FaultInjector
     /** @{ Crash-path faults: armed now, fire inside the machine. */
     InjectionRecord armTornAdrDump(unsigned surviving_entries);
     InjectionRecord armDroppedClwb(std::uint64_t nth);
-    InjectionRecord armRecoveryCrash(unsigned after_steps);
     /** @} */
 
     /** @{ Media faults: armed on a seeded stored victim block; they
-     *  fire on the device's timed demand paths. */
-    InjectionRecord injectMediaTransient();
-    InjectionRecord injectMediaStuck();
+     *  fire on the device's timed demand paths. A metadata @p region
+     *  moves the fault to the frame of that region covering the
+     *  victim (its counter block, a tree node on its path, or its MAC
+     *  block). */
+    InjectionRecord injectMediaTransient(NvmRegion region = NvmRegion::Data);
+    InjectionRecord injectMediaStuck(NvmRegion region = NvmRegion::Data);
     InjectionRecord armMediaWriteFail(unsigned failures);
-    /** @} */
-
-    /** @{ Region-aware media faults: the seeded victim data block
-     *  selects the *metadata* frame that covers it (its counter
-     *  block, a tree node on its path, or its MAC block), and the
-     *  fault lands there. Data is the plain-victim case above. */
-    InjectionRecord injectMediaTransient(NvmRegion region);
-    InjectionRecord injectMediaStuck(NvmRegion region);
     /** @} */
 
     /** @{ NVM image mutations (apply at a quiesced point). */
@@ -135,8 +132,82 @@ class FaultInjector
     /** Flip one seeded bit of the stored block at @p addr. */
     InjectionRecord flipBitAt(FaultKind kind, Addr addr);
 
+    /**
+     * A seeded media-fault target in @p region: victim, target frame
+     * and bit. False (with the reason in detail) if nothing is stored.
+     */
+    bool pickMediaTarget(InjectionRecord &rec, NvmRegion region);
+
     System &sys;
     Random rng;
+};
+
+/** Outcome of one fault episode under its kind's contract. */
+struct FaultVerdict
+{
+    bool passed = false;
+    bool crashed = false;           ///< the run's own crash fired
+    bool structureVerified = false; ///< the workload's own verifier
+    bool attackDetected = false;
+    std::uint64_t oracleViolations = 0;
+    std::string note;
+};
+
+/**
+ * One fault around one workload run — the only inject-and-provoke
+ * sequence; the fault campaign (dolos_torture --faults / --fault) and
+ * dolos-sim --inject-fault both drive it.
+ *
+ * arm() goes before the run and arms the crash-path kinds (torn ADR
+ * dump, dropped CLWB) to fire inside the machine. strike() goes after
+ * it: power-cycle to a quiesced, cold machine, apply the image or
+ * media fault, and provoke the relevant check with a demand access to
+ * the victim. A counter rollback is applied to the powered-off image
+ * (a cold-boot adversary); a media fault on a metadata region lands
+ * before the power cycle, so recovery itself must repair or cascade
+ * it; everything else hits the recovered image.
+ */
+class FaultEpisode
+{
+  public:
+    FaultEpisode(System &sys, FaultKind kind, std::uint64_t seed,
+                 NvmRegion region = NvmRegion::Data);
+
+    /** Before the run: arm a crash-path fault (no-op for the rest). */
+    void arm();
+
+    /**
+     * After the run: inject and provoke. @p run_crashed says whether
+     * the run's own crash fired; if not, an armed ADR tear is fired by
+     * one extra power cycle so the episode still tests it.
+     */
+    const InjectionRecord &strike(bool run_crashed);
+
+    /**
+     * Judge the episode from the run's structural verdict and the
+     * oracle sweep taken after strike():
+     *
+     *   none             structure verified, oracle clean, no alarm
+     *   dropped CLWB     never an alarm (a software bug, not an
+     *                    attack); oracle catches are the expected signal
+     *   media transient  healed: clean, nothing quarantined
+     *   media stuck /    quarantined, never an alarm, and every healthy
+     *   write-fail       block still verifies
+     *   attacks          detected, or absorbed with no divergence at all
+     */
+    FaultVerdict judge(const workloads::RunResult &res,
+                       const OracleReport &report) const;
+
+  private:
+    /** Demand access to the victim that makes the machine notice. */
+    void provoke();
+
+    System &sys;
+    FaultInjector inj;
+    FaultKind kind;
+    std::uint64_t seed;
+    NvmRegion region;
+    InjectionRecord rec;
 };
 
 } // namespace dolos::verify

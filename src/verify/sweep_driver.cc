@@ -100,6 +100,31 @@ pointSetName(CrashPoints p)
 
 } // namespace
 
+SystemConfig
+crashTestConfig(SecurityMode mode)
+{
+    auto cfg = SystemConfig::paperDefault();
+    cfg.mode = mode;
+    cfg.secure.functionalLeaves = 8192;
+    cfg.secure.map.protectedBytes = Addr(8192) * pageBytes;
+    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
+    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
+    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
+    return cfg;
+}
+
+workloads::WorkloadParams
+crashTestParams(std::uint64_t seed)
+{
+    workloads::WorkloadParams p;
+    p.txSize = 256;
+    p.numKeys = 48;
+    p.seed = seed;
+    p.thinkTime = 400;
+    p.readsPerTx = 1;
+    return p;
+}
+
 std::string
 SweepResult::firstFailure() const
 {

@@ -30,6 +30,16 @@
 namespace dolos::verify
 {
 
+/**
+ * The small crash-test machine: paper defaults with an 8K-page
+ * functional tree and caches small enough to force eviction traffic,
+ * so crash sweeps and fault campaigns finish in CI time.
+ */
+SystemConfig crashTestConfig(SecurityMode mode);
+
+/** Workload parameters small enough for crash sweeps. */
+workloads::WorkloadParams crashTestParams(std::uint64_t seed);
+
 /** Which operation indices qualify as crash candidates. */
 enum class CrashPoints
 {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "dolos/config.hh"
-#include "workloads/workload.hh"
+#include "verify/sweep_driver.hh"
 
 namespace dolos::test
 {
@@ -32,28 +32,18 @@ cfgFor(SecurityMode mode)
     return cfg;
 }
 
-/** cfgFor plus caches small enough to force frequent evictions. */
+/** The small crash-test machine (8K pages, eviction-heavy caches). */
 inline SystemConfig
 smallCacheCfgFor(SecurityMode mode)
 {
-    auto cfg = cfgFor(mode);
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
-    return cfg;
+    return verify::crashTestConfig(mode);
 }
 
 /** Workload parameters small enough for crash sweeps. */
 inline workloads::WorkloadParams
 smallParams(std::uint64_t seed)
 {
-    workloads::WorkloadParams p;
-    p.txSize = 256;
-    p.numKeys = 48;
-    p.seed = seed;
-    p.thinkTime = 400;
-    p.readsPerTx = 1;
-    return p;
+    return verify::crashTestParams(seed);
 }
 
 /** All six controller organizations. */

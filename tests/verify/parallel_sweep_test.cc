@@ -7,8 +7,8 @@
  * fully self-contained replay (fresh System, golden model, and
  * thread-local crash-point registry), so worker scheduling must be
  * unobservable in the result. This is the contract behind the
- * `--jobs N` flag on dolos_torture / dolos_fuzz and behind REPRO
- * lines staying valid across any jobs value.
+ * `--jobs N` flag on dolos_torture and behind REPRO lines staying
+ * valid across any jobs value.
  */
 
 #include <gtest/gtest.h>

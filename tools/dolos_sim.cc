@@ -95,11 +95,13 @@ usage(int code)
         "                      time and self-profile\n"
         "  --stats-json FILE   write run metrics + stat tree + host time\n"
         "                      and self-profile as JSON\n"
-        "  --inject-fault KIND inject one fault after the run: "
+        "  --inject-fault KIND inject one fault around the run: "
         "data-flip|mac-flip|\n"
         "                      counter-rollback|bmt-flip|"
         "media-transient|media-stuck|\n"
-        "                      media-write-fail\n"
+        "                      media-write-fail (after it), or\n"
+        "                      torn-adr-dump|dropped-clwb (armed "
+        "before it)\n"
         "  --media-fault K     alias: transient|stuck|write-fail\n"
         "  --media-region R    data|counter|tree|mac — which region a\n"
         "                      media transient/stuck fault lands in\n"
@@ -178,8 +180,14 @@ parse(int argc, char **argv)
         else if (r.is("--stats-json"))
             o.statsJsonFile = r.value();
         else if (r.is("--inject-fault"))
-            o.injectFault =
-                r.parsed(verify::parseFaultKind, "unknown fault kind");
+            o.injectFault = r.parsed(
+                [](const std::string &k) -> std::optional<verify::FaultKind> {
+                    const auto kind = verify::parseFaultKind(k);
+                    return kind == verify::FaultKind::None
+                               ? std::nullopt
+                               : kind;
+                },
+                "unknown fault kind");
         else if (r.is("--media-fault"))
             o.injectFault = r.parsed(
                 [](const std::string &k) {
@@ -387,6 +395,12 @@ main(int argc, char **argv)
         sampler->begin(sys.core().now());
     }
 
+    std::optional<verify::FaultEpisode> fault;
+    if (o.injectFault) {
+        fault.emplace(sys, *o.injectFault, o.seed, o.mediaRegion);
+        fault->arm();
+    }
+
     // --stats / --stats-json also report the run's host cost, so the
     // profile always comes from the machine the options describe.
     auto &profiler = prof::Profiler::instance();
@@ -443,52 +457,8 @@ main(int argc, char **argv)
     std::printf("attacks detected    : %" PRIu64 "\n",
                 std::uint64_t(sys.engine().attacksDetected()));
 
-    if (o.injectFault) {
-        // Post-run fault phase, mirroring the fuzz episodes: power-
-        // cycle to a cold machine, inject, then provoke the detector
-        // with a demand access to the victim block.
-        using verify::FaultKind;
-        verify::FaultInjector inj(sys, o.seed);
-        verify::InjectionRecord rec;
-        if (*o.injectFault == FaultKind::CounterRollback) {
-            sys.crash();
-            rec = inj.inject(*o.injectFault);
-            sys.recoverToCompletion();
-        } else if (*o.injectFault == FaultKind::MediaWriteFail) {
-            rec = inj.inject(*o.injectFault);
-            if (rec.injected) {
-                // Provoke: rewrite the victim so the failing write
-                // path has to retry and eventually quarantine.
-                const Block cur =
-                    sys.nvmDevice().readFunctional(rec.victim);
-                sys.core().store(rec.victim, cur.data(), blockSize);
-                sys.core().clwb(rec.victim);
-                sys.core().sfence();
-                sys.core().compute(1'000'000);
-                sys.controller().drainTo(sys.core().now());
-            }
-        } else if (o.mediaRegion != NvmRegion::Data) {
-            // Metadata faults land BEFORE the crash: the worn frame
-            // is then read by recovery itself, which must
-            // disambiguate wear from tamper and repair or cascade.
-            rec = *o.injectFault == FaultKind::MediaTransient
-                      ? inj.injectMediaTransient(o.mediaRegion)
-                      : inj.injectMediaStuck(o.mediaRegion);
-            sys.crash();
-            sys.recoverToCompletion();
-            if (rec.injected) {
-                Block buf;
-                sys.core().load(rec.victim, buf.data(), blockSize);
-            }
-        } else {
-            sys.crash();
-            sys.recoverToCompletion();
-            rec = inj.inject(*o.injectFault);
-            if (rec.injected) {
-                Block buf;
-                sys.core().load(rec.victim, buf.data(), blockSize);
-            }
-        }
+    if (fault) {
+        const auto &rec = fault->strike(res.crashed);
         std::printf("fault injected      : %s%s (%s)\n",
                     verify::faultKindName(*o.injectFault),
                     rec.injected ? "" : " [no target found]",

@@ -1,15 +1,16 @@
 /**
  * @file
- * dolos_torture — randomized compound-failure campaigns with
- * automatic trace minimization.
+ * dolos_torture — the crash and fault campaign tool: randomized
+ * compound-failure campaigns with automatic trace minimization, crash
+ * sweeps, and one-fault episodes.
  *
- * Where dolos_fuzz injects ONE fault per episode, torture episodes
- * interleave many: stores, flushes, fences, repeated power failures,
- * power failures *during recovery*, and NVM media faults (transient
- * flips, stuck cells, failed writes), all driven from a seeded op
- * program against the GoldenModel committed-prefix oracle. Blocks a
- * schedule deliberately destroys (stuck cells / failed writes) are
- * excluded from the oracle sweep; everything else must hold.
+ * Torture episodes interleave many failures: stores, flushes, fences,
+ * repeated power failures, power failures *during recovery*, and NVM
+ * media faults (transient flips, stuck cells, failed writes), all
+ * driven from a seeded op program against the GoldenModel
+ * committed-prefix oracle. Blocks a schedule deliberately destroys
+ * (stuck cells / failed writes) are excluded from the oracle sweep;
+ * everything else must hold.
  *
  * On failure the driver delta-debugs (ddmin) the op program down to a
  * minimal schedule that still fails and prints a one-line repro:
@@ -27,7 +28,16 @@
  *      FB:SLOT:BIT stuck-at cell in a tree node on the slot's path |
  *      FM:SLOT:BIT stuck-at cell in the slot's *MAC block*
  *
- * Modes of use:
+ * Fault episodes (--faults / --fault) run one of the six workloads on
+ * one controller organization, crash it inside the run, and put ONE
+ * fault around it (verify::FaultEpisode), judged by the fault kind's
+ * contract. A failed episode prints
+ *
+ *   REPRO: dolos_torture --mode M --workload W --seed S --crash-op N
+ *          --fault F --opt-knobs K
+ *
+ * Every action runs on the small crash-test machine
+ * (verify::crashTestConfig). Exactly one action per run:
  *   dolos_torture --campaign 20 --seed 7 [--mode dolos-full]
  *   dolos_torture --replay SPEC [--plant-bug drop-clwb:K]
  *   dolos_torture --expect-bug 20      (meta-test: plant a CLWB drop,
@@ -35,6 +45,8 @@
  *                                       must minimize to ≤20 ops)
  *   dolos_torture --sweep --points every-op|wpq|microstep
  *                 [--recovery-crash K] [--meta-faults]
+ *   dolos_torture --faults 2           (2 episodes per mode+workload)
+ *   dolos_torture --fault F --mode M --workload W --seed S [--crash-op N]
  *
  * Exit codes follow sim/exit_codes.hh: 0 ok, 1 oracle violation,
  * 2 usage, 3 attack alarm, 4 unrecoverable media.
@@ -126,7 +138,8 @@ struct Outcome
 usage(int code)
 {
     std::printf(
-        "usage: dolos_torture [--campaign N] [--ops N] [--seed N]"
+        "usage: dolos_torture ACTION [options]   (exactly one action)\n"
+        "       dolos_torture --campaign N [--ops N] [--seed N]"
         " [--mode MODE]\n"
         "       dolos_torture --replay SPEC [--plant-bug drop-clwb:K]\n"
         "       dolos_torture --expect-bug MAXOPS [--seed N]\n"
@@ -134,6 +147,9 @@ usage(int code)
         " [--txns N]\n"
         "                     [--points every-op|wpq|microstep] "
         "[--recovery-crash K]\n"
+        "       dolos_torture --faults N [--seed N] [--txns N]\n"
+        "       dolos_torture --fault F [--mode MODE] [--workload W]"
+        " [--seed N] [--crash-op N]\n"
         "  --mode MODE   %s\n"
         "  SPEC          comma-separated ops: w:SLOT:VAL f:SLOT s c"
         " r:K m:K t:SLOT:BIT k:SLOT:BIT x:SLOT:N\n"
@@ -144,6 +160,14 @@ usage(int code)
         "  --points microstep sweeps the named persist-path crash "
         "points (dolos-*; eadr sweeps its\n"
         "                power-fail holdup flush instead)\n"
+        "  --faults N    N one-fault episodes per mode and workload, "
+        "each crashed inside its run\n"
+        "  --fault F     one episode: none|data-flip|mac-flip|"
+        "counter-rollback|bmt-flip|\n"
+        "                torn-adr-dump|dropped-clwb|media-transient|"
+        "media-stuck|media-write-fail\n"
+        "                (--crash-op defaults to the campaign's draw "
+        "for --seed)\n"
         "  --eadr-budget N\n"
         "                eADR holdup energy budget in cycles "
         "(nonzero; default covers a full flush)\n"
@@ -154,7 +178,7 @@ usage(int code)
         "none|all|bmt-pipeline,drain-batch,tag-prefetch\n"
         "  --heartbeat N emit an NDJSON progress record to stderr "
         "every N cases\n"
-        "                (campaign and sweep; default 5, 0 = off)\n"
+        "                (campaigns and sweep; default 5, 0 = off)\n"
         "  --jobs N      worker threads for campaign episodes and "
         "sweep crash points\n"
         "                (default 1; verdicts are bit-identical to "
@@ -168,7 +192,7 @@ usage(int code)
 /**
  * Persist-path optimization levers (--opt-knobs), applied to every
  * configuration the harness builds: campaigns, replays, planted-bug
- * hunts, and sweeps all torture the optimized machine.
+ * hunts, sweeps and fault episodes all torture the optimized machine.
  */
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
 OptKnobs gOptKnobs;
@@ -184,17 +208,37 @@ std::optional<std::uint64_t> gEadrBudget;
 SystemConfig
 tortureConfig(SecurityMode mode)
 {
-    auto cfg = SystemConfig::paperDefault();
-    cfg.mode = mode;
+    auto cfg = crashTestConfig(mode);
     if (gEadrBudget)
         cfg.eadr.energyBudgetCycles = *gEadrBudget;
-    cfg.secure.functionalLeaves = 2048;
-    cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
     applyOptKnobs(cfg, gOptKnobs);
     return cfg;
+}
+
+/** The machine options every repro line spells out. */
+std::string
+machineArgs()
+{
+    std::string args;
+    if (gEadrBudget)
+        args = " --eadr-budget " + std::to_string(*gEadrBudget);
+    // Always name the lever set: a repro line recorded before a
+    // default flip must rebuild the same machine after it.
+    return args + " --opt-knobs " + formatOptKnobs(gOptKnobs);
+}
+
+/** A sweep of @p workload on the crash-test machine. */
+SweepOptions
+crashTestSweep(SecurityMode mode, const std::string &workload,
+               std::uint64_t txns, std::uint64_t seed)
+{
+    SweepOptions opt;
+    opt.mode = mode;
+    opt.workload = workload;
+    opt.numTx = txns;
+    opt.base = tortureConfig(mode);
+    opt.params = crashTestParams(seed);
+    return opt;
 }
 
 std::string
@@ -542,16 +586,9 @@ printRepro(SecurityMode mode, const std::vector<Op> &ops,
         bug = " --plant-bug drop-clwb:" + std::to_string(*plant.clwbDrop);
     else if (plant.badCounterRepair)
         bug = " --plant-bug bad-counter-repair";
-    std::string budget;
-    if (gEadrBudget)
-        budget = " --eadr-budget " + std::to_string(*gEadrBudget);
-    // Always name the lever set: a repro line recorded before a
-    // default flip must rebuild the same machine after it.
-    std::printf("REPRO: dolos_torture --mode %s%s%s --opt-knobs %s "
-                "--replay %s\n",
-                securityModeCliName(mode), bug.c_str(), budget.c_str(),
-                formatOptKnobs(gOptKnobs).c_str(),
-                formatOps(ops).c_str());
+    std::printf("REPRO: dolos_torture --mode %s%s%s --replay %s\n",
+                securityModeCliName(mode), bug.c_str(),
+                machineArgs().c_str(), formatOps(ops).c_str());
 }
 
 /** Minimize a failing schedule and print the one-line repro. */
@@ -568,28 +605,214 @@ minimizeAndReport(SecurityMode mode, const std::vector<Op> &ops,
     return minimized;
 }
 
+/** One fault episode: a workload run with one fault around it. */
+struct EpisodeSpec
+{
+    SecurityMode mode = SecurityMode::DolosPartialWpq;
+    std::string workload = "hashmap";
+    std::uint64_t seed = 1;
+    std::uint64_t txns = 4;
+    std::uint64_t crashOp = 0;
+    FaultKind fault = FaultKind::None;
+};
+
+/** Faults a mode can meaningfully receive. */
+std::vector<FaultKind>
+applicableFaults(SecurityMode mode)
+{
+    if (mode == SecurityMode::NonSecureIdeal)
+        return {FaultKind::None, FaultKind::DroppedClwb,
+                FaultKind::MediaTransient};
+    std::vector<FaultKind> kinds = {
+        FaultKind::None,           FaultKind::DataFlip,
+        FaultKind::MacFlip,        FaultKind::CounterRollback,
+        FaultKind::BmtFlip,        FaultKind::DroppedClwb,
+        FaultKind::MediaTransient, FaultKind::MediaStuck,
+        FaultKind::MediaWriteFail,
+    };
+    if (isDolosMode(mode))
+        kinds.push_back(FaultKind::TornAdrDump);
+    return kinds;
+}
+
+/**
+ * The seeded crash op of an episode, drawn from the operations its
+ * run actually performs (the sweep's every-op probe), so every
+ * episode crashes inside its run.
+ */
+std::uint64_t
+drawCrashOp(const EpisodeSpec &spec)
+{
+    auto probe =
+        crashTestSweep(spec.mode, spec.workload, spec.txns, spec.seed);
+    probe.pointSet = CrashPoints::EveryOp;
+    const std::size_t ops = enumerateCrashPoints(probe).size();
+    return 1 + spec.seed % std::max<std::size_t>(1, ops);
+}
+
+FaultVerdict
+runEpisode(const EpisodeSpec &spec)
+{
+    System sys(tortureConfig(spec.mode));
+    GoldenModel golden;
+    sys.core().setObserver(&golden);
+    FaultEpisode episode(sys, spec.fault, spec.seed);
+    episode.arm();
+    const auto wl =
+        workloads::makeWorkload(spec.workload, crashTestParams(spec.seed));
+    const auto res = workloads::runWorkload(
+        sys, *wl, spec.txns, workloads::CrashPlan(spec.crashOp));
+    episode.strike(res.crashed);
+    // Blocks a media fault rendered unrecoverable are expected to
+    // diverge (they read back as quarantined zeros); the oracle must
+    // still hold on every healthy block.
+    const auto report =
+        checkAgainstGolden(sys, golden, mediaSkipSet(sys, golden));
+    sys.core().setObserver(nullptr);
+    return episode.judge(res, report);
+}
+
+/** --txns, when it differs from the episode default. */
+std::string
+txnsArg(std::uint64_t txns)
+{
+    return txns == EpisodeSpec{}.txns ? ""
+                                      : " --txns " + std::to_string(txns);
+}
+
+void
+printEpisodeRepro(const EpisodeSpec &spec)
+{
+    std::printf("REPRO: dolos_torture --mode %s --workload %s --seed %llu"
+                " --crash-op %llu --fault %s%s%s\n",
+                securityModeCliName(spec.mode), spec.workload.c_str(),
+                (unsigned long long)spec.seed,
+                (unsigned long long)spec.crashOp,
+                faultKindName(spec.fault), txnsArg(spec.txns).c_str(),
+                machineArgs().c_str());
+}
+
+bool
+writeSummary(const std::string &path, const std::string &record)
+{
+    if (path.empty() || writeRecord(path, record))
+        return true;
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+}
+
+/**
+ * --faults: @p per_combo one-fault episodes for every (mode, workload),
+ * with the fault kinds rotating through each mode's applicable set.
+ */
+int
+runFaultCampaign(unsigned per_combo, std::uint64_t base_seed,
+                 std::uint64_t txns, unsigned jobs,
+                 std::uint64_t heartbeat, const std::string &summary_json)
+{
+    const SecurityMode modes[] = {
+        SecurityMode::NonSecureIdeal,  SecurityMode::PreWpqSecure,
+        SecurityMode::PostWpqUnprotected, SecurityMode::DolosFullWpq,
+        SecurityMode::DolosPartialWpq, SecurityMode::DolosPostWpq,
+    };
+
+    // Always announce the base seed: a red campaign must be
+    // re-runnable from the log alone.
+    std::printf("fault campaign: %u episodes per mode and workload, base "
+                "seed %llu, opt-knobs %s, jobs %u (replay: dolos_torture "
+                "--faults %u --seed %llu%s%s)\n",
+                per_combo, (unsigned long long)base_seed,
+                formatOptKnobs(gOptKnobs).c_str(), jobs, per_combo,
+                (unsigned long long)base_seed, txnsArg(txns).c_str(),
+                machineArgs().c_str());
+
+    // Materialize the episode list first: every spec is a pure
+    // function of (base seed, mode, workload, episode index), so the
+    // verdicts are identical for any --jobs value. The workload enters
+    // by its index in workloadNames(), never by a hash of its name:
+    // std::hash is implementation-defined, and the same --seed must
+    // run the same episodes under any standard library.
+    const auto wl_names = workloads::workloadNames();
+    std::vector<EpisodeSpec> specs;
+    for (const auto mode : modes) {
+        const auto faults = applicableFaults(mode);
+        unsigned fault_cursor = unsigned(base_seed % faults.size());
+        for (std::size_t w = 0; w < wl_names.size(); ++w) {
+            for (unsigned ep = 0; ep < per_combo; ++ep) {
+                EpisodeSpec spec;
+                spec.mode = mode;
+                spec.workload = wl_names[w];
+                spec.txns = txns;
+                spec.fault = faults[fault_cursor++ % faults.size()];
+                // Mix the coordinates into distinct per-episode seeds.
+                spec.seed = base_seed * 1000003ULL +
+                            unsigned(mode) * 131ULL + w * 1009ULL +
+                            ep * 7919ULL;
+                specs.push_back(spec);
+            }
+        }
+    }
+
+    CampaignMonitor monitor("faults", specs.size(), heartbeat);
+    std::vector<FaultVerdict> verdicts(specs.size());
+    runCampaign(specs.size(), jobs, monitor, [&](std::size_t k) {
+        specs[k].crashOp = drawCrashOp(specs[k]);
+        verdicts[k] = runEpisode(specs[k]);
+        return CaseVerdict{specs[k].seed, !verdicts[k].passed};
+    });
+    // Report serially in campaign order: the failure log and REPRO
+    // lines read the same however many workers ran the episodes.
+    unsigned failed = 0, crashed = 0, detected = 0, oracle_catches = 0;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+        const auto &v = verdicts[k];
+        crashed += v.crashed;
+        detected += v.attackDetected;
+        oracle_catches += v.oracleViolations > 0;
+        if (v.passed)
+            continue;
+        ++failed;
+        std::printf("FAIL [%s/%s fault=%s]: %s\n",
+                    securityModeName(specs[k].mode),
+                    specs[k].workload.c_str(),
+                    faultKindName(specs[k].fault), v.note.c_str());
+        printEpisodeRepro(specs[k]);
+    }
+    monitor.finish();
+    if (!writeSummary(summary_json, monitor.summary()))
+        return ExitUsage;
+    std::printf("fault campaign: %zu episodes (%u crashed), %u failed, "
+                "%u attack detections, %u oracle catches\n",
+                specs.size(), crashed, failed, detected, oracle_catches);
+    return failed ? ExitViolation : ExitOk;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::uint64_t seed = 1;
-    unsigned campaign = 0;
+    std::optional<unsigned> campaign;
     unsigned opsPerEpisode = 80;
     SecurityMode mode = SecurityMode::DolosPartialWpq;
+    bool modeGiven = false;
     std::optional<std::vector<Op>> replayOps;
     PlantSpec plant;
     std::optional<unsigned> expectBug;
     bool sweep = false;
+    std::optional<unsigned> faults;
+    std::optional<FaultKind> fault;
+    std::optional<std::uint64_t> crashOp;
     bool metaFaults = false;
     std::uint64_t heartbeat = 5;
     unsigned jobs = 1;
     std::string summaryJson;
-    std::string sweepWorkload = "hashmap";
+    std::optional<std::string> workload;
     std::string sweepPoints = "every-op";
     std::size_t sweepBudget = 4;
-    std::uint64_t sweepTxns = 3;
+    std::optional<std::uint64_t> txns;
     std::optional<unsigned> recoveryCrash;
+    const char *sweepFlag = nullptr; ///< a sweep-only flag, if given
 
     CliReader r(argc, argv, ExitUsage, usage);
     while (r.next()) {
@@ -601,6 +824,7 @@ main(int argc, char **argv)
             opsPerEpisode = unsigned(r.number());
         } else if (r.is("--mode")) {
             mode = r.parsed(parseSecurityMode, "unknown mode");
+            modeGiven = true;
         } else if (r.is("--replay")) {
             replayOps = r.parsed(parseOps, "bad replay spec");
         } else if (r.is("--plant-bug")) {
@@ -609,19 +833,28 @@ main(int argc, char **argv)
             expectBug = unsigned(r.number());
         } else if (r.is("--sweep")) {
             sweep = true;
+        } else if (r.is("--faults")) {
+            faults = unsigned(r.number());
+        } else if (r.is("--fault")) {
+            fault = r.parsed(parseFaultKind, "unknown fault");
+        } else if (r.is("--crash-op")) {
+            crashOp = r.number();
         } else if (r.is("--workload")) {
-            sweepWorkload = r.value();
+            workload = r.value();
         } else if (r.is("--points")) {
             sweepPoints = r.value();
             if (sweepPoints != "every-op" && sweepPoints != "wpq" &&
                 sweepPoints != "microstep")
                 r.fail("unknown --points '" + sweepPoints + "'");
+            sweepFlag = "--points";
         } else if (r.is("--budget")) {
             sweepBudget = r.number();
+            sweepFlag = "--budget";
         } else if (r.is("--txns")) {
-            sweepTxns = r.number();
+            txns = r.number();
         } else if (r.is("--recovery-crash")) {
             recoveryCrash = unsigned(r.number());
+            sweepFlag = "--recovery-crash";
         } else if (r.is("--eadr-budget")) {
             gEadrBudget = r.number();
             if (*gEadrBudget == 0)
@@ -629,6 +862,7 @@ main(int argc, char **argv)
                        "could never admit a line)");
         } else if (r.is("--meta-faults")) {
             metaFaults = true;
+            sweepFlag = "--meta-faults";
         } else if (r.is("--heartbeat")) {
             heartbeat = r.number();
         } else if (r.is("--jobs")) {
@@ -642,30 +876,63 @@ main(int argc, char **argv)
         }
     }
 
+    // One action per run, and no flag another action would silently
+    // drop.
+    if (campaign.has_value() + replayOps.has_value() +
+            expectBug.has_value() + sweep + faults.has_value() +
+            fault.has_value() !=
+        1)
+        r.fail("name exactly one action: --campaign, --replay, "
+               "--expect-bug, --sweep, --faults or --fault");
+    if (sweepFlag && !sweep)
+        r.fail(std::string(sweepFlag) + " needs --sweep");
+    if (crashOp && !fault)
+        r.fail("--crash-op needs --fault");
+    if (workload && !sweep && !fault)
+        r.fail("--workload needs --sweep or --fault");
+    if (modeGiven && faults)
+        r.fail("--faults covers every mode; drop --mode");
+
     // Modes with an interruptible persist surface (see genProgram).
     const bool microstepOps =
         isDolosMode(mode) || mode == SecurityMode::EadrSecure;
-    const auto writeSummary = [&](const std::string &record) {
-        if (summaryJson.empty() || writeRecord(summaryJson, record))
-            return true;
-        std::fprintf(stderr, "cannot write %s\n", summaryJson.c_str());
-        return false;
-    };
+
+    if (faults)
+        return runFaultCampaign(*faults, seed, txns.value_or(4), jobs,
+                                heartbeat, summaryJson);
+
+    if (fault) {
+        EpisodeSpec spec;
+        spec.mode = mode;
+        spec.workload = workload.value_or(spec.workload);
+        spec.seed = seed;
+        spec.txns = txns.value_or(spec.txns);
+        spec.fault = *fault;
+        spec.crashOp = crashOp ? *crashOp : drawCrashOp(spec);
+        const auto v = runEpisode(spec);
+        std::printf("episode %s/%s fault=%s crash-op=%llu: %s (attack=%d "
+                    "structure=%d oracle-violations=%llu)%s%s\n",
+                    securityModeCliName(spec.mode), spec.workload.c_str(),
+                    faultKindName(spec.fault),
+                    (unsigned long long)spec.crashOp,
+                    v.passed ? "PASS" : "FAIL", int(v.attackDetected),
+                    int(v.structureVerified),
+                    (unsigned long long)v.oracleViolations,
+                    v.note.empty() ? "" : " — ", v.note.c_str());
+        if (v.passed)
+            return ExitOk;
+        printEpisodeRepro(spec);
+        return ExitViolation;
+    }
 
     if (sweep) {
         // Arbitrary-cycle crash sweep (optionally with a compound
         // mid-recovery crash at every point) — the sanitizer lane's
         // entry into the sweep machinery without needing gtest.
-        SweepOptions opt;
-        opt.mode = mode;
-        opt.workload = sweepWorkload;
-        opt.numTx = sweepTxns;
-        opt.base = tortureConfig(mode);
-        opt.params.txSize = 256;
-        opt.params.numKeys = 48;
-        opt.params.seed = seed;
-        opt.params.thinkTime = 400;
-        opt.params.readsPerTx = 1;
+        const std::string sweepWorkload = workload.value_or("hashmap");
+        const std::uint64_t sweepTxns = txns.value_or(3);
+        SweepOptions opt =
+            crashTestSweep(mode, sweepWorkload, sweepTxns, seed);
         opt.budget = sweepBudget;
         opt.sampleSeed = seed;
         opt.pointSet = sweepPoints == "wpq" ? CrashPoints::WpqBoundaries
@@ -691,21 +958,16 @@ main(int argc, char **argv)
                     describeSweep(opt).c_str(),
                     result.boundaries.size(), result.points.size(),
                     result.failures());
-        if (!writeSummary(result.summary))
+        if (!writeSummary(summaryJson, result.summary))
             return ExitUsage;
         if (!result.allPassed()) {
             std::printf("FAIL: %s\n", result.firstFailure().c_str());
-            const std::string budget_arg =
-                gEadrBudget ? " --eadr-budget " +
-                                  std::to_string(*gEadrBudget)
-                            : std::string();
             // --jobs stays in the repro line for fidelity, but the
             // verdicts are jobs-invariant: a --jobs 1 re-run must
             // reproduce any parallel-run finding.
             std::printf("REPRO: dolos_torture --sweep --mode %s "
                         "--workload %s --txns %llu --budget %zu "
-                        "--seed %llu --points %s%s%s%s%s "
-                        "--opt-knobs %s --jobs %u\n",
+                        "--seed %llu --points %s%s%s%s%s --jobs %u\n",
                         securityModeCliName(mode), sweepWorkload.c_str(),
                         (unsigned long long)sweepTxns, sweepBudget,
                         (unsigned long long)seed, sweepPoints.c_str(),
@@ -714,8 +976,7 @@ main(int argc, char **argv)
                             ? std::to_string(*recoveryCrash).c_str()
                             : "",
                         metaFaults ? " --meta-faults" : "",
-                        budget_arg.c_str(),
-                        formatOptKnobs(gOptKnobs).c_str(), jobs);
+                        machineArgs().c_str(), jobs);
             return ExitViolation;
         }
         return ExitOk;
@@ -795,27 +1056,25 @@ main(int argc, char **argv)
         return ExitOk;
     }
 
-    if (campaign == 0)
-        campaign = 20;
     unsigned failed = 0;
     bool any_attack = false;
     std::printf("torture campaign: %u episodes x %u ops, mode %s, "
                 "base seed %llu, opt-knobs %s, jobs %u\n",
-                campaign, opsPerEpisode, securityModeName(mode),
+                *campaign, opsPerEpisode, securityModeName(mode),
                 (unsigned long long)seed,
                 formatOptKnobs(gOptKnobs).c_str(), jobs);
     // Two phases: episodes run into per-episode slots (each is seeded
     // and self-contained), then failures are reported and minimized
     // in episode order, so stdout is the same for any --jobs.
-    CampaignMonitor monitor("torture", campaign, heartbeat);
-    std::vector<Outcome> outcomes(campaign);
-    runCampaign(campaign, jobs, monitor, [&](std::size_t ep) {
+    CampaignMonitor monitor("torture", *campaign, heartbeat);
+    std::vector<Outcome> outcomes(*campaign);
+    runCampaign(*campaign, jobs, monitor, [&](std::size_t ep) {
         outcomes[ep] = runProgram(
             mode, genProgram(seed + ep, opsPerEpisode, microstepOps),
             PlantSpec{});
         return CaseVerdict{seed + ep, outcomes[ep].failed};
     });
-    for (unsigned ep = 0; ep < campaign; ++ep) {
+    for (unsigned ep = 0; ep < *campaign; ++ep) {
         const auto &out = outcomes[ep];
         if (!out.failed)
             continue;
@@ -829,10 +1088,10 @@ main(int argc, char **argv)
             PlantSpec{});
     }
     monitor.finish();
-    if (!writeSummary(monitor.summary()))
+    if (!writeSummary(summaryJson, monitor.summary()))
         return ExitUsage;
     std::printf("campaign done: %u/%u episodes failed\n", failed,
-                campaign);
+                *campaign);
     if (failed)
         return any_attack ? ExitAttack : ExitViolation;
     return ExitOk;
