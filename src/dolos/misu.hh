@@ -132,6 +132,9 @@ class MiSu
     /** Persistent counter register (on-chip, survives crashes). */
     std::uint64_t persistentCounter() const { return pcr; }
 
+    /** WPQ-tree root register (on-chip; Full design only). */
+    crypto::MacTag persistentRoot() const { return rootRegister; }
+
     SecurityMode mode() const { return mode_; }
     unsigned capacity() const { return capacity_; }
     Tick busyUntil() const { return busyUntil_; }
