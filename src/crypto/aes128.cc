@@ -5,7 +5,12 @@
 
 #include "crypto/aes128.hh"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "sim/profiler.hh"
+
 namespace dolos::crypto
 {
 
@@ -158,6 +163,34 @@ storeColumn(std::uint8_t *p, std::uint32_t w)
     p[3] = std::uint8_t(w);
 }
 
+#if defined(__x86_64__)
+/** Probed once, before main; false also before it is initialized. */
+const bool cpuHasAes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+}();
+
+[[gnu::target("aes")]] AesBlock
+aesNiEncrypt(const std::uint8_t *rk, const AesBlock &plaintext)
+{
+    const auto key = [rk](int round) {
+        return _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(rk + 16 * round));
+    };
+    __m128i st = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(plaintext.data())),
+        key(0));
+    for (int round = 1; round < 10; ++round)
+        st = _mm_aesenc_si128(st, key(round));
+    st = _mm_aesenclast_si128(st, key(10));
+    AesBlock out;
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(out.data()), st);
+    return out;
+}
+#else
+const bool cpuHasAes = false;
+#endif
+
 } // namespace
 
 Aes128::Aes128(const AesKey &key)
@@ -182,10 +215,32 @@ Aes128::Aes128(const AesKey &key)
     }
 }
 
+bool
+Aes128::hasAesNi()
+{
+    return cpuHasAes;
+}
+
 AesBlock
 Aes128::encryptBlock(const AesBlock &plaintext) const
 {
     DOLOS_PROF_SCOPE(Aes);
+    return cpuHasAes ? encryptAesNi(plaintext) : encryptPortable(plaintext);
+}
+
+AesBlock
+Aes128::encryptAesNi(const AesBlock &plaintext) const
+{
+#if defined(__x86_64__)
+    return aesNiEncrypt(roundKeys.data(), plaintext);
+#else
+    return encryptPortable(plaintext);
+#endif
+}
+
+AesBlock
+Aes128::encryptPortable(const AesBlock &plaintext) const
+{
     // One column per word: each middle round is SubBytes, ShiftRows
     // and MixColumns as four T-table lookups per column (ShiftRows
     // picks row r from column c + r), then AddRoundKey.

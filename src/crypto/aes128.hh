@@ -7,6 +7,11 @@
  * transcription typo cannot silently weaken it; correctness is pinned
  * by the FIPS-197 known-answer vectors in the test suite.
  *
+ * Encryption runs on the host's AES-NI unit when the CPU has one
+ * (x86-64, checked once at startup) and otherwise on the portable
+ * T-table code, which also serves as the test oracle for the AES-NI
+ * path. Both produce the same bytes; the choice only moves host time.
+ *
  * This is a functional model: simulated latency (Table 1: 40 cycles)
  * is accounted separately by the timing model.
  */
@@ -36,8 +41,20 @@ class Aes128
     /** Expand @p key into the round-key schedule. */
     explicit Aes128(const AesKey &key);
 
-    /** Encrypt one 16-byte block (ECB primitive). */
+    /**
+     * Encrypt one 16-byte block (ECB primitive): AES-NI when
+     * hasAesNi(), else encryptPortable().
+     */
     AesBlock encryptBlock(const AesBlock &plaintext) const;
+
+    /** Portable T-table encryption: the fallback and test oracle. */
+    AesBlock encryptPortable(const AesBlock &plaintext) const;
+
+    /** AES-NI encryption. Call only when hasAesNi() is true. */
+    AesBlock encryptAesNi(const AesBlock &plaintext) const;
+
+    /** True if this host can run encryptAesNi(). */
+    static bool hasAesNi();
 
     /** Decrypt one 16-byte block. */
     AesBlock decryptBlock(const AesBlock &ciphertext) const;
@@ -45,7 +62,10 @@ class Aes128
   private:
     static constexpr int numRounds = 10;
 
-    /** Round keys: (numRounds + 1) x 16 bytes. */
+    /**
+     * Round keys: (numRounds + 1) x 16 bytes, in FIPS-197 byte order,
+     * which is also the order AES-NI loads them in.
+     */
     std::array<std::uint8_t, 16 * (numRounds + 1)> roundKeys{};
 };
 

@@ -15,7 +15,7 @@
 #define DOLOS_CRYPTO_CTR_PAD_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "crypto/aes128.hh"
 
@@ -41,14 +41,14 @@ class CtrPadGenerator
     explicit CtrPadGenerator(const AesKey &key) : aes(key) {}
 
     /**
-     * Generate @p len bytes of pad from the IV fields.
+     * Fill @p out with pad generated from the IV fields (Ma-SU pads
+     * are 64 bytes, Mi-SU pads 80).
      *
      * Successive 16-byte sub-blocks use the block index in the IV's
-     * padding field, so any length up to 2^32 * 16 bytes is spatially
+     * padding field, so any length up to 2^16 * 16 bytes is spatially
      * unique.
      */
-    std::vector<std::uint8_t> generate(const IvFields &iv,
-                                       std::size_t len) const;
+    void generate(const IvFields &iv, std::span<std::uint8_t> out) const;
 
   private:
     Aes128 aes;

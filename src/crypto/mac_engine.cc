@@ -15,6 +15,13 @@ namespace dolos::crypto
 {
 
 MacTag
+MacEngine::compute(const void *data, std::size_t len) const
+{
+    DOLOS_PROF_SCOPE(Mac);
+    return tagOf(data, len);
+}
+
+MacTag
 MacEngine::computeParts(std::initializer_list<MacSegment> parts) const
 {
     DOLOS_PROF_SCOPE(Mac);
@@ -31,7 +38,7 @@ MacEngine::computeParts(std::initializer_list<MacSegment> parts) const
             std::memcpy(buf + off, ptr, len);
             off += len;
         }
-        return compute(buf, total);
+        return tagOf(buf, total);
     }
 
     std::vector<std::uint8_t> big;
@@ -40,7 +47,7 @@ MacEngine::computeParts(std::initializer_list<MacSegment> parts) const
         const auto *p = static_cast<const std::uint8_t *>(ptr);
         big.insert(big.end(), p, p + len);
     }
-    return compute(big.data(), big.size());
+    return tagOf(big.data(), big.size());
 }
 
 bool
@@ -62,10 +69,10 @@ class HmacMacEngine : public MacEngine
         : hmac(key.data(), key.size())
     {}
 
+  protected:
     MacTag
-    compute(const void *data, std::size_t len) const override
+    tagOf(const void *data, std::size_t len) const override
     {
-        DOLOS_PROF_SCOPE(Mac);
         const auto d = hmac.compute(data, len);
         MacTag t;
         std::memcpy(t.data(), d.data(), t.size());
@@ -84,10 +91,10 @@ class SipMacEngine : public MacEngine
         : key(key)
     {}
 
+  protected:
     MacTag
-    compute(const void *data, std::size_t len) const override
+    tagOf(const void *data, std::size_t len) const override
     {
-        DOLOS_PROF_SCOPE(Mac);
         const std::uint64_t v = siphash24(key, data, len);
         MacTag t;
         for (int i = 0; i < 8; ++i)

@@ -5,6 +5,7 @@
 
 #include "crypto/siphash.hh"
 
+#include <bit>
 #include <cstring>
 
 namespace dolos::crypto
@@ -21,13 +22,20 @@ rotl(u64 x, int b)
     return (x << b) | (x >> (64 - b));
 }
 
+/** Little-endian load of one (possibly unaligned) message word. */
 u64
 loadLe64(const std::uint8_t *p)
 {
-    u64 v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
+    if constexpr (std::endian::native == std::endian::little) {
+        u64 v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    } else {
+        u64 v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = (v << 8) | p[i];
+        return v;
+    }
 }
 
 // Forced inline: as an out-of-line call the four state words go

@@ -2,11 +2,11 @@
  * @file
  * SipHash-2-4 (Aumasson & Bernstein), from scratch.
  *
- * Used by the FastMac engine for large parameter sweeps where the
- * full HMAC-SHA256 engine would dominate host run time. SipHash is a
- * real keyed PRF, so tamper detection remains genuine; only the
- * cryptographic strength margin differs. Simulated latency is
- * identical (it is configured, not measured).
+ * The default MAC engine (MacKind::SipHash24): every data MAC, tree
+ * node, Anubis shadow entry and Mi-SU entry tag goes through it.
+ * SipHash is a real keyed PRF, so tamper detection is genuine; only
+ * the cryptographic strength margin differs from HMAC-SHA256.
+ * Simulated latency is identical (it is configured, not measured).
  */
 
 #ifndef DOLOS_CRYPTO_SIPHASH_HH

@@ -71,22 +71,12 @@ MiSu::acceptableAt(Tick arrival) const
     return std::max(arrival, busyUntil_);
 }
 
-std::vector<std::uint8_t>
-MiSu::makePad(unsigned slot) const
-{
-    // 72 bytes cover data + address; Partial/Post reserve 80 bytes
-    // (Table 3) — the extra sub-block is generated either way and
-    // reported in the storage overhead.
-    return padGen.generate({misuIvDomain, slot, slotCounter(slot)}, 80);
-}
-
 void
 MiSu::regeneratePads()
 {
-    pads.clear();
-    pads.reserve(capacity_);
+    pads.resize(capacity_);
     for (unsigned s = 0; s < capacity_; ++s)
-        pads.push_back(makePad(s));
+        padGen.generate({misuIvDomain, s, slotCounter(s)}, pads[s]);
 }
 
 crypto::MacTag

@@ -24,6 +24,7 @@
 #ifndef DOLOS_DOLOS_MISU_HH
 #define DOLOS_DOLOS_MISU_HH
 
+#include <array>
 #include <vector>
 
 #include "crypto/ctr_pad.hh"
@@ -158,9 +159,15 @@ class MiSu
     /** Slot counter used for pad generation and entry MACs. */
     std::uint64_t slotCounter(unsigned slot) const { return pcr + slot; }
 
-    /** 80-byte pad for (slot, current epoch). */
-    std::vector<std::uint8_t> makePad(unsigned slot) const;
+    /**
+     * One slot's pad for the current epoch. 72 bytes cover data +
+     * address; Partial/Post reserve 80 bytes (Table 3), so the extra
+     * sub-block is generated either way and reported in the storage
+     * overhead.
+     */
+    using Pad = std::array<std::uint8_t, 80>;
 
+    /** Regenerate every slot's pad for the current epoch. */
     void regeneratePads();
 
     crypto::MacTag entryMac(unsigned slot,
@@ -173,7 +180,7 @@ class MiSu
     const crypto::MacEngine &macEngine;
 
     std::uint64_t pcr = 1; ///< on-chip persistent counter register
-    std::vector<std::vector<std::uint8_t>> pads; ///< per-slot, 80B
+    std::vector<Pad> pads;                       ///< per-slot
     std::vector<crypto::MacTag> entryMacs;       ///< per-slot registers
     std::vector<bool> slotLive;                  ///< cleared bits
     crypto::MacTag rootRegister{};               ///< Full design only

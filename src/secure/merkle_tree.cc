@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse 8-ary Merkle tree implementation.
+ * Chunked 8-ary Merkle tree implementation.
  */
 
 #include "secure/merkle_tree.hh"
@@ -32,12 +32,19 @@ MerkleTree::MerkleTree(Addr num_leaves, const crypto::MacEngine &mac)
             c = defaults[lvl - 1];
         defaults[lvl] = hashChildren(lvl, children);
     }
+
+    nodes.resize(levelSizes.size());
+    for (unsigned lvl = 0; lvl < levelSizes.size(); ++lvl)
+        nodes[lvl].resize((levelSizes[lvl] + chunkNodes - 1) / chunkNodes);
 }
 
-std::uint64_t
-MerkleTree::key(unsigned level, Addr idx)
+crypto::MacTag &
+MerkleTree::slot(unsigned level, Addr idx)
 {
-    return (std::uint64_t(level) << 56) | idx;
+    auto &chunk = nodes[level][idx / chunkNodes];
+    if (chunk.empty())
+        chunk.assign(chunkNodes, defaults[level]);
+    return chunk[idx % chunkNodes];
 }
 
 crypto::MacTag
@@ -63,22 +70,24 @@ MerkleTree::nodeTag(unsigned level, Addr idx) const
     DOLOS_ASSERT(level < levelSizes.size() && idx < levelSizes[level],
                  "node (%u, %llu) out of range", level,
                  (unsigned long long)idx);
-    const auto it = nodes.find(key(level, idx));
-    return it == nodes.end() ? defaults[level] : it->second;
+    const auto &chunk = nodes[level][idx / chunkNodes];
+    return chunk.empty() ? defaults[level] : chunk[idx % chunkNodes];
 }
 
 void
 MerkleTree::recomputeNode(unsigned level, Addr idx)
 {
-    crypto::MacTag children[arity];
-    const Addr child_base = idx * arity;
-    for (unsigned c = 0; c < arity; ++c) {
-        const Addr child = child_base + c;
-        children[c] = child < levelSizes[level - 1]
-                          ? nodeTag(level - 1, child)
-                          : defaults[level - 1];
-    }
-    nodes[key(level, idx)] = hashChildren(level, children);
+    // The eight children are contiguous within one chunk (chunks hold
+    // whole sibling groups), and slots past the end of a ragged level
+    // keep the default tag the old per-child bound check substituted.
+    // An absent chunk means all eight children are default, and so
+    // is the parent.
+    const Addr first = idx * arity;
+    const auto &children = nodes[level - 1][first / chunkNodes];
+    slot(level, idx) =
+        children.empty()
+            ? defaults[level]
+            : hashChildren(level, &children[first % chunkNodes]);
 }
 
 void
@@ -86,7 +95,7 @@ MerkleTree::updateLeaf(Addr leaf_idx, const CounterPage &page)
 {
     DOLOS_ASSERT(leaf_idx < numLeaves, "leaf %llu out of range",
                  (unsigned long long)leaf_idx);
-    nodes[key(0, leaf_idx)] = leafTagOf(page);
+    slot(0, leaf_idx) = leafTagOf(page);
     Addr idx = leaf_idx;
     for (unsigned lvl = 1; lvl < levelSizes.size(); ++lvl) {
         idx /= arity;
@@ -101,9 +110,29 @@ MerkleTree::root() const
 }
 
 void
+MerkleTree::clear()
+{
+    for (auto &level : nodes)
+        for (auto &chunk : level)
+            chunk.clear();
+}
+
+std::size_t
+MerkleTree::numStoredNodes() const
+{
+    std::size_t n = 0;
+    for (unsigned lvl = 0; lvl < nodes.size(); ++lvl)
+        for (const auto &chunk : nodes[lvl])
+            n += std::size_t(std::count_if(
+                chunk.begin(), chunk.end(),
+                [&](const crypto::MacTag &t) { return t != defaults[lvl]; }));
+    return n;
+}
+
+void
 MerkleTree::rebuild(const std::unordered_map<Addr, CounterPage> &pages)
 {
-    nodes.clear();
+    clear();
     // Install leaves, then recompute touched parents level by level.
     // Leaf installation order is immaterial (distinct keys, and
     // `touched` is sorted before the climb below).
@@ -112,7 +141,7 @@ MerkleTree::rebuild(const std::unordered_map<Addr, CounterPage> &pages)
     for (const auto &[leaf_idx, page] : pages) { // dolos-lint: allow(determinism)
         DOLOS_ASSERT(leaf_idx < numLeaves, "leaf %llu out of range",
                      (unsigned long long)leaf_idx);
-        nodes[key(0, leaf_idx)] = leafTagOf(page);
+        slot(0, leaf_idx) = leafTagOf(page);
         touched.push_back(leaf_idx);
     }
     for (unsigned lvl = 1; lvl < levelSizes.size(); ++lvl) {

@@ -3,10 +3,12 @@
  * Functional 8-ary Bonsai Merkle Tree over counter blocks.
  *
  * Leaves are MAC tags of packed split-counter pages; inner nodes are
- * MAC tags over the concatenation of their eight children. The tree
- * is sparse: untouched subtrees collapse to memoized per-level
- * default tags, so a 16 GB protected region costs memory only for
- * pages actually written.
+ * MAC tags over the concatenation of their eight children. Each level
+ * is a dense array split into fixed-size chunks. A chunk is allocated
+ * (filled with the level's memoized default tag) on its first write
+ * and reads as that default until then, so a 16 GB protected region
+ * costs memory only around pages actually written, and a node's
+ * eight children sit contiguously, ready to be MACed in place.
  *
  * This class is the secure processor's volatile *current* view (the
  * trusted state built from verified fetches and local updates). NVM
@@ -17,6 +19,7 @@
 #ifndef DOLOS_SECURE_MERKLE_TREE_HH
 #define DOLOS_SECURE_MERKLE_TREE_HH
 
+#include <cstddef>
 #include <unordered_map>
 #include <vector>
 
@@ -89,17 +92,29 @@ class MerkleTree
      */
     void rebuild(const std::unordered_map<Addr, CounterPage> &pages);
 
-    /** Drop all volatile state (crash, before rebuild). */
-    void clear() { nodes.clear(); }
+    /**
+     * Drop all volatile state (crash, before rebuild). Chunks keep
+     * their capacity, so clearing and rebuilding cost only what the
+     * run touched.
+     */
+    void clear();
 
-    /** Number of explicitly stored (non-default) nodes. */
-    std::size_t numStoredNodes() const { return nodes.size(); }
+    /** Number of nodes whose tag differs from their level's default. */
+    std::size_t numStoredNodes() const;
 
     /** Register every member into the crash-state manifest. */
     persist::StateManifest stateManifest() const;
 
   private:
-    static std::uint64_t key(unsigned level, Addr idx);
+    /** Tags per chunk: 4 KB, a whole number of sibling groups. */
+    static constexpr Addr chunkNodes = 512;
+    static_assert(chunkNodes % arity == 0);
+
+    /** One level's chunks; an empty chunk reads as the default tag. */
+    using Level = std::vector<std::vector<crypto::MacTag>>;
+
+    /** Writable tag of (@p level, @p idx); allocates its chunk. */
+    crypto::MacTag &slot(unsigned level, Addr idx);
 
     /** Parent tag from eight child tags. */
     crypto::MacTag hashChildren(unsigned parent_level,
@@ -112,7 +127,7 @@ class MerkleTree
     const crypto::MacEngine &mac;
     std::vector<Addr> levelSizes;           ///< per-level node counts
     std::vector<crypto::MacTag> defaults;   ///< per-level default tags
-    std::unordered_map<std::uint64_t, crypto::MacTag> nodes;
+    std::vector<Level> nodes;               ///< per-level chunked tags
 
     // --- crash-state model (see docs/static_analysis.md) ----------
     DOLOS_STATE_CLASS(MerkleTree);

@@ -111,11 +111,15 @@ SecurityEngine::writeMacOps() const
                : params.macOpsLazyWrite;
 }
 
-crypto::IvFields
-SecurityEngine::ivFor(Addr addr, std::uint64_t counter) const
+void
+SecurityEngine::applyPad(Block &data, Addr addr,
+                         std::uint64_t counter) const
 {
-    return {AddressMap::pageOf(addr), AddressMap::blockInPage(addr),
-            counter};
+    Block pad;
+    padGen.generate({AddressMap::pageOf(addr),
+                     AddressMap::blockInPage(addr), counter},
+                    pad);
+    crypto::xorInto(data.data(), pad.data(), blockSize);
 }
 
 crypto::MacTag
@@ -523,14 +527,8 @@ SecurityEngine::reencryptPage(Addr page_idx, const CounterPage &old_page,
             continue; // never written: nothing to re-encrypt
         const ReadResult r = nvm_.read(addr, start);
         Block data = r.data;
-        const auto old_pad =
-            padGen.generate(ivFor(addr, old_page.counterOf(idx)),
-                            blockSize);
-        crypto::xorInto(data.data(), old_pad.data(), blockSize);
-        const auto new_pad =
-            padGen.generate(ivFor(addr, new_page.counterOf(idx)),
-                            blockSize);
-        crypto::xorInto(data.data(), new_pad.data(), blockSize);
+        applyPad(data, addr, old_page.counterOf(idx));
+        applyPad(data, addr, new_page.counterOf(idx));
         const Tick w =
             nvm_.write(addr, data, r.completeTick + params.aesLatency);
         storeDataMac(addr, dataMac(addr, data, new_page.counterOf(idx)));
@@ -700,10 +698,8 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
     t += params.aesLatency;
     statAesCycles += params.aesLatency;
     DOLOS_TRACE(trace::Stage::MasuAes, crypto_start, t, addr, 0);
-    const auto pad = padGen.generate(ivFor(addr, bump.newCounter),
-                                     blockSize);
     res.ciphertext = plaintext;
-    crypto::xorInto(res.ciphertext.data(), pad.data(), blockSize);
+    applyPad(res.ciphertext, addr, bump.newCounter);
     res.counter = bump.newCounter;
     DOLOS_CRASH_POINT(MasuAesPad);
 
@@ -890,8 +886,7 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     }
 
     Block plaintext = data.data;
-    const auto pad = padGen.generate(ivFor(addr, counter), blockSize);
-    crypto::xorInto(plaintext.data(), pad.data(), blockSize);
+    applyPad(plaintext, addr, counter);
 
     statReadLatency.sample(double(t - arrival));
     statReadLatencyHist.sample(double(t - arrival));
@@ -930,8 +925,7 @@ SecurityEngine::reissueCiphertext(Addr addr, const Block &plaintext)
 {
     const std::uint64_t counter = counters.counterOf(addr);
     Block ct = plaintext;
-    const auto pad = padGen.generate(ivFor(addr, counter), blockSize);
-    crypto::xorInto(ct.data(), pad.data(), blockSize);
+    applyPad(ct, addr, counter);
     nvm_.writeFunctional(addr, ct);
     storeDataMac(addr, dataMac(addr, ct, counter));
     storeEcc(addr, OsirisEcc::compute(plaintext));
@@ -958,9 +952,7 @@ SecurityEngine::recoverCountersOsiris(SecureRecoveryResult &res)
         for (unsigned k = 0; k < params.osirisStopLoss; ++k) {
             const std::uint64_t candidate = c0 + k;
             Block pt = ct;
-            const auto pad =
-                padGen.generate(ivFor(addr, candidate), blockSize);
-            crypto::xorInto(pt.data(), pad.data(), blockSize);
+            applyPad(pt, addr, candidate);
             if (OsirisEcc::check(pt, stored)) {
                 if (k != 0) {
                     // Advance the page image to the probed counter.

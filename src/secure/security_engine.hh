@@ -491,7 +491,11 @@ class SecurityEngine
     crypto::MacTag dataMac(Addr addr, const Block &ciphertext,
                            std::uint64_t counter) const;
 
-    crypto::IvFields ivFor(Addr addr, std::uint64_t counter) const;
+    /**
+     * XOR the counter-mode pad of (@p addr, @p counter) into @p data:
+     * encrypts plaintext, decrypts ciphertext.
+     */
+    void applyPad(Block &data, Addr addr, std::uint64_t counter) const;
 
     SecureParams params;
     NvmDevice &nvm_;

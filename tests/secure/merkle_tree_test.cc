@@ -7,6 +7,7 @@
 
 #include "crypto/mac_engine.hh"
 #include "secure/merkle_tree.hh"
+#include "sim/random.hh"
 
 namespace
 {
@@ -156,6 +157,112 @@ TEST_F(MerkleTreeTest, MacKeyBindsTree)
                                       {9, 9, 9, 9});
     MerkleTree a(64, *mac), b(64, *mac2);
     EXPECT_NE(a.root(), b.root());
+}
+
+/** A page with a few counters drawn from @p rng. */
+CounterPage
+randomPage(Random &rng)
+{
+    CounterPage p;
+    p.major = rng.below(4);
+    for (int i = 0; i < 3; ++i)
+        p.minors[rng.below(64)] = std::uint8_t(rng.below(128));
+    return p;
+}
+
+/**
+ * Apply @p updates random leaf writes to a @p leaves-leaf tree; after
+ * each, every node on the written path and the root must equal a
+ * fresh tree rebuilt from the same pages.
+ */
+void
+checkEagerMatchesRebuild(const crypto::MacEngine &mac, Addr leaves,
+                         unsigned updates, std::uint64_t seed)
+{
+    Random rng(seed);
+    MerkleTree eager(leaves, mac);
+    std::unordered_map<Addr, CounterPage> pages;
+    for (unsigned u = 0; u < updates; ++u) {
+        // Bias towards revisiting leaves so pages are overwritten too.
+        const Addr leaf = rng.below(2) && !pages.empty()
+                              ? rng.below(std::min<Addr>(leaves, 16))
+                              : rng.below(leaves);
+        pages[leaf] = randomPage(rng);
+        eager.updateLeaf(leaf, pages[leaf]);
+
+        MerkleTree fresh(leaves, mac);
+        fresh.rebuild(pages);
+        Addr idx = leaf;
+        for (unsigned lvl = 0; lvl < eager.numLevels(); ++lvl) {
+            ASSERT_EQ(eager.nodeTag(lvl, idx), fresh.nodeTag(lvl, idx))
+                << "update " << u << " level " << lvl << " node " << idx;
+            idx /= MerkleTree::arity;
+        }
+        ASSERT_EQ(eager.root(), fresh.root()) << "update " << u;
+    }
+}
+
+TEST_F(MerkleTreeTest, RandomUpdatesMatchRebuildOnRaggedTree)
+{
+    checkEagerMatchesRebuild(*mac, 100, 300, 11);
+}
+
+TEST_F(MerkleTreeTest, RandomUpdatesMatchRebuildAcrossChunks)
+{
+    // 5000 leaves span ten leaf chunks and two level-1 chunks.
+    checkEagerMatchesRebuild(*mac, 5000, 300, 12);
+}
+
+TEST_F(MerkleTreeTest, ClearReturnsEveryNodeToDefault)
+{
+    MerkleTree t(5000, *mac);
+    Random rng(13);
+    for (int i = 0; i < 200; ++i)
+        t.updateLeaf(rng.below(5000), randomPage(rng));
+    ASSERT_GT(t.numStoredNodes(), 0u);
+    t.clear();
+    EXPECT_EQ(t.numStoredNodes(), 0u);
+    for (unsigned lvl = 0; lvl < t.numLevels(); ++lvl)
+        for (Addr idx = 0; idx < t.levelSize(lvl); ++idx)
+            ASSERT_EQ(t.nodeTag(lvl, idx), t.defaultTag(lvl))
+                << "level " << lvl << " node " << idx;
+}
+
+TEST_F(MerkleTreeTest, StoredNodesCountsNonDefaultTags)
+{
+    MerkleTree t(5000, *mac); // levels: 5000, 625, 79, 10, 2, 1
+    CounterPage p;
+    p.minors[1] = 1;
+    t.updateLeaf(4321, p);
+    EXPECT_EQ(t.numStoredNodes(), t.numLevels()); // one path
+    t.updateLeaf(4322, p); // same parent: one more leaf
+    EXPECT_EQ(t.numStoredNodes(), t.numLevels() + 1);
+    // Writing the all-zero page back restores the default tags.
+    t.updateLeaf(4321, CounterPage{});
+    t.updateLeaf(4322, CounterPage{});
+    EXPECT_EQ(t.numStoredNodes(), 0u);
+    EXPECT_EQ(t.root(), t.defaultTag(t.numLevels() - 1));
+}
+
+TEST_F(MerkleTreeTest, RebuildOfLastPartialGroupMatchesEagerUpdates)
+{
+    // 100 leaves: the last level-1 group holds leaves 96..99 only,
+    // and level 1 (13 nodes) ends in a partial group of its own.
+    MerkleTree eager(100, *mac), reb(100, *mac);
+    std::unordered_map<Addr, CounterPage> pages;
+    for (const Addr leaf : {Addr(99), Addr(96), Addr(97), Addr(3)}) {
+        CounterPage p;
+        p.major = leaf;
+        p.minors[leaf % 64] = 7;
+        pages[leaf] = p;
+        eager.updateLeaf(leaf, p);
+    }
+    reb.rebuild(pages);
+    EXPECT_EQ(reb.root(), eager.root());
+    for (unsigned lvl = 0; lvl < eager.numLevels(); ++lvl)
+        for (Addr idx = 0; idx < eager.levelSize(lvl); ++idx)
+            EXPECT_EQ(reb.nodeTag(lvl, idx), eager.nodeTag(lvl, idx))
+                << "level " << lvl << " node " << idx;
 }
 
 TEST_F(MerkleTreeTest, DeathOnOutOfRangeLeaf)

@@ -175,7 +175,7 @@ TEST(StatTimeline, SelfProfilerPinsHostWorkAndDoesNotPerturb)
     const std::pair<Comp, std::uint64_t> expected[] = {
         {Comp::Core, 25414},       {Comp::CacheModel, 22800},
         {Comp::Controller, 67198}, {Comp::SecurityEngine, 13432},
-        {Comp::Aes, 51960},        {Comp::Mac, 235761},
+        {Comp::Aes, 51960},        {Comp::Mac, 124077},
         {Comp::Sha, 0},            {Comp::CtrPad, 12990},
         {Comp::Nvm, 38812},        {Comp::Verify, 0},
     };
