@@ -42,7 +42,8 @@ BM_CtrPad64B(benchmark::State &state)
     std::array<std::uint8_t, 64> pad;
     for (auto _ : state) {
         gen.generate({1, 2, ++ctr}, pad);
-        benchmark::DoNotOptimize(pad);
+        benchmark::DoNotOptimize(pad.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(std::int64_t(state.iterations()) * 64);
 }

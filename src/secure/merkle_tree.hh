@@ -106,8 +106,13 @@ class MerkleTree
     persist::StateManifest stateManifest() const;
 
   private:
-    /** Tags per chunk: 4 KB, a whole number of sibling groups. */
-    static constexpr Addr chunkNodes = 512;
+    /**
+     * Tags per chunk: 1 KB, a whole number of sibling groups. Small
+     * enough that a sparse run (nstore-ycsb writes ~330 scattered
+     * pages) fills little it does not use; large enough that the
+     * chunk index of a 64K-leaf tree stays near 14 KB.
+     */
+    static constexpr Addr chunkNodes = 128;
     static_assert(chunkNodes % arity == 0);
 
     /** One level's chunks; an empty chunk reads as the default tag. */

@@ -209,7 +209,7 @@ TEST_F(MerkleTreeTest, RandomUpdatesMatchRebuildOnRaggedTree)
 
 TEST_F(MerkleTreeTest, RandomUpdatesMatchRebuildAcrossChunks)
 {
-    // 5000 leaves span ten leaf chunks and two level-1 chunks.
+    // 5000 leaves span many chunks on the two lowest levels.
     checkEagerMatchesRebuild(*mac, 5000, 300, 12);
 }
 
