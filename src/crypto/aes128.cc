@@ -171,7 +171,7 @@ const bool cpuHasAes = [] {
 }();
 
 [[gnu::target("aes")]] AesBlock
-aesNiEncrypt(const std::uint8_t *rk, const AesBlock &plaintext)
+aesNiEncrypt(const std::uint8_t *rk, int rounds, const AesBlock &plaintext)
 {
     const auto key = [rk](int round) {
         return _mm_loadu_si128(
@@ -180,9 +180,9 @@ aesNiEncrypt(const std::uint8_t *rk, const AesBlock &plaintext)
     __m128i st = _mm_xor_si128(
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(plaintext.data())),
         key(0));
-    for (int round = 1; round < 10; ++round)
+    for (int round = 1; round < rounds; ++round)
         st = _mm_aesenc_si128(st, key(round));
-    st = _mm_aesenclast_si128(st, key(10));
+    st = _mm_aesenclast_si128(st, key(rounds));
     AesBlock out;
     _mm_storeu_si128(reinterpret_cast<__m128i *>(out.data()), st);
     return out;
@@ -232,7 +232,7 @@ AesBlock
 Aes128::encryptAesNi(const AesBlock &plaintext) const
 {
 #if defined(__x86_64__)
-    return aesNiEncrypt(roundKeys.data(), plaintext);
+    return aesNiEncrypt(roundKeys.data(), numRounds, plaintext);
 #else
     return encryptPortable(plaintext);
 #endif

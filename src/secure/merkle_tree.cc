@@ -78,10 +78,9 @@ void
 MerkleTree::recomputeNode(unsigned level, Addr idx)
 {
     // The eight children are contiguous within one chunk (chunks hold
-    // whole sibling groups), and slots past the end of a ragged level
-    // keep the default tag the old per-child bound check substituted.
-    // An absent chunk means all eight children are default, and so
-    // is the parent.
+    // whole sibling groups). Slots past the end of a ragged level are
+    // never written, so they read as the default tag. An absent chunk
+    // means all eight children are default, and so is the parent.
     const Addr first = idx * arity;
     const auto &children = nodes[level - 1][first / chunkNodes];
     slot(level, idx) =

@@ -9,7 +9,7 @@
  * power failure. The digest is FNV-1a over, in order:
  *  - every NVM block, sorted by address (address, then 64 bytes);
  *  - the security engine's persistent root register;
- *  - the Mi-SU root register (all-zero for modes without a Mi-SU).
+ *  - the Mi-SU WPQ-tree root register (all-zero except in Dolos-Full).
  *
  * A deliberate change to what the simulator stores must re-pin these
  * values and say why; a host-speed change never may.
