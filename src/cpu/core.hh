@@ -153,23 +153,6 @@ class SimpleCore
     stats::Scalar statFences;
     stats::Scalar statFenceStall;
     stats::Average statFenceWait;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(SimpleCore);
-    DOLOS_PERSISTENT(hierarchy);
-    DOLOS_PERSISTENT(clock);
-    DOLOS_VOLATILE(outstanding);
-    DOLOS_PERSISTENT(observer);
-    DOLOS_PERSISTENT(sampler_);
-    DOLOS_PERSISTENT(clwbDropIn);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statInstructions);
-    DOLOS_PERSISTENT(statLoads);
-    DOLOS_PERSISTENT(statStores);
-    DOLOS_PERSISTENT(statClwbs);
-    DOLOS_PERSISTENT(statFences);
-    DOLOS_PERSISTENT(statFenceStall);
-    DOLOS_PERSISTENT(statFenceWait);
 };
 
 } // namespace dolos

@@ -152,24 +152,8 @@ parseOptKnobs(const std::string &spec)
             knobs.drainBatching = true;
         else if (name == "tag-prefetch")
             knobs.tagPrefetch = true;
-        else if (name.rfind("bmt-window=", 0) == 0) {
-            const std::string val = name.substr(11);
-            if (val.empty())
-                return std::nullopt;
-            unsigned window = 0;
-            for (const char c : val) {
-                if (c < '0' || c > '9')
-                    return std::nullopt;
-                window = window * 10 + unsigned(c - '0');
-                if (window > 1u << 16)
-                    return std::nullopt;
-            }
-            if (window == 0)
-                return std::nullopt; // reject, never clamp
-            knobs.bmtPipelineWindow = window;
-        } else {
+        else
             return std::nullopt;
-        }
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -180,19 +164,11 @@ parseOptKnobs(const std::string &spec)
 std::string
 formatOptKnobs(const OptKnobs &knobs)
 {
-    // Canonical spec: parseOptKnobs(formatOptKnobs(k)) == k. The
-    // "all"/"none" shortcuts only apply when no window override is
-    // set, because "none,bmt-window=N" would not re-parse.
-    const bool all =
-        knobs.bmtPipeline && knobs.drainBatching && knobs.tagPrefetch;
-    const bool none =
-        !knobs.bmtPipeline && !knobs.drainBatching && !knobs.tagPrefetch;
-    if (!knobs.bmtPipelineWindow) {
-        if (all)
-            return "all";
-        if (none)
-            return "none";
-    }
+    // Canonical spec: parseOptKnobs(formatOptKnobs(k)) == k.
+    if (knobs.bmtPipeline && knobs.drainBatching && knobs.tagPrefetch)
+        return "all";
+    if (!knobs.bmtPipeline && !knobs.drainBatching && !knobs.tagPrefetch)
+        return "none";
     std::string out;
     const auto append = [&out](const char *item) {
         if (!out.empty())
@@ -205,12 +181,6 @@ formatOptKnobs(const OptKnobs &knobs)
         append("drain-batch");
     if (knobs.tagPrefetch)
         append("tag-prefetch");
-    if (knobs.bmtPipelineWindow) {
-        if (!out.empty())
-            out += ',';
-        out += "bmt-window=" +
-               std::to_string(*knobs.bmtPipelineWindow);
-    }
     return out;
 }
 
@@ -220,8 +190,6 @@ applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs)
     cfg.secure.bmtPipeline = knobs.bmtPipeline;
     cfg.wpq.drainBatching = knobs.drainBatching;
     cfg.secure.tagPrefetch = knobs.tagPrefetch;
-    if (knobs.bmtPipelineWindow)
-        cfg.secure.bmtPipelineWindow = *knobs.bmtPipelineWindow;
 }
 
 } // namespace dolos

@@ -212,17 +212,13 @@ struct OptKnobs
     bool bmtPipeline = true;
     bool drainBatching = true;
     bool tagPrefetch = true;
-
-    /** BMT pipeline window override (nullopt keeps the config's). */
-    std::optional<unsigned> bmtPipelineWindow;
 };
 
 /**
  * Parse an --opt-knobs spec: "none", "all", or a comma-separated
- * subset of bmt-pipeline,drain-batch,tag-prefetch,bmt-window=N
- * naming the *exact* lever set to enable (everything unnamed is
- * off). Unknown names, an empty spec, and bmt-window=0 yield
- * nullopt — callers must reject them, never clamp.
+ * subset of bmt-pipeline,drain-batch,tag-prefetch naming the *exact*
+ * lever set to enable (everything unnamed is off). Unknown names and
+ * an empty spec yield nullopt — callers must reject them, never clamp.
  */
 std::optional<OptKnobs> parseOptKnobs(const std::string &spec);
 

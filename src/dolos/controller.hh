@@ -293,37 +293,6 @@ class SecureMemController : public PersistController
     stats::Average statDrainLatency;
     stats::Histogram statPersistLatencyHist{100.0, 32};
     stats::Histogram statStallHist{500.0, 16};
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(SecureMemController);
-    DOLOS_PERSISTENT(cfg);
-    DOLOS_PERSISTENT(nvm);
-    DOLOS_PERSISTENT(engine);
-    DOLOS_PERSISTENT(misu_);
-    DOLOS_PERSISTENT(redoLog);
-    DOLOS_PERSISTENT(capacity);
-    DOLOS_VOLATILE(adrTear);
-    DOLOS_PERSISTENT(recoveryCrashArm);
-    DOLOS_VOLATILE(wpq);
-    DOLOS_PERSISTENT(nextId);
-    DOLOS_VOLATILE(drainCursor);
-    DOLOS_VOLATILE(tagArray);
-    DOLOS_VOLATILE(lastDrainIssue);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statWrites);
-    DOLOS_PERSISTENT(statPersists);
-    DOLOS_PERSISTENT(statEvictions);
-    DOLOS_PERSISTENT(statRetries);
-    DOLOS_PERSISTENT(statCoalesces);
-    DOLOS_PERSISTENT(statWpqReadHits);
-    DOLOS_PERSISTENT(statReads);
-    DOLOS_PERSISTENT(statStallCycles);
-    DOLOS_PERSISTENT(statDrainsBatched);
-    DOLOS_PERSISTENT(statPersistLatency);
-    DOLOS_PERSISTENT(statOccupancy);
-    DOLOS_PERSISTENT(statDrainLatency);
-    DOLOS_PERSISTENT(statPersistLatencyHist);
-    DOLOS_PERSISTENT(statStallHist);
 };
 
 } // namespace dolos

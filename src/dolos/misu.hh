@@ -193,27 +193,6 @@ class MiSu
     stats::Scalar statDeferredMacs;
     stats::Scalar statEpochs;
     stats::Histogram statInsertLatency{40.0, 16};
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(MiSu);
-    DOLOS_PERSISTENT(mode_);
-    DOLOS_PERSISTENT(capacity_);
-    DOLOS_PERSISTENT(macLatency);
-    DOLOS_PERSISTENT(padGen);
-    DOLOS_PERSISTENT(macEngine);
-    DOLOS_PERSISTENT(pcr);
-    DOLOS_PERSISTENT(pads);
-    DOLOS_PERSISTENT(entryMacs);
-    DOLOS_PERSISTENT(slotLive);
-    DOLOS_PERSISTENT(rootRegister);
-    DOLOS_VOLATILE(busyUntil_);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statProtects);
-    DOLOS_PERSISTENT(statMacOps);
-    DOLOS_PERSISTENT(statMacCycles);
-    DOLOS_PERSISTENT(statDeferredMacs);
-    DOLOS_PERSISTENT(statEpochs);
-    DOLOS_PERSISTENT(statInsertLatency);
 };
 
 } // namespace dolos

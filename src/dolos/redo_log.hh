@@ -65,11 +65,6 @@ class RedoLogBuffer
   private:
     RedoLogRecord rec;
     bool ready_ = false;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(RedoLogBuffer);
-    DOLOS_PERSISTENT(rec);
-    DOLOS_PERSISTENT(ready_);
 };
 
 } // namespace dolos

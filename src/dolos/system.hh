@@ -114,15 +114,6 @@ class System
     std::unique_ptr<SecureMemController> mc;
     std::unique_ptr<CacheHierarchy> hier;
     std::unique_ptr<SimpleCore> core_;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(System);
-    DOLOS_PERSISTENT(cfg);
-    DOLOS_PERSISTENT(nvm);
-    DOLOS_PERSISTENT(eng);
-    DOLOS_PERSISTENT(mc);
-    DOLOS_PERSISTENT(hier);
-    DOLOS_PERSISTENT(core_);
 };
 
 } // namespace dolos

@@ -70,10 +70,6 @@ class BackingStore
 
   private:
     std::unordered_map<Addr, Block> blocks;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(BackingStore);
-    DOLOS_PERSISTENT(blocks);
 };
 
 } // namespace dolos

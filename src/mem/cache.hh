@@ -119,7 +119,10 @@ class Cache : public MemDevice
     CacheParams params;
     MemDevice &downstream;
     std::size_t numSets;
-    std::vector<Line> lines; ///< numSets x assoc, set-major
+    // numSets x assoc, set-major. Cache contents sit in the eADR
+    // persistence domain: drained to NVM by the holdup flush when the
+    // machine runs in EadrSecure mode, plain volatile loss elsewhere.
+    std::vector<Line> lines;
     std::uint64_t useClock = 0;
 
     stats::StatGroup stats_;
@@ -128,23 +131,6 @@ class Cache : public MemDevice
     stats::Scalar statWritebacks;
     stats::Scalar statEvictions;
     stats::Histogram statMissLatency{100.0, 32};
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(Cache);
-    DOLOS_PERSISTENT(params);
-    DOLOS_PERSISTENT(downstream);
-    DOLOS_PERSISTENT(numSets);
-    // Cache contents sit in the eADR persistence domain: drained to
-    // NVM by the holdup flush when the machine runs in EadrSecure
-    // mode, plain volatile loss everywhere else.
-    DOLOS_EADR_FLUSHED(lines);
-    DOLOS_VOLATILE(useClock);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statHits);
-    DOLOS_PERSISTENT(statMisses);
-    DOLOS_PERSISTENT(statWritebacks);
-    DOLOS_PERSISTENT(statEvictions);
-    DOLOS_PERSISTENT(statMissLatency);
 };
 
 } // namespace dolos

@@ -132,19 +132,6 @@ class CacheHierarchy
     stats::Scalar statStores;
     stats::Scalar statClwbs;
     stats::Scalar statClwbMisses;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(CacheHierarchy);
-    DOLOS_PERSISTENT(params);
-    DOLOS_PERSISTENT(mc);
-    DOLOS_VOLATILE(llc_);
-    DOLOS_VOLATILE(l2_);
-    DOLOS_VOLATILE(l1_);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statLoads);
-    DOLOS_PERSISTENT(statStores);
-    DOLOS_PERSISTENT(statClwbs);
-    DOLOS_PERSISTENT(statClwbMisses);
 };
 
 } // namespace dolos

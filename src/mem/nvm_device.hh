@@ -261,31 +261,6 @@ class NvmDevice
     stats::Average statReadQueueing;
     stats::Average statWriteQueueing;
     stats::Histogram statWriteQueueingHist{500.0, 16};
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(NvmDevice);
-    DOLOS_PERSISTENT(params);
-    DOLOS_PERSISTENT(data_);
-    DOLOS_VOLATILE(bankBusyUntil);
-    DOLOS_VOLATILE(bankReadBusyUntil);
-    DOLOS_PERSISTENT(transientFlips_);
-    DOLOS_PERSISTENT(stuckBits_);
-    DOLOS_PERSISTENT(writeFailures_);
-    DOLOS_PERSISTENT(quarantined_);
-    DOLOS_PERSISTENT(remapped_);
-    DOLOS_VOLATILE(lastReadMediaError_);
-    DOLOS_VOLATILE(lastWriteMediaError_);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statReads);
-    DOLOS_PERSISTENT(statWrites);
-    DOLOS_PERSISTENT(statMediaErrorReads);
-    DOLOS_PERSISTENT(statMediaErrorWrites);
-    DOLOS_PERSISTENT(statQuarantines);
-    DOLOS_PERSISTENT(statRemaps);
-    DOLOS_PERSISTENT(statBankConflicts);
-    DOLOS_PERSISTENT(statReadQueueing);
-    DOLOS_PERSISTENT(statWriteQueueing);
-    DOLOS_PERSISTENT(statWriteQueueingHist);
 };
 
 } // namespace dolos

@@ -101,14 +101,6 @@ class AnubisShadow
 
     stats::StatGroup stats_;
     stats::Scalar statWrites;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(AnubisShadow);
-    DOLOS_PERSISTENT(slots);
-    DOLOS_PERSISTENT(nvm);
-    DOLOS_PERSISTENT(mac);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statWrites);
 };
 
 } // namespace dolos

@@ -116,10 +116,6 @@ class CounterStore
 
   private:
     std::unordered_map<Addr, CounterPage> pages;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(CounterStore);
-    DOLOS_VOLATILE(pages);
 };
 
 } // namespace dolos

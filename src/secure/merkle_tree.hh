@@ -133,14 +133,6 @@ class MerkleTree
     std::vector<Addr> levelSizes;           ///< per-level node counts
     std::vector<crypto::MacTag> defaults;   ///< per-level default tags
     std::vector<Level> nodes;               ///< per-level chunked tags
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(MerkleTree);
-    DOLOS_PERSISTENT(numLeaves);
-    DOLOS_PERSISTENT(mac);
-    DOLOS_PERSISTENT(levelSizes);
-    DOLOS_PERSISTENT(defaults);
-    DOLOS_VOLATILE(nodes);
 };
 
 } // namespace dolos

@@ -552,53 +552,6 @@ class SecurityEngine
     stats::Average statTreeWalkLevels;
     stats::Histogram statWriteLatencyHist{200.0, 32};
     stats::Histogram statReadLatencyHist{100.0, 32};
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(SecurityEngine);
-    DOLOS_PERSISTENT(params);
-    DOLOS_PERSISTENT(nvm_);
-    DOLOS_PERSISTENT(mac);
-    DOLOS_PERSISTENT(padGen);
-    DOLOS_VOLATILE(counters);
-    DOLOS_VOLATILE(tree);
-    DOLOS_VOLATILE(ctrCache);
-    DOLOS_VOLATILE(mtCache);
-    DOLOS_PERSISTENT(shadow);
-    DOLOS_PERSISTENT(rootRegister);
-    DOLOS_PERSISTENT(shadowSeq);
-    DOLOS_VOLATILE(busyUntil_);
-    DOLOS_VOLATILE(bmtInflight);
-    DOLOS_VOLATILE(prefetchPending);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statWrites);
-    DOLOS_PERSISTENT(statReads);
-    DOLOS_PERSISTENT(statAttacks);
-    DOLOS_PERSISTENT(statOverflows);
-    DOLOS_PERSISTENT(statColdReads);
-    DOLOS_PERSISTENT(statMediaRetries);
-    DOLOS_PERSISTENT(statMediaHealed);
-    DOLOS_PERSISTENT(statQuarantineReads);
-    DOLOS_PERSISTENT(statMetaMediaFaults);
-    DOLOS_PERSISTENT(statCounterBlocksRebuilt);
-    DOLOS_PERSISTENT(statTreeNodesRepaired);
-    DOLOS_PERSISTENT(statMacBlocksRebuilt);
-    DOLOS_PERSISTENT(statCascadedBlocks);
-    DOLOS_PERSISTENT(statShadowSlotsSkipped);
-    DOLOS_PERSISTENT(statRootReanchored);
-    DOLOS_PERSISTENT(statScrubPasses);
-    DOLOS_PERSISTENT(statScrubRepairs);
-    DOLOS_PERSISTENT(statCtrFetchCycles);
-    DOLOS_PERSISTENT(statAesCycles);
-    DOLOS_PERSISTENT(statMacCycles);
-    DOLOS_PERSISTENT(statBmtCycles);
-    DOLOS_PERSISTENT(statBmtCoalesced);
-    DOLOS_PERSISTENT(statTagPrefetchIssued);
-    DOLOS_PERSISTENT(statTagPrefetchHits);
-    DOLOS_PERSISTENT(statWriteLatency);
-    DOLOS_PERSISTENT(statReadLatency);
-    DOLOS_PERSISTENT(statTreeWalkLevels);
-    DOLOS_PERSISTENT(statWriteLatencyHist);
-    DOLOS_PERSISTENT(statReadLatencyHist);
 };
 
 } // namespace dolos

@@ -128,18 +128,6 @@ class TagCache
     stats::Scalar statHits;
     stats::Scalar statMisses;
     stats::Scalar statDirtyEv;
-
-    // --- crash-state model (see docs/static_analysis.md) ----------
-    DOLOS_STATE_CLASS(TagCache);
-    DOLOS_PERSISTENT(params);
-    DOLOS_PERSISTENT(numSets);
-    DOLOS_VOLATILE(lines);
-    DOLOS_VOLATILE(useClock);
-    DOLOS_VOLATILE(entries);
-    DOLOS_PERSISTENT(stats_);
-    DOLOS_PERSISTENT(statHits);
-    DOLOS_PERSISTENT(statMisses);
-    DOLOS_PERSISTENT(statDirtyEv);
 };
 
 } // namespace dolos

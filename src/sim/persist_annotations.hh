@@ -4,20 +4,17 @@
  *
  * Every crash-correctness argument in this simulator rests on the
  * crash() paths resetting exactly the volatile state and preserving
- * exactly the persistent state. This header makes that boundary
- * explicit and checkable:
+ * exactly the persistent state. Each crash-relevant class declares
+ * that boundary once, in its stateManifest(): every data member is
+ * registered with its Kind and a snapshot closure (the DOLOS_MF_*
+ * macros below). Two checks hold the declaration to account:
  *
- *  - In the class body, every data member of a crash-relevant class
- *    is tagged DOLOS_PERSISTENT(field) or DOLOS_VOLATILE(field)
- *    under a DOLOS_STATE_CLASS(Class) marker. The tags compile to
- *    static_asserts (zero runtime cost; a tag naming a nonexistent
- *    member fails the build) and are enforced by tools/dolos_lint:
- *    an untagged member of a state class fails the lint.
+ *  - tools/dolos_lint (check `manifest`) proves coverage statically:
+ *    every data member of a class that defines stateManifest() is
+ *    registered exactly once, every registered name is a real data
+ *    member, and the crash-relevant core classes all define one.
  *
- *  - Each state class implements stateManifest(), registering the
- *    same fields with snapshot closures into a StateManifest. The
- *    lint cross-checks the manifest against the header tags, and the
- *    runtime differential check (dolos-sim --verify-manifest,
+ *  - The power-loss differential (dolos-sim --verify-manifest,
  *    tests/unit/persist_manifest_test) proves the declared kinds
  *    against the actual crash() behavior: volatile fields must read
  *    back as their reset values after a power loss, persistent
@@ -67,8 +64,7 @@ enum class Kind
      * the holdup flush drains them to NVM through the security
      * pipeline, after which the field itself resets like a volatile
      * one. Mechanically the differential checks it as Volatile; the
-     * distinct kind is the semantic declaration the flush walk and
-     * the lint key off.
+     * distinct kind names the semantics in its diagnostics.
      */
     EadrFlushed,
 };
@@ -249,7 +245,7 @@ class StateManifest
         /**
          * The field is itself a state class (or owns one); its state
          * is verified through its own manifest, registered here only
-         * so the lint can prove annotation coverage.
+         * so the lint can prove the class's member coverage.
          */
         bool delegated = false;
     };
@@ -318,35 +314,12 @@ class StateManifest
 
 } // namespace dolos::persist
 
-// --- in-class crash-state markers -----------------------------------
-//
-// Zero runtime cost: the tags compile to static_asserts whose
-// decltype operand proves the named member exists. tools/dolos_lint
-// enforces that every data member of a DOLOS_STATE_CLASS is tagged
-// exactly once and that the tags agree with the stateManifest()
-// registration; the --verify-manifest differential proves the tags
-// against the actual crash() behavior.
-
-#define DOLOS_STATE_CLASS(cls)                                        \
-    static_assert(sizeof(#cls) > 1,                                   \
-                  "DOLOS_STATE_CLASS needs a class name")
-
-#define DOLOS_PERSISTENT(field)                                       \
-    static_assert(sizeof(decltype(field)) != 0,                       \
-                  "DOLOS_PERSISTENT(" #field "): no such member")
-
-#define DOLOS_VOLATILE(field)                                         \
-    static_assert(sizeof(decltype(field)) != 0,                       \
-                  "DOLOS_VOLATILE(" #field "): no such member")
-
-#define DOLOS_EADR_FLUSHED(field)                                     \
-    static_assert(sizeof(decltype(field)) != 0,                       \
-                  "DOLOS_EADR_FLUSHED(" #field "): no such member")
-
 // --- manifest-builder macros ----------------------------------------
 //
-// Used inside <Class>::stateManifest() const. The field name token
-// must match the header tag (the lint cross-checks the two lists).
+// Used inside <Class>::stateManifest() const. The field argument is
+// stringified as the registered name; the `manifest` lint proves each
+// name is a real data member (DOLOS_MF_CONST and DOLOS_MF_DELEGATED_*
+// never evaluate the field, so the compiler cannot catch a typo there).
 
 /** Persistent field with the default round-trip check. */
 #define DOLOS_MF_P(m, field)                                          \

@@ -1,10 +1,10 @@
 /**
  * @file
- * Power-loss differential check of the annotated crash-state model.
+ * Power-loss differential check of the declared crash-state model.
  *
- * The persist-domain annotations (src/sim/persist_annotations.hh)
- * *declare* which fields survive a power failure; this check *proves*
- * the declaration against the real crash() behavior:
+ * Each state class's stateManifest() (src/sim/persist_annotations.hh)
+ * *declares* which fields survive a power failure; this check
+ * *proves* the declaration against the real crash() behavior:
  *
  *  1. Build two identical machines. Drive one ("dirty") with a
  *     deterministic store/CLWB/SFENCE mix that populates every layer
@@ -14,8 +14,8 @@
  *  2. Crash the untouched machine ("pristine") to obtain the
  *     canonical post-crash reset value of every volatile field.
  *  3. Snapshot every manifest field of the dirty machine, crash it,
- *     and snapshot again. Every DOLOS_PERSISTENT field must
- *     round-trip unchanged; every DOLOS_VOLATILE field must equal
+ *     and snapshot again. Every persistent field must round-trip
+ *     unchanged; every volatile (or eADR-flushed) field must equal
  *     the pristine machine's reset value (or satisfy its registered
  *     custom predicate, for dynamic reset values).
  *  4. Recover the dirty machine to completion and require the dump

@@ -232,7 +232,6 @@ TEST(OptKnobsConfig, LeversDefaultOn)
     EXPECT_TRUE(knobs.bmtPipeline);
     EXPECT_TRUE(knobs.drainBatching);
     EXPECT_TRUE(knobs.tagPrefetch);
-    EXPECT_FALSE(knobs.bmtPipelineWindow.has_value());
 
     const auto cfg = SystemConfig::paperDefault();
     EXPECT_TRUE(cfg.secure.bmtPipeline);
@@ -252,7 +251,6 @@ TEST(OptKnobsConfig, ParseNamesTheExactLeverSet)
     EXPECT_TRUE(all->bmtPipeline);
     EXPECT_TRUE(all->drainBatching);
     EXPECT_TRUE(all->tagPrefetch);
-    EXPECT_FALSE(all->bmtPipelineWindow.has_value());
 
     // A comma list enables exactly the named levers — it does NOT
     // toggle on top of the (now all-on) defaults, so an old repro
@@ -268,12 +266,6 @@ TEST(OptKnobsConfig, ParseNamesTheExactLeverSet)
     EXPECT_TRUE(two->bmtPipeline);
     EXPECT_FALSE(two->drainBatching);
     EXPECT_TRUE(two->tagPrefetch);
-
-    const auto win = parseOptKnobs("bmt-pipeline,bmt-window=7");
-    ASSERT_TRUE(win);
-    EXPECT_TRUE(win->bmtPipeline);
-    ASSERT_TRUE(win->bmtPipelineWindow.has_value());
-    EXPECT_EQ(*win->bmtPipelineWindow, 7u);
 }
 
 TEST(OptKnobsConfig, ParseRejectsBadSpecsInsteadOfClamping)
@@ -285,11 +277,9 @@ TEST(OptKnobsConfig, ParseRejectsBadSpecsInsteadOfClamping)
     EXPECT_EQ(parseOptKnobs("bmt-pipeline,bogus"), std::nullopt);
     EXPECT_EQ(parseOptKnobs("BMT-PIPELINE"), std::nullopt);
     EXPECT_EQ(parseOptKnobs("bmt-pipeline,"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window="), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=0"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=-1"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=4x"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=999999999"), std::nullopt);
+    // The pipeline window is an engine parameter
+    // (SecureParams::bmtPipelineWindow), not a lever.
+    EXPECT_EQ(parseOptKnobs("bmt-window=4"), std::nullopt);
 }
 
 TEST(OptKnobsConfig, FormatParseRoundTrips)
@@ -299,25 +289,18 @@ TEST(OptKnobsConfig, FormatParseRoundTrips)
     const bool onoff[] = {false, true};
     for (const bool bp : onoff)
         for (const bool db : onoff)
-            for (const bool tp : onoff)
-                for (const bool window : onoff) {
-                    OptKnobs k;
-                    k.bmtPipeline = bp;
-                    k.drainBatching = db;
-                    k.tagPrefetch = tp;
-                    if (window)
-                        k.bmtPipelineWindow = 9;
-                    const std::string spec = formatOptKnobs(k);
-                    const auto back = parseOptKnobs(spec);
-                    ASSERT_TRUE(back) << spec;
-                    EXPECT_EQ(back->bmtPipeline, k.bmtPipeline) << spec;
-                    EXPECT_EQ(back->drainBatching, k.drainBatching)
-                        << spec;
-                    EXPECT_EQ(back->tagPrefetch, k.tagPrefetch) << spec;
-                    EXPECT_EQ(back->bmtPipelineWindow,
-                              k.bmtPipelineWindow)
-                        << spec;
-                }
+            for (const bool tp : onoff) {
+                OptKnobs k;
+                k.bmtPipeline = bp;
+                k.drainBatching = db;
+                k.tagPrefetch = tp;
+                const std::string spec = formatOptKnobs(k);
+                const auto back = parseOptKnobs(spec);
+                ASSERT_TRUE(back) << spec;
+                EXPECT_EQ(back->bmtPipeline, k.bmtPipeline) << spec;
+                EXPECT_EQ(back->drainBatching, k.drainBatching) << spec;
+                EXPECT_EQ(back->tagPrefetch, k.tagPrefetch) << spec;
+            }
     EXPECT_EQ(formatOptKnobs(OptKnobs{}), "all");
     OptKnobs off;
     off.bmtPipeline = off.drainBatching = off.tagPrefetch = false;
@@ -346,18 +329,10 @@ TEST(OptKnobsConfig, ApplyOverridesEveryLayer)
     k.bmtPipeline = false;
     k.drainBatching = false;
     k.tagPrefetch = true;
-    k.bmtPipelineWindow = 11;
     applyOptKnobs(cfg, k);
     EXPECT_FALSE(cfg.secure.bmtPipeline);
     EXPECT_FALSE(cfg.wpq.drainBatching);
     EXPECT_TRUE(cfg.secure.tagPrefetch);
-    EXPECT_EQ(cfg.secure.bmtPipelineWindow, 11u);
-
-    // No window in the bundle keeps the config's own value.
-    auto cfg2 = SystemConfig::paperDefault();
-    cfg2.secure.bmtPipelineWindow = 6;
-    applyOptKnobs(cfg2, OptKnobs{});
-    EXPECT_EQ(cfg2.secure.bmtPipelineWindow, 6u);
 }
 
 } // namespace

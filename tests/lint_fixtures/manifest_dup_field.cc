@@ -8,9 +8,6 @@ class FixtureDupField
 
   private:
     int field = 0;
-
-    DOLOS_STATE_CLASS(FixtureDupField);
-    DOLOS_PERSISTENT(field);
 };
 
 persist::StateManifest

@@ -1,5 +1,6 @@
-// Planted violation [manifest]: 'left_out' is tagged in the class
-// body but never registered by stateManifest().
+// Planted violation [manifest]: 'left_out' is a data member of a
+// class that defines stateManifest(), but the manifest never
+// registers it.
 
 class FixtureMissingField
 {
@@ -9,10 +10,6 @@ class FixtureMissingField
   private:
     int covered = 0;
     int left_out = 0;
-
-    DOLOS_STATE_CLASS(FixtureMissingField);
-    DOLOS_PERSISTENT(covered);
-    DOLOS_PERSISTENT(left_out);
 };
 
 persist::StateManifest

@@ -6,20 +6,15 @@
  * Self-contained (no compiler front end): a small C++ tokenizer plus
  * purpose-built scanners. Checks:
  *
- *  state-class   Every data member of a class carrying a
- *                DOLOS_STATE_CLASS marker is tagged exactly once with
- *                DOLOS_PERSISTENT / DOLOS_VOLATILE /
- *                DOLOS_EADR_FLUSHED, tags name real members, and the
- *                crash-relevant core classes all carry the marker.
- *  manifest      Each state class has a stateManifest() definition
- *                whose registered fields (DOLOS_MF_* or raw add())
- *                match the header tags name-for-name with consistent
- *                persistence kinds, with no duplicates.
+ *  manifest      stateManifest() is the one declaration of a
+ *                field's crash kind. A class that defines it is a
+ *                state class: every data member is registered
+ *                (DOLOS_MF_* or raw add()) exactly once, every
+ *                registered name is a real data member, and the
+ *                crash-relevant core classes all define one.
  *  stat-name     No two statistics registered on the same group in
  *                the same file share a name (the runtime panics on
  *                collisions only when that constructor actually runs).
- *  format        printf-family and logging calls with literal format
- *                strings have matching conversion/argument counts.
  *  raw-alloc     No raw new/malloc/calloc/realloc outside approved
  *                files (arena types own allocation; everything else
  *                uses std:: containers and smart pointers).
@@ -30,11 +25,12 @@
  *                the parallel sweep lanes (--jobs N) rest on.
  *  crash-cover   The enum class Step taxonomy (sim/crash_points.hh)
  *                and the DOLOS_CRASH_POINT hook sites cover each
- *                other: every registered step has >= 1 hook, every
- *                hook names a registered step, and persistent-state
- *                mutations inside drain/flush functions sit within
- *                one statement of a hook (keeps the microstep sweep
- *                exhaustive as new levers land).
+ *                other: every registered step has >= 1 hook (the
+ *                build already rejects a hook naming an unknown
+ *                step), and persistent-state mutations inside
+ *                drain/flush functions sit within one statement of a
+ *                hook (keeps the microstep sweep exhaustive as new
+ *                levers land).
  *  determinism   No rand()/srand()/time()/std random engines (the
  *                seeded sim/random.hh streams are the only sanctioned
  *                RNG) and no range-for over unordered containers
@@ -83,26 +79,20 @@ struct CheckDef
 };
 
 constexpr CheckDef g_checkTable[] = {
-    {"state-class",
-     "every DOLOS_STATE_CLASS member is tagged exactly once and the "
-     "crash-relevant classes carry the marker"},
     {"manifest",
-     "stateManifest() registrations match the header tags "
-     "name-for-name with consistent persistence kinds"},
+     "stateManifest() registers every data member of its class "
+     "exactly once and nothing else; the crash-relevant classes all "
+     "define one"},
     {"stat-name",
      "no two statistics on one group in one file share a name"},
-    {"format",
-     "printf-family literal format strings consume exactly the "
-     "supplied arguments"},
     {"raw-alloc",
      "no raw new/malloc/calloc/realloc outside approved files"},
     {"thread-shared",
      "mutable namespace-scope / static-local state is thread_local "
      "or carries DOLOS_THREAD_SHARED / DOLOS_THREAD_LOCAL_OK"},
     {"crash-cover",
-     "every Step has a DOLOS_CRASH_POINT hook, every hook names a "
-     "registered step, drain/flush persist mutations sit within one "
-     "statement of a hook"},
+     "every Step has a DOLOS_CRASH_POINT hook, drain/flush persist "
+     "mutations sit within one statement of a hook"},
     {"determinism",
      "no rand()/time()/std random engines and no range-for over "
      "unordered containers (sim/random.hh streams only)"},
@@ -438,24 +428,25 @@ joinTokens(const std::vector<Token> &toks, std::size_t b, std::size_t e)
     return s;
 }
 
-// --- check: state-class tagging + manifest cross-check --------------
+// --- check: state manifests ----------------------------------------
+//
+// stateManifest() is the one declaration of a field's crash kind; the
+// power-loss differential proves the kinds. This check proves the
+// coverage: a manifest registers exactly the data members its class
+// body declares.
 
 struct ClassInfo
 {
     std::string file;
     int line = 0; ///< of the class-name token
-    bool stateClass = false;
-    int markerLine = 0;
-    std::map<std::string, char> tags;    ///< member -> 'P' / 'V'
-    std::map<std::string, int> tagLines; ///< member -> tag line
-    std::map<std::string, int> members;  ///< declared member -> line
+    std::map<std::string, int> members; ///< data member -> line
 };
 
 struct ManifestInfo
 {
     std::string file;
     int line = 0;
-    std::map<std::string, char> fields; ///< name -> 'P' / 'V'
+    std::map<std::string, int> fields; ///< registered name -> line
 };
 
 DOLOS_THREAD_LOCAL_OK; // single-threaded tool
@@ -464,8 +455,8 @@ DOLOS_THREAD_LOCAL_OK; // single-threaded tool
 std::map<std::string, std::vector<ManifestInfo>> g_manifests;
 
 /**
- * The crash-relevant core classes: each must carry the
- * DOLOS_STATE_CLASS marker wherever its definition is found.
+ * The crash-relevant core classes: each must define stateManifest()
+ * wherever its class definition is found.
  */
 const std::set<std::string> g_requiredStateClasses = {
     "MiSu",          "SecureMemController", "RedoLogBuffer",
@@ -494,52 +485,8 @@ containsPunct(const std::vector<Token> &stmt, const char *p)
 }
 
 void
-processMemberStatement(const std::string &file, ClassInfo &info,
-                       const std::vector<Token> &stmt)
+processMemberStatement(ClassInfo &info, const std::vector<Token> &stmt)
 {
-    if (stmt.empty())
-        return;
-    const Token &head = stmt.front();
-
-    if (isIdent(head, "DOLOS_STATE_CLASS")) {
-        info.stateClass = true;
-        info.markerLine = head.line;
-        return;
-    }
-    if (isIdent(head, "DOLOS_PERSISTENT") ||
-        isIdent(head, "DOLOS_VOLATILE") ||
-        isIdent(head, "DOLOS_EADR_FLUSHED")) {
-        const char kind = head.text == "DOLOS_PERSISTENT" ? 'P'
-                          : head.text == "DOLOS_VOLATILE" ? 'V'
-                                                          : 'E';
-        if (stmt.size() < 4 || !isPunct(stmt[1], "(")) {
-            report(file, head.line, "state-class",
-                   head.text + ": malformed tag");
-            return;
-        }
-        // Field name: everything between the parens.
-        std::size_t close = 2;
-        while (close < stmt.size() && !isPunct(stmt[close], ")"))
-            ++close;
-        std::string name;
-        for (std::size_t i = 2; i < close; ++i)
-            name += stmt[i].text;
-        if (name.empty()) {
-            report(file, head.line, "state-class",
-                   head.text + ": empty field name");
-            return;
-        }
-        if (info.tags.count(name)) {
-            report(file, head.line, "state-class",
-                   "field '" + name + "' annotated twice (previous at "
-                   "line " + std::to_string(info.tagLines[name]) + ")");
-            return;
-        }
-        info.tags[name] = kind;
-        info.tagLines[name] = head.line;
-        return;
-    }
-
     // Not a data member: type aliases, nested types, functions,
     // compile-time and per-class (non-instance) state.
     for (const char *kw : {"static", "constexpr", "friend", "using",
@@ -665,7 +612,7 @@ parseClassBody(const std::string &file, const std::vector<Token> &toks,
             continue;
         }
         if (isPunct(t, ";")) {
-            processMemberStatement(file, info, stmt);
+            processMemberStatement(info, stmt);
             stmt.clear();
             ++i;
             continue;
@@ -680,42 +627,10 @@ parseClassBody(const std::string &file, const std::vector<Token> &toks,
         stmt.push_back(t);
         ++i;
     }
-    processMemberStatement(file, info, stmt);
+    processMemberStatement(info, stmt);
 
-    if (info.stateClass || info.members.size() || info.tags.size()) {
-        auto [it, fresh] = g_classes.emplace(className, info);
-        if (!fresh) {
-            // Same class seen twice (e.g. re-scan or redefinition):
-            // prefer the instance that carries the marker.
-            if (info.stateClass && !it->second.stateClass)
-                it->second = info;
-        }
-    }
+    g_classes.emplace(className, std::move(info));
     return close;
-}
-
-/** Map a manifest-builder macro to the tag kind it must match. */
-char
-manifestMacroKind(const std::string &name)
-{
-    if (name == "DOLOS_MF_P" || name == "DOLOS_MF_P_CHECK" ||
-        name == "DOLOS_MF_CONST" || name == "DOLOS_MF_DELEGATED_P")
-        return 'P';
-    if (name == "DOLOS_MF_V" || name == "DOLOS_MF_V_CHECK" ||
-        name == "DOLOS_MF_DELEGATED_V")
-        return 'V';
-    if (name == "DOLOS_MF_EADR_FLUSHED")
-        return 'E';
-    return 0;
-}
-
-/** Human word for a tag kind letter ('P'/'V'/'E'). */
-const char *
-kindWord(char kind)
-{
-    return kind == 'P' ? "persistent"
-           : kind == 'V' ? "volatile"
-                         : "eadr-flushed";
 }
 
 /** Strip quotes from a cooked string-literal token. */
@@ -752,73 +667,44 @@ scanManifests(const std::string &file, const std::vector<Token> &toks)
         ManifestInfo mi;
         mi.file = file;
         mi.line = toks[i].line;
-        std::map<std::string, int> lines;
 
-        auto addField = [&](const std::string &name, char kind,
-                            int line) {
-            if (mi.fields.count(name)) {
+        auto addField = [&](const std::string &name, int line) {
+            const auto [it, fresh] = mi.fields.emplace(name, line);
+            if (!fresh)
                 report(file, line, "manifest",
                        cls + "::stateManifest registers '" + name +
                            "' twice (previous at line " +
-                           std::to_string(lines[name]) + ")");
-                return;
-            }
-            mi.fields[name] = kind;
-            lines[name] = line;
+                           std::to_string(it->second) + ")");
         };
 
         for (std::size_t k = j + 1; k < bodyEnd; ++k) {
             const Token &t = toks[k];
-            if (t.type != Token::Ident)
+            if (t.type != Token::Ident || k + 1 >= bodyEnd ||
+                !isPunct(toks[k + 1], "("))
                 continue;
-            const char mk = manifestMacroKind(t.text);
-            if (mk && k + 1 < bodyEnd && isPunct(toks[k + 1], "(")) {
-                const std::size_t cp = matchBracket(toks, k + 1);
-                const auto args = splitArgs(toks, k + 1, cp);
-                if (args.size() < 2) {
+            const std::size_t cp = matchBracket(toks, k + 1);
+            const auto args = splitArgs(toks, k + 1, cp);
+            // DOLOS_MF_*(m, field, ...)
+            if (t.text.rfind("DOLOS_MF_", 0) == 0) {
+                if (args.size() < 2)
                     report(file, t.line, "manifest",
                            t.text + ": expected (manifest, field, ...)");
-                } else {
+                else
                     addField(joinTokens(toks, args[1].first,
                                         args[1].second),
-                             mk, t.line);
-                }
+                             t.line);
                 k = cp;
                 continue;
             }
-            // Raw registration: m.add("name", Kind::Persistent, ...)
+            // Raw registration: m.add("name", Kind::..., ...)
             if ((t.text == "add" || t.text == "addChecked" ||
                  t.text == "addDelegated") &&
-                k > 0 &&
                 (isPunct(toks[k - 1], ".") ||
                  isPunct(toks[k - 1], "->")) &&
-                k + 1 < bodyEnd && isPunct(toks[k + 1], "(")) {
-                const std::size_t cp = matchBracket(toks, k + 1);
-                const auto args = splitArgs(toks, k + 1, cp);
-                if (!args.empty() &&
-                    toks[args[0].first].type == Token::Str) {
-                    char kind = 0;
-                    for (std::size_t a = args[0].first; a < cp; ++a) {
-                        if (isIdent(toks[a], "Persistent"))
-                            kind = 'P';
-                        else if (isIdent(toks[a], "Volatile"))
-                            kind = 'V';
-                        else if (isIdent(toks[a], "EadrFlushed"))
-                            kind = 'E';
-                        if (kind)
-                            break;
-                    }
-                    if (!kind)
-                        report(file, t.line, "manifest",
-                               cls + "::stateManifest: cannot infer "
-                                     "Kind of raw add()");
-                    else
-                        addField(
-                            literalContent(toks[args[0].first].text),
-                            kind, t.line);
-                }
+                !args.empty() && toks[args[0].first].type == Token::Str) {
+                addField(literalContent(toks[args[0].first].text),
+                         t.line);
                 k = cp;
-                continue;
             }
         }
         g_manifests[cls].push_back(std::move(mi));
@@ -826,70 +712,48 @@ scanManifests(const std::string &file, const std::vector<Token> &toks)
     }
 }
 
-/** After all files are scanned: tag/member/manifest consistency. */
+/**
+ * After all files are scanned: each manifest registers exactly the
+ * data members of its class, and every crash-relevant class found
+ * defines a manifest.
+ */
 void
-crossCheckStateClasses()
+crossCheckManifests()
 {
-    for (const auto &[cls, info] : g_classes) {
-        if (!info.stateClass) {
-            if (g_requiredStateClasses.count(cls))
-                report(info.file, info.line, "state-class",
-                       "crash-relevant class '" + cls +
-                           "' has no DOLOS_STATE_CLASS marker");
-            continue;
-        }
-        for (const auto &[member, line] : info.members)
-            if (!info.tags.count(member))
-                report(info.file, line, "state-class",
-                       "member '" + member + "' of state class '" +
-                           cls +
-                           "' lacks a DOLOS_PERSISTENT / "
-                           "DOLOS_VOLATILE / DOLOS_EADR_FLUSHED tag");
-        for (const auto &[tag, kind] : info.tags)
-            if (!info.members.count(tag))
-                report(info.file, info.tagLines.at(tag), "state-class",
-                       "tag names unknown member '" + tag + "' of '" +
-                           cls + "'");
-
-        const auto mit = g_manifests.find(cls);
-        if (mit == g_manifests.end()) {
-            report(info.file, info.markerLine, "manifest",
-                   "state class '" + cls +
+    for (const auto &cls : g_requiredStateClasses) {
+        const auto cit = g_classes.find(cls);
+        if (cit != g_classes.end() && !g_manifests.count(cls))
+            report(cit->second.file, cit->second.line, "manifest",
+                   "crash-relevant class '" + cls +
                        "' has no stateManifest() definition");
-            continue;
-        }
-        for (const auto &mi : mit->second) {
-            for (const auto &[tag, kind] : info.tags) {
-                const auto fit = mi.fields.find(tag);
-                if (fit == mi.fields.end()) {
-                    report(mi.file, mi.line, "manifest",
-                           cls + "::stateManifest does not register "
-                                 "tagged field '" +
-                               tag + "'");
-                } else if (fit->second != kind) {
-                    report(mi.file, mi.line, "manifest",
-                           cls + "::stateManifest registers '" + tag +
-                               "' as " + kindWord(fit->second) +
-                               " but the header tags it " +
-                               kindWord(kind));
-                }
-            }
-            for (const auto &[field, kind] : mi.fields)
-                if (!info.tags.count(field))
-                    report(mi.file, mi.line, "manifest",
-                           cls + "::stateManifest registers '" + field +
-                               "' which carries no header tag");
-        }
     }
-    // Manifests for classes that never declare the marker are fine
-    // only if the class is not crash-relevant; a manifest without any
-    // class definition at all likely means a typo in the class name.
-    for (const auto &[cls, infos] : g_manifests)
-        if (!g_classes.count(cls))
-            for (const auto &mi : infos)
+    for (const auto &[cls, manifests] : g_manifests) {
+        const auto cit = g_classes.find(cls);
+        for (const auto &mi : manifests) {
+            // A manifest without any class definition likely means a
+            // typo in the class name.
+            if (cit == g_classes.end()) {
                 report(mi.file, mi.line, "manifest",
                        "stateManifest defined for unknown class '" +
                            cls + "'");
+                continue;
+            }
+            const ClassInfo &info = cit->second;
+            for (const auto &[member, line] : info.members)
+                if (!mi.fields.count(member))
+                    report(info.file, line, "manifest",
+                           "data member '" + member + "' of state class '" +
+                               cls + "' is not registered by "
+                               "stateManifest() (" + mi.file + ":" +
+                               std::to_string(mi.line) + ")");
+            for (const auto &[field, line] : mi.fields)
+                if (!info.members.count(field))
+                    report(mi.file, line, "manifest",
+                           cls + "::stateManifest registers '" + field +
+                               "', which is not a data member of '" +
+                               cls + "'");
+        }
+    }
 }
 
 // --- check: duplicate stat names ------------------------------------
@@ -935,116 +799,6 @@ scanStatNames(const std::string &file, const std::vector<Token> &toks)
                        std::to_string(it->second) + ")");
         else
             seen.emplace(key, t.line);
-        i = cp;
-    }
-}
-
-// --- check: printf-style format/argument agreement ------------------
-
-/** Format-string argument index per checked function. */
-const std::map<std::string, std::size_t> g_formatFns = {
-    {"printf", 0},   {"fprintf", 1}, {"snprintf", 2},
-    {"debugPrintf", 1}, {"inform", 0}, {"warn", 0},
-    {"fatal", 0},    {"panic", 0},   {"DOLOS_ASSERT", 1},
-};
-
-/** PRI*-style macro -> equivalent conversion tail. */
-const std::map<std::string, std::string> g_priMacros = {
-    {"PRIu64", "llu"}, {"PRId64", "lld"}, {"PRIi64", "lli"},
-    {"PRIx64", "llx"}, {"PRIX64", "llX"}, {"PRIo64", "llo"},
-    {"PRIu32", "u"},   {"PRId32", "d"},   {"PRIx32", "x"},
-};
-
-/**
- * Count conversions the format string consumes. Returns -1 when the
- * string contains a conversion we cannot parse.
- */
-int
-countConversions(const std::string &fmt)
-{
-    int count = 0;
-    for (std::size_t i = 0; i < fmt.size(); ++i) {
-        if (fmt[i] != '%')
-            continue;
-        ++i;
-        if (i >= fmt.size())
-            return -1;
-        if (fmt[i] == '%')
-            continue;
-        while (i < fmt.size() && std::strchr("-+ #0'", fmt[i]))
-            ++i;
-        if (i < fmt.size() && fmt[i] == '*') {
-            ++count;
-            ++i;
-        } else
-            while (i < fmt.size() &&
-                   std::isdigit(static_cast<unsigned char>(fmt[i])))
-                ++i;
-        if (i < fmt.size() && fmt[i] == '.') {
-            ++i;
-            if (i < fmt.size() && fmt[i] == '*') {
-                ++count;
-                ++i;
-            } else
-                while (i < fmt.size() &&
-                       std::isdigit(static_cast<unsigned char>(fmt[i])))
-                    ++i;
-        }
-        while (i < fmt.size() && std::strchr("hljztL", fmt[i]))
-            ++i;
-        if (i >= fmt.size() ||
-            !std::strchr("diouxXeEfFgGaAcspn", fmt[i]))
-            return -1;
-        ++count;
-    }
-    return count;
-}
-
-void
-scanFormatCalls(const std::string &file, const std::vector<Token> &toks)
-{
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.type != Token::Ident)
-            continue;
-        const auto fn = g_formatFns.find(t.text);
-        if (fn == g_formatFns.end() || !isPunct(toks[i + 1], "("))
-            continue;
-        const std::size_t cp = matchBracket(toks, i + 1);
-        const auto args = splitArgs(toks, i + 1, cp);
-        if (args.size() <= fn->second) {
-            i = cp;
-            continue; // declaration or unrelated overload
-        }
-        // The format argument must be purely literal (string-literal
-        // concatenation, possibly with PRI* macros); otherwise skip.
-        const auto [fb, fe] = args[fn->second];
-        std::string fmt;
-        bool literal = fb < fe;
-        for (std::size_t k = fb; k < fe && literal; ++k) {
-            if (toks[k].type == Token::Str)
-                fmt += literalContent(toks[k].text);
-            else if (toks[k].type == Token::Ident &&
-                     g_priMacros.count(toks[k].text))
-                fmt += g_priMacros.at(toks[k].text);
-            else
-                literal = false;
-        }
-        if (!literal) {
-            i = cp;
-            continue;
-        }
-        const int want = countConversions(fmt);
-        const int have = int(args.size() - fn->second - 1);
-        if (want < 0)
-            report(file, t.line, "format",
-                   t.text + ": unparsable conversion in format \"" +
-                       fmt + "\"");
-        else if (want != have)
-            report(file, t.line, "format",
-                   t.text + ": format \"" + fmt + "\" consumes " +
-                       std::to_string(want) + " argument(s) but " +
-                       std::to_string(have) + " provided");
         i = cp;
     }
 }
@@ -1275,15 +1029,9 @@ struct StepEnumInfo
 DOLOS_THREAD_LOCAL_OK; // single-threaded tool
 std::vector<StepEnumInfo> g_stepEnums;
 
-struct HookSite
-{
-    std::string file;
-    int line = 0;
-    std::string step;
-};
-
+/** Steps named by some DOLOS_CRASH_POINT(step) hook site. */
 DOLOS_THREAD_LOCAL_OK; // single-threaded tool
-std::vector<HookSite> g_hookSites;
+std::set<std::string> g_hookedSteps;
 
 void
 scanCrashPoints(const std::string &file, const std::vector<Token> &toks)
@@ -1322,15 +1070,9 @@ scanCrashPoints(const std::string &file, const std::vector<Token> &toks)
         if (isIdent(toks[i], "DOLOS_CRASH_POINT") &&
             isPunct(toks[i + 1], "(")) {
             const std::size_t cp = matchBracket(toks, i + 1);
-            std::string step;
             for (std::size_t m = i + 2; m < cp; ++m)
                 if (toks[m].type == Token::Ident)
-                    step = toks[m].text;
-            if (step.empty())
-                report(file, toks[i].line, "crash-cover",
-                       "DOLOS_CRASH_POINT with no step argument");
-            else
-                g_hookSites.push_back({file, toks[i].line, step});
+                    g_hookedSteps.insert(toks[m].text);
             i = cp;
         }
     }
@@ -1443,29 +1185,20 @@ scanHookAdjacency(const std::string &file,
     }
 }
 
-/** After all files: steps and hooks must cover each other. */
+/**
+ * After all files: every registered step has a hook site. The
+ * converse needs no lint: DOLOS_CRASH_POINT(step) names
+ * Step::step, so the build rejects a hook on an unknown step.
+ */
 void
 crossCheckCrashPoints()
 {
-    if (g_stepEnums.empty())
-        return; // no taxonomy in the linted set: nothing to check
-    std::map<std::string, std::pair<std::string, int>> steps;
     for (const auto &e : g_stepEnums)
         for (const auto &[name, line] : e.steps)
-            steps.emplace(name, std::make_pair(e.file, line));
-    std::set<std::string> hooked;
-    for (const auto &h : g_hookSites) {
-        if (!steps.count(h.step))
-            report(h.file, h.line, "crash-cover",
-                   "DOLOS_CRASH_POINT names unregistered step '" +
-                       h.step + "' (not an enum class Step member)");
-        hooked.insert(h.step);
-    }
-    for (const auto &[name, loc] : steps)
-        if (!hooked.count(name))
-            report(loc.first, loc.second, "crash-cover",
-                   "registered step '" + name +
-                       "' has no DOLOS_CRASH_POINT hook site");
+            if (!g_hookedSteps.count(name))
+                report(e.file, line, "crash-cover",
+                       "registered step '" + name +
+                           "' has no DOLOS_CRASH_POINT hook site");
 }
 
 // --- check: determinism ---------------------------------------------
@@ -1646,7 +1379,6 @@ lintFile(const std::string &path)
     }
     scanManifests(path, toks);
     scanStatNames(path, toks);
-    scanFormatCalls(path, toks);
     scanRawAllocs(path, toks);
     scanThreadShared(path, toks);
     scanCrashPoints(path, toks);
@@ -1756,7 +1488,7 @@ main(int argc, char **argv)
 
     for (const auto &f : files)
         lintFile(f);
-    crossCheckStateClasses();
+    crossCheckManifests();
     crossCheckCrashPoints();
     crossCheckDeterminism();
 

@@ -114,7 +114,7 @@ usage(int code)
         "  --damage-json FILE  write the media damage report "
         "('-' = stdout)\n"
         "  --verify-manifest   run the power-loss differential of the\n"
-        "                      annotated crash-state model in the three\n"
+        "                      declared crash-state model in the three\n"
         "                      Mi-SU modes plus eadr, then exit "
         "(uses --seed)\n"
         "  --verify-perf-equiv run the timing-vs-state differential of\n"
