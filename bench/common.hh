@@ -40,7 +40,7 @@ struct BenchOptions
     bool verify = true;
     bool json = false;     ///< write a BENCH_<name>.json artifact
     std::string jsonFile;  ///< override the artifact path
-    OptKnobs knobs;        ///< persist-path levers (default: all on;
+    OptKnobs knobs;        ///< persist-path lever (default: on;
                            ///< --opt-knobs none = the paper's machine)
 
     [[noreturn]] static void
@@ -205,7 +205,7 @@ presetFor(const std::string &workload, const BenchOptions &opts,
 using ConfigTweak = std::function<void(SystemConfig &)>;
 
 /**
- * The paper's machine in @p mode, with the --opt-knobs levers and
+ * The paper's machine in @p mode, with the --opt-knobs lever and
  * then @p tweak applied.
  */
 inline SystemConfig

@@ -1,14 +1,14 @@
 /**
  * @file
- * Persist-path optimization levers: off-vs-on stall-cycle breakdown
+ * Persist-path optimization lever: off-vs-on stall-cycle breakdown
  * per Dolos mode on the heaviest-WPQ-pressure workload (hashmap).
  *
- * The three levers (bmtPipeline, drainBatching, tagPrefetch) are
- * timing-only — `dolos-sim --verify-perf-equiv` proves state
- * equivalence — so this driver reports what they buy: the combined
- * wpqStallCycles + bmtCycles account must drop by at least 10% with
- * all levers on (checked at gate-sized runs), and the recorded
- * baseline locks the per-stage numbers at a 2% drift threshold.
+ * The lever (bmtPipeline) is timing-only — `dolos-sim
+ * --verify-perf-equiv` proves state equivalence — so this driver
+ * reports what it buys: the combined wpqStallCycles + bmtCycles
+ * account must drop by at least 10% with the lever on (checked at
+ * gate-sized runs), and the recorded baseline locks the per-stage
+ * numbers at a 2% drift threshold.
  */
 
 #include "bench/common.hh"
@@ -82,9 +82,8 @@ main(int argc, char **argv)
 {
     const auto opts = BenchOptions::parse(argc, argv);
     printHeader(
-        "Persist-path levers: bmtPipeline + drainBatching + "
-        "tagPrefetch, off vs on",
-        "timing-only levers; >= 10% combined wpqStall+bmt reduction "
+        "Persist-path lever: bmtPipeline, off vs on",
+        "timing-only lever; >= 10% combined wpqStall+bmt reduction "
         "on hashmap",
         opts);
     BenchReport report("opt_persist_path", opts);
@@ -97,12 +96,9 @@ main(int argc, char **argv)
                  {SecurityMode::DolosPartialWpq, "partial"},
                  {SecurityMode::DolosPostWpq, "post"}};
     const std::string workload = "hashmap";
-    // The levers default on since the microstep-sweep flip, so the
+    // The lever defaults on since the microstep-sweep flip, so the
     // "off" leg (the paper's unoptimized machine) is the explicit one.
-    OptKnobs off;
-    off.bmtPipeline = false;
-    off.drainBatching = false;
-    off.tagPrefetch = false;
+    const OptKnobs off{false};
     const OptKnobs on{};
 
     bool met = true;

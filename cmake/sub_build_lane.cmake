@@ -140,11 +140,10 @@ if(LANE STREQUAL "sanitize")
     expect_rc(0 "${torture}" --sweep --points every-op --meta-faults
                 --budget 2 --txns 2)
 
-    # Microstep crash sweep: power failures inside the optimized
-    # persist path (mid BMT climb, at drain elisions, after
-    # prefetches) — the exception-unwound drain plus re-drained
-    # recovery is exactly the kind of path sanitizers catch lifetime
-    # bugs in.
+    # Microstep crash sweep: power failures inside a drain (mid BMT
+    # climb, between the ciphertext write and the redo clear) — the
+    # exception-unwound drain plus re-drained recovery is exactly the
+    # kind of path sanitizers catch lifetime bugs in.
     expect_rc(0 "${torture}" --sweep --points microstep --budget 2
                 --txns 2 --mode dolos-partial)
 

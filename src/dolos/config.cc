@@ -126,70 +126,23 @@ parseOptKnobs(const std::string &spec)
     // The spec names the *exact* lever set — it does not toggle on
     // top of the defaults, so a repro line parses to the same machine
     // whatever the defaults of the build that replays it.
-    OptKnobs knobs;
-    knobs.bmtPipeline = false;
-    knobs.drainBatching = false;
-    knobs.tagPrefetch = false;
     if (spec == "none")
-        return knobs;
-    if (spec == "all") {
-        knobs.bmtPipeline = true;
-        knobs.drainBatching = true;
-        knobs.tagPrefetch = true;
-        return knobs;
-    }
-    if (spec.empty())
-        return std::nullopt;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string name =
-            spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                        : comma - pos);
-        if (name == "bmt-pipeline")
-            knobs.bmtPipeline = true;
-        else if (name == "drain-batch")
-            knobs.drainBatching = true;
-        else if (name == "tag-prefetch")
-            knobs.tagPrefetch = true;
-        else
-            return std::nullopt;
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return knobs;
+        return OptKnobs{false};
+    if (spec == "all" || spec == "bmt-pipeline")
+        return OptKnobs{true};
+    return std::nullopt;
 }
 
 std::string
 formatOptKnobs(const OptKnobs &knobs)
 {
-    // Canonical spec: parseOptKnobs(formatOptKnobs(k)) == k.
-    if (knobs.bmtPipeline && knobs.drainBatching && knobs.tagPrefetch)
-        return "all";
-    if (!knobs.bmtPipeline && !knobs.drainBatching && !knobs.tagPrefetch)
-        return "none";
-    std::string out;
-    const auto append = [&out](const char *item) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    };
-    if (knobs.bmtPipeline)
-        append("bmt-pipeline");
-    if (knobs.drainBatching)
-        append("drain-batch");
-    if (knobs.tagPrefetch)
-        append("tag-prefetch");
-    return out;
+    return knobs.bmtPipeline ? "all" : "none";
 }
 
 void
 applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs)
 {
     cfg.secure.bmtPipeline = knobs.bmtPipeline;
-    cfg.wpq.drainBatching = knobs.drainBatching;
-    cfg.secure.tagPrefetch = knobs.tagPrefetch;
 }
 
 } // namespace dolos

@@ -82,7 +82,7 @@ bool isDolosMode(SecurityMode mode);
 /**
  * True for modes whose security engine runs *after* the WPQ and
  * serves drains (Dolos modes, the post-WPQ strawman, and eADR):
- * these persist at WPQ insertion and benefit from counter prefetch.
+ * these persist at WPQ insertion.
  */
 bool securityAfterWpq(SecurityMode mode);
 
@@ -120,17 +120,6 @@ struct WpqParams
 
     /** Enable write coalescing via the volatile tag array. */
     bool coalescing = true;
-
-    /**
-     * Drain-scheduler batching (SecPM-style): at drain-issue time,
-     * skip the security processing of a WPQ entry that a newer entry
-     * to the same cacheline supersedes — the newer entry carries the
-     * line's final contents and its own drain covers persistence.
-     * Only reachable when insertion-time coalescing missed the merge
-     * (e.g. coalescing disabled); accounting stays exact. Default on
-     * (`--opt-knobs none` restores the serial drain scheduler).
-     */
-    bool drainBatching = true;
 
     /** Usable entries for the given mode. */
     unsigned
@@ -201,31 +190,29 @@ struct SystemConfig
 std::string validateConfig(const SystemConfig &cfg);
 
 /**
- * The three persist-path optimization levers as one bundle, so CLI
- * tools, torture lanes and benches flip them consistently. The
- * levers are on by default (matching SecureParams/WpqParams since
- * they survived the microstep crash sweeps); `--opt-knobs none`
- * reproduces the paper's unoptimized machine.
+ * The persist-path optimization lever as a bundle, so CLI tools,
+ * torture lanes and benches flip it consistently. The lever is on by
+ * default (matching SecureParams; it survived the microstep crash
+ * sweeps); `--opt-knobs none` reproduces the paper's unoptimized
+ * machine.
  */
 struct OptKnobs
 {
     bool bmtPipeline = true;
-    bool drainBatching = true;
-    bool tagPrefetch = true;
 };
 
 /**
- * Parse an --opt-knobs spec: "none", "all", or a comma-separated
- * subset of bmt-pipeline,drain-batch,tag-prefetch naming the *exact*
- * lever set to enable (everything unnamed is off). Unknown names and
- * an empty spec yield nullopt — callers must reject them, never clamp.
+ * Parse an --opt-knobs spec: "none", or "all" / "bmt-pipeline" (the
+ * same machine: the pipeline is the only lever). Any other spec —
+ * unknown or retired lever names, lists, the empty string — yields
+ * nullopt; callers must reject it, never clamp.
  */
 std::optional<OptKnobs> parseOptKnobs(const std::string &spec);
 
 /**
- * Canonical spec string for a bundle ("all", "none", or the comma
- * list); parseOptKnobs(formatOptKnobs(k)) == k. Repro lines print
- * this unconditionally so they replay across default flips.
+ * Canonical spec string for a bundle ("all" or "none");
+ * parseOptKnobs(formatOptKnobs(k)) == k. Repro lines print this
+ * unconditionally so they replay across default flips.
  */
 std::string formatOptKnobs(const OptKnobs &knobs);
 

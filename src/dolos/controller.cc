@@ -67,8 +67,7 @@ SecureMemController::SecureMemController(const SystemConfig &cfg,
     stats_.addScalar(&statStallCycles, "wpqStallCycles",
                      "cycles writes waited for a free WPQ slot");
     stats_.addScalar(&statDrainsBatched, "drainsBatched",
-                     "drains elided because a newer same-line entry "
-                     "supersedes them (drainBatching)");
+                     "always 0 (drain-time batching is retired)");
     stats_.addAverage(&statPersistLatency, "persistLatency",
                       "cycles from arrival to persistence");
     stats_.addAverage(&statOccupancy, "occupancy",
@@ -196,17 +195,6 @@ SecureMemController::drainEntry(WpqEntry &e)
                 (unsigned long long)done);
 }
 
-bool
-SecureMemController::supersededAtDrain(const WpqEntry &e) const
-{
-    const auto it = tagArray.find(e.addr);
-    // The tag array always maps an address to its *newest* WPQ entry,
-    // and FIFO order means that entry is still queued behind e (it
-    // cannot have retired while e sits in front of it). A mismatched
-    // id therefore proves a newer same-line entry exists.
-    return it != tagArray.end() && it->second != e.id;
-}
-
 void
 SecureMemController::processDrainsUntil(Tick t)
 {
@@ -224,31 +212,7 @@ SecureMemController::processDrainsUntil(Tick t)
         }
         if (start > t)
             break;
-        if (cfg.wpq.drainBatching && supersededAtDrain(e)) {
-            // Same-line merge at drain issue: the newer entry holds
-            // the line's final contents and its own (later) drain
-            // persists them, so this entry's security work and NVM
-            // write are elided. The slot frees immediately; WPQ and
-            // Mi-SU accounting stay exact.
-            e.drained = true;
-            e.releaseTick = start;
-            ++statDrainsBatched;
-            statDrainLatency.sample(double(start - e.persistTick));
-            if (misu_)
-                misu_->clearSlot(slotOf(e));
-            DOLOS_TRACE(trace::Stage::WpqBatch, e.persistTick, start,
-                        e.addr, e.id);
-            debugPrintf("Wpq",
-                        "batch id=%llu addr=0x%llx superseded",
-                        (unsigned long long)e.id,
-                        (unsigned long long)e.addr);
-            // Elide applied: the slot is free and the line's final
-            // contents now ride exclusively on the (undrained, still
-            // dumped) newer entry.
-            DOLOS_CRASH_POINT(WpqDrainElide);
-        } else {
-            drainEntry(e);
-        }
+        drainEntry(e);
         ++drainCursor;
     }
     retireReleased(t);
@@ -372,14 +336,6 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
 
     wpq.push_back(e);
     tagArray[e.addr] = e.id;
-
-    // Tag prefetch: the entry will sit in the WPQ until the Ma-SU
-    // drains it — warm its counter block now so the drain-time fetch
-    // overlaps the queue wait. Only modes whose engine runs *after*
-    // the WPQ benefit; the engine enforces the tagPrefetch knob and
-    // the never-evict-dirty rule.
-    if (securityAfterWpq(cfg.mode))
-        engine.prefetchCounter(e.addr);
 
     statPersistLatency.sample(double(e.persistTick - now));
     statPersistLatencyHist.sample(double(e.persistTick - now));

@@ -145,7 +145,6 @@ class SecureMemController : public PersistController
     std::uint64_t retryEvents() const { return statRetries.value(); }
     std::uint64_t coalesces() const { return statCoalesces.value(); }
     std::uint64_t wpqReadHits() const { return statWpqReadHits.value(); }
-    std::uint64_t drainsBatched() const { return statDrainsBatched.value(); }
 
     /** Cycles writes waited for a free WPQ slot (full-queue stalls). */
     std::uint64_t wpqStallCycles() const { return statStallCycles.value(); }
@@ -199,14 +198,6 @@ class SecureMemController : public PersistController
 
     /** Drain one entry (mode-specific); sets drained/releaseTick. */
     void drainEntry(WpqEntry &e);
-
-    /**
-     * Drain batching (wpq.drainBatching): true if @p e is superseded
-     * by a newer WPQ entry to the same cacheline, in which case its
-     * drain is elided at issue time — the newer entry carries the
-     * line's final contents and its own drain persists them.
-     */
-    bool supersededAtDrain(const WpqEntry &e) const;
 
     /** Pop released entries and retire their tag-array mappings. */
     void retireReleased(Tick t);
@@ -287,6 +278,7 @@ class SecureMemController : public PersistController
     stats::Scalar statWpqReadHits;
     stats::Scalar statReads;
     stats::Scalar statStallCycles;
+    /** Always 0: drain batching is retired; perfbench reads the name. */
     stats::Scalar statDrainsBatched;
     stats::Average statPersistLatency;
     stats::Average statOccupancy;

@@ -77,10 +77,9 @@ SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
                      "tree levels coalesced onto in-flight root-path "
                      "updates (bmtPipeline)");
     stats_.addScalar(&statTagPrefetchIssued, "tagPrefetchIssued",
-                     "counter blocks warmed at WPQ admission");
+                     "always 0 (tag prefetch is retired)");
     stats_.addScalar(&statTagPrefetchHits, "tagPrefetchHits",
-                     "demand counter fetches that hit a prefetched "
-                     "block");
+                     "always 0 (tag prefetch is retired)");
     stats_.addAverage(&statWriteLatency, "writeLatency",
                       "security-op cycles per write");
     stats_.addAverage(&statReadLatency, "readLatency",
@@ -412,19 +411,10 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
 {
     const Addr cb_addr = AddressMap::counterBlockAddr(addr);
     if (ctrCache.lookup(cb_addr)) {
-        if (const auto it = prefetchPending.find(cb_addr);
-            it != prefetchPending.end()) {
-            ++statTagPrefetchHits;
-            prefetchPending.erase(it);
-            DOLOS_CRASH_POINT(PrefetchPromote);
-        }
         if (for_write)
             ctrCache.markDirty(cb_addr);
         return start;
     }
-    // A miss on a block we prefetched means the warm line was evicted
-    // before any demand touch: the prefetch was wasted, not a hit.
-    prefetchPending.erase(cb_addr);
 
     // Miss: fetch the counter block from NVM. A device-flagged read
     // is suspect cells, not evidence of tamper: retry with doubling
@@ -602,50 +592,6 @@ SecurityEngine::chargeBmtClimb(Addr page_idx, Tick start)
             bmtInflight.erase(bmtInflight.begin());
     }
     return done;
-}
-
-void
-SecurityEngine::prefetchCounter(Addr addr)
-{
-    if (!params.tagPrefetch)
-        return;
-    const Addr cb_addr = AddressMap::counterBlockAddr(addr);
-    if (ctrCache.contains(cb_addr))
-        return;
-    // Never displace a dirty line: it may be about to be drained and
-    // its eviction would post an NVM metadata write the serial demand
-    // path never issued.
-    if (ctrCache.wouldEvictDirty(cb_addr)) {
-        DOLOS_CRASH_POINT(PrefetchDirtyBackoff);
-        return;
-    }
-    if (nvm_.isQuarantined(cb_addr))
-        return;
-
-    // Run the same functional checks the demand path would — tamper
-    // detection must not get weaker (or quieter) because the block
-    // arrived early. A media-flagged frame keeps its demand-path
-    // retry/repair semantics: skip and let the drain handle it.
-    const Block raw = nvm_.readFunctionalChecked(cb_addr);
-    if (nvm_.lastReadMediaError())
-        return;
-    ++statTagPrefetchIssued;
-    const Addr page_idx = AddressMap::pageOf(addr);
-    const CounterPage fetched = CounterPage::unpack(raw);
-    if (counters.hasPage(page_idx)) {
-        if (!(fetched == counters.page(page_idx))) {
-            ++statAttacks;
-            warn("counter block 0x%llx modified in NVM",
-                 (unsigned long long)cb_addr);
-        }
-    } else {
-        verifyFetchedPage(page_idx, fetched);
-        counters.restorePage(page_idx, fetched);
-    }
-    const auto ev = ctrCache.insert(cb_addr, false);
-    DOLOS_ASSERT(!ev, "tag prefetch evicted a dirty line");
-    prefetchPending.insert(cb_addr);
-    DOLOS_CRASH_POINT(PrefetchIssue);
 }
 
 SecureWriteResult
@@ -986,7 +932,6 @@ SecurityEngine::crash()
     tree.clear();
     busyUntil_ = 0;
     bmtInflight.clear();
-    prefetchPending.clear();
     // rootRegister and shadowSeq are on-chip persistent registers.
 }
 
@@ -1280,7 +1225,6 @@ SecurityEngine::stateManifest() const
     DOLOS_MF_P(m, shadowSeq);
     DOLOS_MF_V(m, busyUntil_);
     DOLOS_MF_V(m, bmtInflight);
-    DOLOS_MF_V(m, prefetchPending);
     DOLOS_MF_CONST(m, stats_);
     DOLOS_MF_P(m, statWrites);
     DOLOS_MF_P(m, statReads);

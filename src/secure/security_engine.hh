@@ -23,7 +23,6 @@
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "crypto/ctr_pad.hh"
@@ -93,16 +92,6 @@ struct SecureParams
 
     /** In-flight root-path updates tracked when bmtPipeline is on. */
     unsigned bmtPipelineWindow = 4;
-
-    /**
-     * Prefetch counter/metadata blocks into the counter cache when
-     * the controller admits a write into the WPQ, so the Ma-SU's
-     * demand fetch at drain time overlaps the queue wait. Functional
-     * warm-up only (prefetch bandwidth is not timed); never evicts a
-     * dirty line (see TagCache::wouldEvictDirty). Default on
-     * (`--opt-knobs none` restores the cold demand path).
-     */
-    bool tagPrefetch = true;
 
     /** Counter crash-consistency mechanism. */
     CrashScheme crashScheme = CrashScheme::Anubis;
@@ -244,16 +233,6 @@ class SecurityEngine
      */
     void reissueCiphertext(Addr addr, const Block &plaintext);
 
-    /**
-     * Hint that @p addr will be drained soon (it was just admitted to
-     * the WPQ): warm its counter block into the counter cache so the
-     * drain-time fetchCounter hits. Honoured only when
-     * params.tagPrefetch is set; never evicts a dirty line and never
-     * touches media-flagged frames (those keep their demand-path
-     * retry/repair semantics). Untimed.
-     */
-    void prefetchCounter(Addr addr);
-
     /** Drop all volatile state (power failure). */
     void crash();
 
@@ -350,18 +329,10 @@ class SecurityEngine
     std::uint64_t macCycles() const { return statMacCycles.value(); }
     std::uint64_t bmtCycles() const { return statBmtCycles.value(); }
 
-    /** Optimization-lever outcomes (bmtPipeline / tagPrefetch). */
+    /** Tree levels coalesced by the bmtPipeline lever. */
     std::uint64_t bmtCoalescedUpdates() const
     {
         return statBmtCoalesced.value();
-    }
-    std::uint64_t tagPrefetchIssued() const
-    {
-        return statTagPrefetchIssued.value();
-    }
-    std::uint64_t tagPrefetchHits() const
-    {
-        return statTagPrefetchHits.value();
     }
 
     /** Register every member into the crash-state manifest. */
@@ -515,13 +486,6 @@ class SecurityEngine
     /** In-flight BMT root-path updates (bmtPipeline; volatile). */
     std::vector<BmtInflight> bmtInflight;
 
-    /**
-     * Counter-cache blocks warmed by prefetchCounter and not yet
-     * touched by a demand fetch (tagPrefetch hit accounting;
-     * volatile). Ordered so crash-state descriptions are canonical.
-     */
-    std::set<Addr> prefetchPending;
-
     stats::StatGroup stats_;
     stats::Scalar statWrites;
     stats::Scalar statReads;
@@ -545,6 +509,7 @@ class SecurityEngine
     stats::Scalar statMacCycles;
     stats::Scalar statBmtCycles;
     stats::Scalar statBmtCoalesced;
+    /** Always 0: tag prefetch is retired; perfbench reads the names. */
     stats::Scalar statTagPrefetchIssued;
     stats::Scalar statTagPrefetchHits;
     stats::Average statWriteLatency;

@@ -94,24 +94,6 @@ TagCache::insert(Addr addr, bool dirty)
     return evicted;
 }
 
-bool
-TagCache::wouldEvictDirty(Addr addr) const
-{
-    // Mirror insert()'s victim scan without touching LRU state.
-    const Addr tag = blockAlign(addr);
-    const Line *set = &lines[setIndex(tag) * params.assoc];
-    const Line *victim = &set[0];
-    for (unsigned w = 1; w < params.assoc; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (victim->valid && set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-    return victim->valid && victim->dirty;
-}
-
 void
 TagCache::markDirty(Addr addr)
 {

@@ -57,13 +57,6 @@ class TagCache
      */
     std::optional<EvictedTag> insert(Addr addr, bool dirty);
 
-    /**
-     * True if inserting @p addr (absent) would displace a *dirty*
-     * victim. Prefetchers use this to back off rather than force a
-     * metadata writeback the demand stream never asked for.
-     */
-    bool wouldEvictDirty(Addr addr) const;
-
     /** Mark a present entry dirty (no-op when absent). */
     void markDirty(Addr addr);
 

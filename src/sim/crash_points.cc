@@ -21,12 +21,8 @@ stepName(Step s)
       case Step::MasuRootCommit: return "masuRootCommit";
       case Step::MasuCtrEvict: return "masuCtrEvict";
       case Step::WpqDrainIssue: return "wpqDrainIssue";
-      case Step::WpqDrainElide: return "wpqDrainElide";
       case Step::WpqCtWrite: return "wpqCtWrite";
       case Step::WpqRedoClear: return "wpqRedoClear";
-      case Step::PrefetchIssue: return "prefetchIssue";
-      case Step::PrefetchDirtyBackoff: return "prefetchDirtyBackoff";
-      case Step::PrefetchPromote: return "prefetchPromote";
       case Step::EadrLineSelect: return "eadrLineSelect";
       case Step::EadrNvmWrite: return "eadrNvmWrite";
       case Step::EadrBudgetExhausted: return "eadrBudgetExhausted";

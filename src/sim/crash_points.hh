@@ -3,11 +3,11 @@
  * Microstep crash-point registry for the optimized persist path.
  *
  * The WPQ-boundary and every-op sweeps arm power failures *between*
- * environment operations; the three persist-path levers (bmtPipeline,
- * drainBatching, tagPrefetch) create intermediate machine states
- * *inside* a single drain — a half-climbed pipelined BMT window, an
- * elided superseded entry, a prefetched counter block — that those
- * sweeps can never hit. Components mark each such internal step with
+ * environment operations; a drain itself passes through intermediate
+ * machine states — a fetched but not yet bumped counter, a
+ * half-climbed pipelined BMT window (bmtPipeline), a written but not
+ * yet cleared redo entry — that those sweeps can never hit.
+ * Components mark each such internal step with
  * DOLOS_CRASH_POINT(step); this registry either counts the firings
  * (the sweep's probe run) or throws MicrostepCrash at an armed firing
  * index, which the workload runner converts into a mid-operation
@@ -48,14 +48,8 @@ enum class Step : std::uint8_t
 
     // --- controller drain scheduler ---------------------------------
     WpqDrainIssue,   ///< drain handed to the engine
-    WpqDrainElide,   ///< superseded entry elided by drainBatching
     WpqCtWrite,      ///< drained ciphertext written to NVM
     WpqRedoClear,    ///< redo log cleared, entry about to release
-
-    // --- tag-cache prefetch (WPQ admission) -------------------------
-    PrefetchIssue,       ///< counter block prefetched into the cache
-    PrefetchDirtyBackoff,///< prefetch backed off a dirty victim line
-    PrefetchPromote,     ///< demand fetch hit a pending prefetch
 
     // --- eADR holdup flush (power already failed) -------------------
     EadrLineSelect,      ///< flush admitted the next dirty line
@@ -65,7 +59,7 @@ enum class Step : std::uint8_t
     NumSteps
 };
 
-/** Stable lowercase name ("masuBmtLevel", "wpqDrainElide", ...). */
+/** Stable lowercase name ("masuBmtLevel", "wpqCtWrite", ...). */
 const char *stepName(Step s);
 
 /** Thrown by an armed registry at the targeted firing. */

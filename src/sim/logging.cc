@@ -7,6 +7,7 @@
 
 #include "sim/thread_annotations.hh"
 
+#include <atomic>
 #include <mutex>
 #include <set>
 
@@ -31,6 +32,19 @@ rawFlagSet()
     DOLOS_THREAD_SHARED(flagsMutex);
     static std::set<std::string> flags;
     return flags;
+}
+
+/**
+ * Size of the flag set, republished after every change under the
+ * mutex, so debugPrintf can skip the lock and the string build when
+ * no flag is enabled (the common case).
+ */
+std::atomic<std::size_t> &
+enabledCount()
+{
+    DOLOS_THREAD_SHARED(atomics);
+    static std::atomic<std::size_t> n{0};
+    return n;
 }
 
 /** The flag set, with $DOLOS_DEBUG applied on first use. */
@@ -63,6 +77,7 @@ DebugFlags::enable(const std::string &flag)
     auto &set = flagSet();
     const std::lock_guard<std::mutex> g(flagsMutex());
     set.insert(flag);
+    enabledCount().store(set.size());
 }
 
 void
@@ -71,6 +86,7 @@ DebugFlags::disable(const std::string &flag)
     auto &set = flagSet();
     const std::lock_guard<std::mutex> g(flagsMutex());
     set.erase(flag);
+    enabledCount().store(set.size());
 }
 
 bool
@@ -87,6 +103,7 @@ DebugFlags::clear()
     auto &set = flagSet();
     const std::lock_guard<std::mutex> g(flagsMutex());
     set.clear();
+    enabledCount().store(0);
 }
 
 void
@@ -111,12 +128,16 @@ DebugFlags::initFromEnvironment()
             token.push_back(*p);
     }
     flush();
+    enabledCount().store(rawFlagSet().size());
 }
 
 void
 debugPrintf(const char *flag, const char *fmt, ...)
 {
-    if (!DebugFlags::enabled(flag))
+    // Fast path: flagSet() applies $DOLOS_DEBUG once, then an empty
+    // set needs no lock and no std::string.
+    (void)flagSet();
+    if (enabledCount().load() == 0 || !DebugFlags::enabled(flag))
         return;
     std::fprintf(stdout, "[%s] ", flag);
     va_list ap;

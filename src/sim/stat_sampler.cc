@@ -162,17 +162,6 @@ StatSampler::derivedSeries() const
             series[w] = double(stall->deltas[w]) / windowLen(w);
         out.emplace_back("wpqStallFraction", std::move(series));
     }
-    const auto *hits = findScalar("secEngine.tagPrefetchHits");
-    const auto *issued = findScalar("secEngine.tagPrefetchIssued");
-    if (hits && issued) {
-        std::vector<double> series(nw, 0.0);
-        for (std::size_t w = 0; w < nw; ++w)
-            series[w] = issued->deltas[w]
-                            ? double(hits->deltas[w]) /
-                                  double(issued->deltas[w])
-                            : 0.0;
-        out.emplace_back("tagPrefetchHitRate", std::move(series));
-    }
     return out;
 }
 

@@ -8,8 +8,8 @@
  * window: the delta of every scalar counter, the sum/count of every
  * Average, and the window-local min/max/mean of every Histogram,
  * plus derived persist-path rates (drains per kilocycle, WPQ-stall
- * fraction, tag-prefetch hit rate) so lever behavior and WPQ
- * pressure are visible as curves.
+ * fraction) so drain behavior and WPQ pressure are visible as
+ * curves.
  *
  * The sampler is host-side only: poll() reads stat values and never
  * advances or depends on simulated time, so an attached sampler
@@ -127,8 +127,6 @@ class StatSampler
      *  - drainsPerKcycle: WPQ drains per 1000 cycles
      *    (mc.drainLatency sample count / window kilocycles)
      *  - wpqStallFraction: mc.wpqStallCycles delta / window cycles
-     *  - tagPrefetchHitRate: secEngine.tagPrefetchHits delta /
-     *    secEngine.tagPrefetchIssued delta (0 when none issued)
      */
     std::vector<std::pair<std::string, std::vector<double>>>
     derivedSeries() const;

@@ -29,7 +29,6 @@ constexpr std::array<StageInfo, std::size_t(Stage::NumStages)>
         {"wpqInsert", "wpq", 1},
         {"wpqCoalesce", "wpq", 1},
         {"wpqDrain", "wpq", 1},
-        {"wpqBatch", "wpq", 1},
         {"misuPadXor", "misu", 2},
         {"misuMac", "misu", 2},
         {"masuCtrFetch", "masu", 3},

@@ -47,7 +47,6 @@ enum class Stage : std::uint8_t
     WpqInsert,    ///< controller arrival -> WPQ commit
     WpqCoalesce,  ///< write merged into a live entry
     WpqDrain,     ///< WPQ commit -> Ma-SU clear
-    WpqBatch,     ///< drain elided: newer same-line entry supersedes
     MisuPadXor,   ///< Mi-SU pad XOR (1 cycle)
     MisuMac,      ///< Mi-SU entry/root MAC(s)
     MasuCtrFetch, ///< counter fetch (cache miss => NVM + tree walk)

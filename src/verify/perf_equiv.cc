@@ -22,8 +22,8 @@ namespace
 
 /**
  * A deliberately small machine: the tiny metadata caches and heap
- * keep runs fast *and* put real pressure on the levers (prefetches
- * face dirty victims, climbs overlap, same-line writes recur).
+ * keep runs fast *and* put real pressure on the lever (climbs
+ * overlap, dirty metadata is evicted, same-line writes recur).
  */
 SystemConfig
 equivConfig(SecurityMode mode)
@@ -62,8 +62,6 @@ struct LegSnapshot
     std::map<Addr, std::array<ByteClass, blockSize>> classes;
     std::uint64_t stallPlusBmt = 0;
     std::uint64_t coalesced = 0;
-    std::uint64_t batched = 0;
-    std::uint64_t prefetchHits = 0;
 };
 
 LegSnapshot
@@ -100,8 +98,6 @@ runLeg(const SystemConfig &cfg, const std::string &workload,
     s.stallPlusBmt = sys.controller().wpqStallCycles() +
                      sys.engine().bmtCycles();
     s.coalesced = sys.engine().bmtCoalescedUpdates();
-    s.batched = sys.controller().drainsBatched();
-    s.prefetchHits = sys.engine().tagPrefetchHits();
     sys.core().setObserver(nullptr);
     return s;
 }
@@ -121,7 +117,7 @@ diag(PerfEquivResult &r, const char *fmt, ...)
  * The crash leg's equivalence: identical per-byte persistence
  * classification, and byte-identical values wherever the byte is
  * committed. In-flight bytes legitimately resolve differently — the
- * knobs change drain progress — so they are compared only for
+ * lever changes drain progress — so they are compared only for
  * admissibility (which the per-leg oracle already enforced).
  */
 bool
@@ -178,15 +174,11 @@ verifyPerfEquiv(SecurityMode mode, const std::string &workload,
     r.workload = workload;
 
     const workloads::WorkloadParams params = equivParams(seed);
-    // The levers default on since the microstep-sweep flip, so the
-    // "off" leg must force them off explicitly — it models the
-    // paper's unoptimized machine, not the build defaults.
+    // The lever defaults on since the microstep-sweep flip, so the
+    // "off" leg must force it off explicitly — it models the paper's
+    // unoptimized machine, not the build defaults.
     SystemConfig off_cfg = equivConfig(mode);
-    OptKnobs off_knobs;
-    off_knobs.bmtPipeline = false;
-    off_knobs.drainBatching = false;
-    off_knobs.tagPrefetch = false;
-    applyOptKnobs(off_cfg, off_knobs);
+    applyOptKnobs(off_cfg, OptKnobs{false});
     SystemConfig on_cfg = off_cfg;
     applyOptKnobs(on_cfg, knobs);
 
@@ -225,8 +217,6 @@ verifyPerfEquiv(SecurityMode mode, const std::string &workload,
              (unsigned long long)off.stallPlusBmt,
              (unsigned long long)on.stallPlusBmt);
     r.bmtCoalescedUpdates = on.coalesced;
-    r.drainsBatched = on.batched;
-    r.tagPrefetchHits = on.prefetchHits;
 
     // Leg 2: crash at a program-order WPQ boundary near the middle of
     // the run, recover, and compare recovery outcomes. The boundary
@@ -290,14 +280,12 @@ formatPerfEquivReport(const PerfEquivResult &r)
     std::snprintf(
         buf, sizeof(buf),
         "%-13s %-8s %s  stall+bmt %llu -> %llu  "
-        "(coalesced=%llu batched=%llu prefetchHits=%llu)",
+        "(coalesced=%llu)",
         securityModeName(r.mode), r.workload.c_str(),
         r.ok() ? "OK  " : "FAIL",
         (unsigned long long)r.offStallPlusBmt,
         (unsigned long long)r.onStallPlusBmt,
-        (unsigned long long)r.bmtCoalescedUpdates,
-        (unsigned long long)r.drainsBatched,
-        (unsigned long long)r.tagPrefetchHits);
+        (unsigned long long)r.bmtCoalescedUpdates);
     std::string out = buf;
     for (const auto &d : r.diagnostics) {
         out += "\n    ";

@@ -1,13 +1,13 @@
 /**
  * @file
  * Timing-vs-state differential harness for the persist-path
- * optimization levers (bmtPipeline / drainBatching / tagPrefetch).
+ * optimization lever (bmtPipeline).
  *
- * The levers are *timing* optimizations: they may reorder or elide
- * modeled latency charges, but they must not change what the machine
+ * The lever is a *timing* optimization: it may reorder or coalesce
+ * modeled latency charges, but it must not change what the machine
  * computes, detects, or recovers. This harness proves that claim per
- * (mode, workload) by running the same program twice — once with all
- * knobs off, once with all knobs on — and requiring:
+ * (mode, workload) by running the same program twice — once with the
+ * lever off, once with it on — and requiring:
  *
  *  1. Final state: after a crash-free run, the plaintext contents of
  *     every golden-tracked block, read back through the core, are
@@ -21,12 +21,12 @@
  *     the same per-byte persistence classification, and identical
  *     values for every committed byte. (In-flight bytes may resolve
  *     differently — drain progress at the crash point is exactly
- *     what the knobs change — but the committed prefix is sacred.)
+ *     what the lever changes — but the committed prefix is sacred.)
  *  4. Timing: the optimized run's wpqStallCycles + bmtCycles total
  *     is no worse than the baseline's.
  *
  * Exposed through `dolos-sim --verify-perf-equiv` and the
- * bmt_pipeline/drain_batch/tag_prefetch unit tests.
+ * bmt_pipeline unit tests.
  */
 
 #ifndef DOLOS_VERIFY_PERF_EQUIV_HH
@@ -57,8 +57,6 @@ struct PerfEquivResult
     std::uint64_t offStallPlusBmt = 0;
     std::uint64_t onStallPlusBmt = 0;
     std::uint64_t bmtCoalescedUpdates = 0; ///< on-run lever activity
-    std::uint64_t drainsBatched = 0;
-    std::uint64_t tagPrefetchHits = 0;
 
     std::vector<std::string> diagnostics;
 
@@ -71,7 +69,7 @@ struct PerfEquivResult
     }
 };
 
-/** Knob bundle the "on" runs use (defaults to all three levers). */
+/** Knob bundle the "on" runs use (defaults to the lever on). */
 PerfEquivResult verifyPerfEquiv(SecurityMode mode,
                                 const std::string &workload,
                                 std::uint64_t num_tx,
@@ -80,7 +78,7 @@ PerfEquivResult verifyPerfEquiv(SecurityMode mode,
 
 /**
  * The CLI sweep: every tier-1 workload in all three Dolos modes,
- * all knobs on.
+ * the lever on.
  */
 std::vector<PerfEquivResult> verifyPerfEquivAll(std::uint64_t seed);
 

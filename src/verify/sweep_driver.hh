@@ -56,10 +56,10 @@ enum class CrashPoints
     /**
      * Every firing of a named persist-path crash point
      * (sim/crash_points.hh): power dies *inside* a drain's security
-     * work — mid BMT-pipeline climb, at a drainBatching elision,
-     * right after a counter prefetch — instead of between core
-     * operations. This is the only point set that reaches the
-     * intermediate states the optimization levers introduce.
+     * work — mid BMT-pipeline climb, between the ciphertext write and
+     * the redo clear — instead of between core operations. This is
+     * the only point set that reaches the intermediate states inside
+     * a drain, including those the bmtPipeline lever introduces.
      *
      * Dolos modes: firings of the measured run are enumerated
      * directly (the probe finds none elsewhere). EadrSecure: the

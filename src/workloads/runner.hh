@@ -62,8 +62,8 @@ struct CrashPlan
      * arm the global crash-point registry (sim/crash_points.hh) to
      * fail power at this firing index, counted from the end of
      * setup. Power dies *inside* the persist path's security work —
-     * mid BMT climb, at a drain elision, after a prefetch — rather
-     * than between core operations. When set, atOp is ignored.
+     * mid BMT climb, between the ciphertext write and the redo clear
+     * — rather than between core operations. When set, atOp is ignored.
      */
     std::optional<std::uint64_t> atMicrostep;
 

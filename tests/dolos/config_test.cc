@@ -225,47 +225,27 @@ TEST(ConfigValidation, ValidConfigConstructs)
 
 TEST(OptKnobsConfig, LeversDefaultOn)
 {
-    // The paper's levers survived the microstep crash sweeps and are
-    // the build default on every layer: the bundle, the engine
-    // parameters, and the WPQ parameters must agree.
+    // The pipeline survived the microstep crash sweeps and is the
+    // build default on every layer: the bundle and the engine
+    // parameters must agree.
     const OptKnobs knobs;
     EXPECT_TRUE(knobs.bmtPipeline);
-    EXPECT_TRUE(knobs.drainBatching);
-    EXPECT_TRUE(knobs.tagPrefetch);
-
-    const auto cfg = SystemConfig::paperDefault();
-    EXPECT_TRUE(cfg.secure.bmtPipeline);
-    EXPECT_TRUE(cfg.secure.tagPrefetch);
-    EXPECT_TRUE(cfg.wpq.drainBatching);
+    EXPECT_TRUE(SystemConfig::paperDefault().secure.bmtPipeline);
 }
 
 TEST(OptKnobsConfig, ParseNamesTheExactLeverSet)
 {
     const auto none = parseOptKnobs("none");
     ASSERT_TRUE(none);
-    EXPECT_FALSE(none->bmtPipeline || none->drainBatching ||
-                 none->tagPrefetch);
+    EXPECT_FALSE(none->bmtPipeline);
 
-    const auto all = parseOptKnobs("all");
-    ASSERT_TRUE(all);
-    EXPECT_TRUE(all->bmtPipeline);
-    EXPECT_TRUE(all->drainBatching);
-    EXPECT_TRUE(all->tagPrefetch);
-
-    // A comma list enables exactly the named levers — it does NOT
-    // toggle on top of the (now all-on) defaults, so an old repro
-    // line replays the identical machine on this build.
-    const auto one = parseOptKnobs("drain-batch");
-    ASSERT_TRUE(one);
-    EXPECT_FALSE(one->bmtPipeline);
-    EXPECT_TRUE(one->drainBatching);
-    EXPECT_FALSE(one->tagPrefetch);
-
-    const auto two = parseOptKnobs("bmt-pipeline,tag-prefetch");
-    ASSERT_TRUE(two);
-    EXPECT_TRUE(two->bmtPipeline);
-    EXPECT_FALSE(two->drainBatching);
-    EXPECT_TRUE(two->tagPrefetch);
+    // "all" and "bmt-pipeline" name the same machine: the pipeline is
+    // the only lever, so repro lines printed with either replay it.
+    for (const char *spec : {"all", "bmt-pipeline"}) {
+        const auto on = parseOptKnobs(spec);
+        ASSERT_TRUE(on) << spec;
+        EXPECT_TRUE(on->bmtPipeline) << spec;
+    }
 }
 
 TEST(OptKnobsConfig, ParseRejectsBadSpecsInsteadOfClamping)
@@ -280,31 +260,25 @@ TEST(OptKnobsConfig, ParseRejectsBadSpecsInsteadOfClamping)
     // The pipeline window is an engine parameter
     // (SecureParams::bmtPipelineWindow), not a lever.
     EXPECT_EQ(parseOptKnobs("bmt-window=4"), std::nullopt);
+    // Retired levers are rejected outright, alone or in a list.
+    EXPECT_EQ(parseOptKnobs("drain-batch"), std::nullopt);
+    EXPECT_EQ(parseOptKnobs("tag-prefetch"), std::nullopt);
+    EXPECT_EQ(parseOptKnobs("bmt-pipeline,tag-prefetch"), std::nullopt);
 }
 
 TEST(OptKnobsConfig, FormatParseRoundTrips)
 {
     // Repro lines print formatOptKnobs unconditionally; the printed
     // spec must parse back to the identical bundle.
-    const bool onoff[] = {false, true};
-    for (const bool bp : onoff)
-        for (const bool db : onoff)
-            for (const bool tp : onoff) {
-                OptKnobs k;
-                k.bmtPipeline = bp;
-                k.drainBatching = db;
-                k.tagPrefetch = tp;
-                const std::string spec = formatOptKnobs(k);
-                const auto back = parseOptKnobs(spec);
-                ASSERT_TRUE(back) << spec;
-                EXPECT_EQ(back->bmtPipeline, k.bmtPipeline) << spec;
-                EXPECT_EQ(back->drainBatching, k.drainBatching) << spec;
-                EXPECT_EQ(back->tagPrefetch, k.tagPrefetch) << spec;
-            }
+    for (const bool bp : {false, true}) {
+        const OptKnobs k{bp};
+        const std::string spec = formatOptKnobs(k);
+        const auto back = parseOptKnobs(spec);
+        ASSERT_TRUE(back) << spec;
+        EXPECT_EQ(back->bmtPipeline, k.bmtPipeline) << spec;
+    }
     EXPECT_EQ(formatOptKnobs(OptKnobs{}), "all");
-    OptKnobs off;
-    off.bmtPipeline = off.drainBatching = off.tagPrefetch = false;
-    EXPECT_EQ(formatOptKnobs(off), "none");
+    EXPECT_EQ(formatOptKnobs(OptKnobs{false}), "none");
 }
 
 TEST(OptKnobsConfig, ZeroPipelineWindowIsRejectedByValidation)
@@ -325,14 +299,10 @@ TEST(OptKnobsConfig, ZeroPipelineWindowIsRejectedByValidation)
 TEST(OptKnobsConfig, ApplyOverridesEveryLayer)
 {
     auto cfg = SystemConfig::paperDefault();
-    OptKnobs k;
-    k.bmtPipeline = false;
-    k.drainBatching = false;
-    k.tagPrefetch = true;
-    applyOptKnobs(cfg, k);
+    applyOptKnobs(cfg, OptKnobs{false});
     EXPECT_FALSE(cfg.secure.bmtPipeline);
-    EXPECT_FALSE(cfg.wpq.drainBatching);
-    EXPECT_TRUE(cfg.secure.tagPrefetch);
+    applyOptKnobs(cfg, OptKnobs{true});
+    EXPECT_TRUE(cfg.secure.bmtPipeline);
 }
 
 } // namespace

@@ -181,6 +181,53 @@ TEST(Controller, CoalescingDisabledAllocatesTwoEntries)
     EXPECT_EQ(rd.data, pattern(2)); // newest entry wins
 }
 
+// Two queued same-line entries with coalescing off: the ADR dump
+// carries both, and recovery must land the newest value.
+TEST(Controller, CoalescingOffCrashWhileQueuedRecoversNewestValue)
+{
+    auto cfg = testConfig(SecurityMode::DolosFullWpq);
+    cfg.wpq.coalescing = false;
+    NvmDevice nvm(cfg.nvm);
+    SecurityEngine eng(cfg.secure, nvm);
+    SecureMemController mc(cfg, nvm, eng);
+    mc.persistBlock(0x1000, pattern(1), 0);
+    mc.persistBlock(0x1000, pattern(2), 10);
+    const auto dump = mc.crash(20);
+    EXPECT_EQ(dump.entriesDumped, 2u);
+    EXPECT_TRUE(mc.recover().misuVerified);
+    EXPECT_EQ(mc.readBlock(0x1000, 10'000'000).data, pattern(2));
+    EXPECT_FALSE(eng.attackDetected());
+}
+
+TEST(Controller, CoalescingOffMidDrainCrashKeepsRedoAccountingExact)
+{
+    // Crash while some same-line entries have drained and newer ones
+    // may still be queued: the dump must never resurrect a stale
+    // entry, so recovery lands the newest value of every line.
+    for (const auto mode : {SecurityMode::DolosFullWpq,
+                            SecurityMode::DolosPartialWpq}) {
+        for (const Tick crash_at : {Tick(500), Tick(2'000),
+                                    Tick(8'000)}) {
+            auto cfg = testConfig(mode);
+            cfg.wpq.coalescing = false;
+            NvmDevice nvm(cfg.nvm);
+            SecurityEngine eng(cfg.secure, nvm);
+            SecureMemController mc(cfg, nvm, eng);
+            const Addr addrs[] = {0x1000, 0x1000, 0x2000, 0x1000};
+            for (unsigned i = 0; i < 4; ++i)
+                mc.persistBlock(addrs[i], pattern(std::uint8_t(i + 1)),
+                                i * 10);
+            mc.crash(crash_at);
+            EXPECT_TRUE(mc.recover().misuVerified);
+            EXPECT_EQ(mc.readBlock(0x1000, 10'000'000).data, pattern(4))
+                << "mode=" << int(mode) << " crash_at=" << crash_at;
+            EXPECT_EQ(mc.readBlock(0x2000, 10'000'000).data, pattern(3))
+                << "mode=" << int(mode) << " crash_at=" << crash_at;
+            EXPECT_FALSE(eng.attackDetected());
+        }
+    }
+}
+
 TEST(Controller, PendingPersistTickSeesInFlightWrite)
 {
     Rig rig(SecurityMode::DolosPartialWpq);

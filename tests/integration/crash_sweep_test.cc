@@ -215,13 +215,11 @@ TEST(MidRecoveryCrash, DirectRepeatedCrashesDuringOneRecovery)
     // Belt-and-braces outside the sweep machinery: crash mid-run,
     // then kill recovery at successive checkpoints on one machine.
     // Serial persist path: checkpoint 3 is a per-dump-entry one, and
-    // the default-on levers drain the WPQ before the crash so it
+    // the default-on pipeline drains the WPQ before the crash so it
     // would never be reached (the optimized machine's mid-recovery
     // crashes are covered by the microstep + recovery-crash sweeps).
     auto cfg = cfgFor(SecurityMode::DolosPartialWpq);
     cfg.secure.bmtPipeline = false;
-    cfg.wpq.drainBatching = false;
-    cfg.secure.tagPrefetch = false;
     System sys(cfg);
     auto wl = makeWorkload("hashmap", smallParams(17));
     CrashPlan plan;

@@ -24,12 +24,10 @@ cfgFor(SecurityMode mode,
     cfg.mode = mode;
     cfg.secure.treePolicy = policy;
     // These properties characterize the *paper's* serial persist
-    // path; the (now default-on) optimization levers legitimately
-    // reshape the retry and tx-size trends (EXPERIMENTS.md), so pin
-    // them off here — the equivalent of --opt-knobs none.
+    // path; the (now default-on) bmtPipeline lever legitimately
+    // reshapes the retry and tx-size trends (EXPERIMENTS.md), so pin
+    // it off here — the equivalent of --opt-knobs none.
     cfg.secure.bmtPipeline = false;
-    cfg.wpq.drainBatching = false;
-    cfg.secure.tagPrefetch = false;
     return cfg;
 }
 

@@ -24,10 +24,9 @@ testParams()
     p.counterCache = {"counterCache", 4 * 1024, 4};
     p.mtCache = {"mtCache", 4 * 1024, 8};
     // These tests pin the paper's serial latency composition; the
-    // (now default-on) levers are covered by bmt_pipeline_test,
-    // drain_batch_test and tag_prefetch_test.
+    // (now default-on) bmtPipeline lever is covered by
+    // bmt_pipeline_test.
     p.bmtPipeline = false;
-    p.tagPrefetch = false;
     for (int i = 0; i < 16; ++i) {
         p.dataKey[i] = std::uint8_t(i + 1);
         p.macKey[i] = std::uint8_t(0x80 + i);

@@ -94,7 +94,7 @@ TEST(GoldenBytes, HashmapDigestPerMode)
     const std::pair<SecurityMode, std::uint64_t> pinned[] = {
         {SecurityMode::PreWpqSecure, 0xd802d5e86a1eec54ULL},
         {SecurityMode::DolosFullWpq, 0xfd5e457fe943b1feULL},
-        {SecurityMode::DolosPartialWpq, 0x67f744ee000c226fULL},
+        {SecurityMode::DolosPartialWpq, 0x87ce511abf7238dbULL},
         {SecurityMode::DolosPostWpq, 0x919375b2b6cb69e1ULL},
         {SecurityMode::EadrSecure, 0x7fd3bfe66447c676ULL},
     };

@@ -2,9 +2,9 @@
  * @file
  * Microstep crash-point tests: power failures *inside* the optimized
  * persist path. The registry's probe/arm contract, committed-prefix
- * recovery from mid-climb BMT pipeline crashes and drainBatching
- * elision points, the root-commit window under both crash schemes,
- * and the compound crash-during-recovery case.
+ * recovery from mid-climb BMT pipeline crashes, the root-commit
+ * window under both crash schemes, and the compound
+ * crash-during-recovery case.
  *
  * Every armed run replays a machine a probe run enumerated, so a
  * silent non-firing is itself a failure (CrashPointResult.crashFired).
@@ -26,15 +26,15 @@ using namespace dolos;
 using namespace dolos::verify;
 namespace cp = dolos::crashpoint;
 
-/** Small machine, levers at their (default-on) settings. */
+/** Small machine, lever at its (default-on) setting. */
 SystemConfig
 smallBase()
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.secure.functionalLeaves = 2048;
     cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
-    // A tiny counter cache pressures the levers: prefetches face real
-    // misses and dirty victims, dirty counter blocks get evicted.
+    // A tiny counter cache forces real misses, and dirty counter
+    // blocks get evicted.
     cfg.secure.counterCache = {"counterCache", 512, 2};
     cfg.secure.mtCache = {"mtCache", 16 * 1024, 8};
     cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
@@ -51,7 +51,7 @@ sweepFor(SecurityMode mode)
     opt.workload = "hashmap";
     opt.numTx = 3;
     // Page-spanning transactions so counter-block misses (and with
-    // them the whole prefetch family) occur during the measured run.
+    // them counter evictions) occur during the measured run.
     opt.params.txSize = 6144;
     opt.params.numKeys = 1024;
     opt.params.thinkTime = 400;
@@ -117,7 +117,7 @@ TEST(CrashPointRegistry, CountsRecordsArmsAndAutoDisarms)
     reg.fire(cp::Step::MasuBmtLevel);
     EXPECT_EQ(reg.firings(), 3u);
     EXPECT_EQ(reg.firingsOf(cp::Step::MasuBmtLevel), 2u);
-    EXPECT_EQ(reg.firingsOf(cp::Step::WpqDrainElide), 0u);
+    EXPECT_EQ(reg.firingsOf(cp::Step::WpqRedoClear), 0u);
     ASSERT_EQ(reg.sequence().size(), 3u);
     EXPECT_EQ(reg.sequence()[0], cp::Step::MasuCtrFetch);
     EXPECT_EQ(reg.sequence()[2], cp::Step::MasuBmtLevel);
@@ -131,14 +131,14 @@ TEST(CrashPointRegistry, CountsRecordsArmsAndAutoDisarms)
     EXPECT_NO_THROW(reg.fire(cp::Step::WpqDrainIssue)); // index 0
     EXPECT_FALSE(reg.crashFired());
     try {
-        reg.fire(cp::Step::WpqDrainElide); // index 1: the armed one
+        reg.fire(cp::Step::WpqRedoClear); // index 1: the armed one
         FAIL() << "expected MicrostepCrash";
     } catch (const cp::MicrostepCrash &c) {
-        EXPECT_EQ(c.step, cp::Step::WpqDrainElide);
+        EXPECT_EQ(c.step, cp::Step::WpqRedoClear);
         EXPECT_EQ(c.index, 1u);
     }
     EXPECT_TRUE(reg.crashFired());
-    EXPECT_EQ(reg.firedStep(), cp::Step::WpqDrainElide);
+    EXPECT_EQ(reg.firedStep(), cp::Step::WpqRedoClear);
     // Auto-disarmed: recovery's own persist traffic cannot re-trip.
     EXPECT_NO_THROW(reg.fire(cp::Step::WpqCtWrite));
     EXPECT_EQ(reg.firings(), 3u);
@@ -151,16 +151,14 @@ TEST(MicrostepProbe, EveryLeverFamilyFiresUnderDefaults)
     const auto seq = probeSequence(opt);
     ASSERT_FALSE(seq.empty());
 
-    // Every step except WpqDrainElide, which needs insertion
-    // coalescing off and is covered by the controller rigs below.
+    // Every step fires under the default machine.
     const cp::Step expected[] = {
         cp::Step::MasuCtrFetch,        cp::Step::MasuCtrBumped,
         cp::Step::MasuAesPad,          cp::Step::MasuMacStored,
         cp::Step::MasuBmtLevel,        cp::Step::MasuBmtCoalesce,
         cp::Step::MasuRootCommit,      cp::Step::MasuCtrEvict,
         cp::Step::WpqDrainIssue,       cp::Step::WpqCtWrite,
-        cp::Step::WpqRedoClear,        cp::Step::PrefetchIssue,
-        cp::Step::PrefetchDirtyBackoff, cp::Step::PrefetchPromote,
+        cp::Step::WpqRedoClear,
     };
     for (const auto step : expected)
         EXPECT_FALSE(indicesOf(seq, step).empty())
@@ -216,138 +214,6 @@ TEST(MicrostepCrash, CrashDuringRecoveryAtMicrostepPoint)
     EXPECT_TRUE(res.passed())
         << res.microstep << " " << res.oracle.summary();
     EXPECT_GE(res.recoveryAttempts, 2u);
-}
-
-// ---------------------------------------------------------------------
-// drainBatching elision points, at controller level: crash exactly at
-// the elision decision and recover the newest value.
-
-SystemConfig
-rigConfig()
-{
-    auto cfg = SystemConfig::paperDefault();
-    cfg.mode = SecurityMode::DolosPartialWpq;
-    cfg.secure.functionalLeaves = 256;
-    cfg.secure.map.protectedBytes = Addr(256) * pageBytes;
-    // Batching is only reachable when insertion coalescing missed the
-    // merge, so the rig disables coalescing (as drain_batch_test does).
-    cfg.wpq.coalescing = false;
-    cfg.wpq.drainBatching = true;
-    return cfg;
-}
-
-Block
-pattern(std::uint8_t seed)
-{
-    Block b;
-    for (unsigned i = 0; i < blockSize; ++i)
-        b[i] = std::uint8_t(seed * 7 + i);
-    return b;
-}
-
-struct Rig
-{
-    Rig() : cfg(rigConfig())
-    {
-        nvm = std::make_unique<NvmDevice>(cfg.nvm);
-        eng = std::make_unique<SecurityEngine>(cfg.secure, *nvm);
-        mc = std::make_unique<SecureMemController>(cfg, *nvm, *eng);
-    }
-
-    void
-    queueSupersededPair()
-    {
-        mc->persistBlock(0x1000, pattern(1), 0);
-        mc->persistBlock(0x1000, pattern(2), 10);
-        mc->persistBlock(0x2000, pattern(3), 20);
-    }
-
-    SystemConfig cfg;
-    std::unique_ptr<NvmDevice> nvm;
-    std::unique_ptr<SecurityEngine> eng;
-    std::unique_ptr<SecureMemController> mc;
-};
-
-TEST(MicrostepCrash, DrainElisionPointRecoversNewestValue)
-{
-    auto &reg = cp::Registry::instance();
-
-    // Probe rig: find the firing index of the elision decision.
-    std::uint64_t elide_idx = 0;
-    {
-        Rig probe;
-        reg.reset();
-        reg.enableCounting();
-        probe.queueSupersededPair();
-        probe.mc->drainTo(10'000'000);
-        ASSERT_GT(reg.firingsOf(cp::Step::WpqDrainElide), 0u);
-        const auto idxs =
-            indicesOf(reg.sequence(), cp::Step::WpqDrainElide);
-        elide_idx = idxs.front();
-        reg.reset();
-    }
-
-    // Armed replay: identical traffic, crash at that exact decision.
-    Rig rig;
-    reg.reset();
-    reg.arm(elide_idx);
-    bool fired = false;
-    try {
-        rig.queueSupersededPair();
-        rig.mc->drainTo(10'000'000);
-    } catch (const cp::MicrostepCrash &c) {
-        EXPECT_EQ(c.step, cp::Step::WpqDrainElide);
-        fired = true;
-    }
-    ASSERT_TRUE(fired) << "armed replay diverged from the probe";
-    reg.reset();
-
-    // Power dies mid-drain: ADR dumps the WPQ as found (the drain in
-    // flight is NOT completed), then recovery re-drains the dump.
-    rig.mc->crash(10'000'000, /*complete_in_flight=*/false);
-    const auto rec = rig.mc->recover();
-    EXPECT_TRUE(rec.misuVerified);
-    EXPECT_EQ(rig.mc->readBlock(0x1000, 20'000'000).data, pattern(2));
-    EXPECT_EQ(rig.mc->readBlock(0x2000, 20'000'000).data, pattern(3));
-    EXPECT_FALSE(rig.eng->attackDetected());
-}
-
-TEST(MicrostepCrash, EveryElisionFiringRecoversIdentically)
-{
-    auto &reg = cp::Registry::instance();
-
-    std::vector<std::uint64_t> idxs;
-    {
-        Rig probe;
-        reg.reset();
-        reg.enableCounting();
-        probe.queueSupersededPair();
-        probe.mc->drainTo(10'000'000);
-        idxs = indicesOf(reg.sequence(), cp::Step::WpqDrainElide);
-        reg.reset();
-    }
-    ASSERT_FALSE(idxs.empty());
-
-    for (const std::uint64_t idx : idxs) {
-        Rig rig;
-        reg.reset();
-        reg.arm(idx);
-        bool fired = false;
-        try {
-            rig.queueSupersededPair();
-            rig.mc->drainTo(10'000'000);
-        } catch (const cp::MicrostepCrash &) {
-            fired = true;
-        }
-        reg.reset();
-        ASSERT_TRUE(fired) << "index " << idx;
-        rig.mc->crash(10'000'000, /*complete_in_flight=*/false);
-        EXPECT_TRUE(rig.mc->recover().misuVerified) << idx;
-        EXPECT_EQ(rig.mc->readBlock(0x1000, 20'000'000).data,
-                  pattern(2))
-            << idx;
-        EXPECT_FALSE(rig.eng->attackDetected()) << idx;
-    }
 }
 
 } // namespace

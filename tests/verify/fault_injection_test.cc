@@ -152,12 +152,10 @@ TEST_P(TornDump, DolosModesAuthenticateTheAdrDump)
     // then tear the ADR flush after two entries. The Mi-SU dump
     // authentication must refuse the truncated dump at recovery.
     // The serial (paper) persist path keeps enough entries queued at
-    // the crash — the default-on levers drain too fast for the tear
-    // to have three entries to truncate.
+    // the crash — the default-on pipeline drains too fast for the
+    // tear to have three entries to truncate.
     auto cfg = dolos::test::cfgFor(GetParam());
     cfg.secure.bmtPipeline = false;
-    cfg.secure.tagPrefetch = false;
-    cfg.wpq.drainBatching = false;
     System sys(cfg);
     FaultInjector inj(sys, 5);
 

@@ -118,12 +118,12 @@ usage(int code)
         "                      Mi-SU modes plus eadr, then exit "
         "(uses --seed)\n"
         "  --verify-perf-equiv run the timing-vs-state differential of\n"
-        "                      the persist-path optimization knobs\n"
+        "                      the persist-path optimization lever\n"
         "                      (off vs on) over the tier-1 workloads in\n"
         "                      all three Mi-SU modes, then exit\n"
-        "  --opt-knobs SPEC    persist-path optimizations: none|all|\n"
-        "                      comma list of bmt-pipeline,drain-batch,\n"
-        "                      tag-prefetch (default all)\n"
+        "  --opt-knobs SPEC    persist-path optimization: none|all|\n"
+        "                      bmt-pipeline (all = bmt-pipeline, the\n"
+        "                      only lever; default all)\n"
         "  --sample-interval N sample the stat tree every N simulated\n"
         "                      cycles into a windowed timeline\n"
         "  --stats-timeline F  write the timeline to F (JSON, or CSV\n"

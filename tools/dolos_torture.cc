@@ -174,8 +174,8 @@ usage(int code)
         "  --plant-bug   drop-clwb:K | bad-counter-repair\n"
         "  --meta-faults (sweep) stick a metadata bit at every crash "
         "point\n"
-        "  --opt-knobs   persist-path levers for every episode: "
-        "none|all|bmt-pipeline,drain-batch,tag-prefetch\n"
+        "  --opt-knobs   persist-path lever for every episode: "
+        "none|all|bmt-pipeline (all = bmt-pipeline)\n"
         "  --heartbeat N emit an NDJSON progress record to stderr "
         "every N cases\n"
         "                (campaigns and sweep; default 5, 0 = off)\n"
@@ -190,7 +190,7 @@ usage(int code)
 }
 
 /**
- * Persist-path optimization levers (--opt-knobs), applied to every
+ * Persist-path optimization lever (--opt-knobs), applied to every
  * configuration the harness builds: campaigns, replays, planted-bug
  * hunts, sweeps and fault episodes all torture the optimized machine.
  */
