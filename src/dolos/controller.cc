@@ -165,8 +165,7 @@ SecureMemController::drainEntry(WpqEntry &e)
         DOLOS_CRASH_POINT(WpqDrainIssue);
         const auto res = engine.secureWrite(e.addr, e.plaintext,
                                             start + 1);
-        redoLog.fill({e.addr, res.ciphertext, res.macTag, res.counter,
-                      engine.persistentRoot()});
+        redoLog.fill({e.addr, res.ciphertext, res.macTag, res.counter});
         // The write's commit point: the engine's root/shadow flip and
         // the redo record land as one group, so a crash here replays
         // the ciphertext from the log and the recovered counters meet

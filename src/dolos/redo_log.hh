@@ -4,10 +4,15 @@
  *
  * Before Ma-SU overwrites the metadata caches and NVM for a drained
  * WPQ entry, it stages every tentative result — ciphertext, data MAC,
- * counter, tentative tree root — in on-chip persistent registers and
- * only then sets the ready bit. A crash between "ready" and the
- * completion of step 3/4 is recovered by replaying the log; a crash
- * before "ready" discards it and re-processes the WPQ entry.
+ * counter — in on-chip persistent registers and only then sets the
+ * ready bit. A crash between "ready" and the completion of step 3/4
+ * is recovered by replaying the log; a crash before "ready" discards
+ * it and re-processes the WPQ entry.
+ *
+ * Figure 11's tentative tree root is not staged here: it is the
+ * security engine's root register, committed in the same group as
+ * the ready bit (no crash point between them), so while the bit is
+ * set the register already holds it.
  */
 
 #ifndef DOLOS_DOLOS_REDO_LOG_HH
@@ -27,15 +32,13 @@ struct RedoLogRecord
     Block ciphertext{};
     crypto::MacTag dataMac{};
     std::uint64_t counter = 0;
-    crypto::MacTag tempRoot{};
 };
 
 inline void
 dolosDescribeValue(std::ostream &os, const RedoLogRecord &r)
 {
     os << r.addr << '/' << persist::describe(r.ciphertext) << '/'
-       << persist::describe(r.dataMac) << '/' << r.counter << '/'
-       << persist::describe(r.tempRoot);
+       << persist::describe(r.dataMac) << '/' << r.counter;
 }
 
 /** On-chip persistent redo-log buffer with a ready bit. */

@@ -33,13 +33,12 @@ AnubisShadow::entryMac(Addr page_idx, const Block &packed,
 
 Tick
 AnubisShadow::recordUpdate(std::size_t slot, Addr page_idx,
-                           const CounterPage &page, std::uint64_t seq,
+                           const Block &packed, std::uint64_t seq,
                            Tick now)
 {
     DOLOS_ASSERT(slot < slots, "shadow slot %zu out of range", slot);
     ++statWrites;
 
-    const Block packed = page.pack();
     const crypto::MacTag tag = entryMac(page_idx, packed, seq);
 
     Block meta{};

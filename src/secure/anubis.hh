@@ -69,13 +69,13 @@ class AnubisShadow
 
     /**
      * Persist a shadow entry for cache slot @p slot after a counter
-     * update (posted NVM writes).
+     * update (posted NVM writes). @p packed is the updated page as
+     * CounterPage::pack() lays it out.
      *
      * @return tick at which the shadow write commits.
      */
-    Tick recordUpdate(std::size_t slot, Addr page_idx,
-                      const CounterPage &page, std::uint64_t seq,
-                      Tick now);
+    Tick recordUpdate(std::size_t slot, Addr page_idx, const Block &packed,
+                      std::uint64_t seq, Tick now);
 
     /**
      * Scan all slots at recovery, verifying entry MACs. Reads pass

@@ -25,7 +25,7 @@ MerkleTree::MerkleTree(Addr num_leaves, const crypto::MacEngine &mac)
 
     // Default (all-zero-counters) tags per level.
     defaults.resize(levelSizes.size());
-    defaults[0] = leafTagOf(CounterPage{});
+    defaults[0] = leafTagOf(CounterPage{}.pack());
     for (unsigned lvl = 1; lvl < levelSizes.size(); ++lvl) {
         crypto::MacTag children[arity];
         for (auto &c : children)
@@ -39,7 +39,7 @@ MerkleTree::MerkleTree(Addr num_leaves, const crypto::MacEngine &mac)
 }
 
 crypto::MacTag &
-MerkleTree::slot(unsigned level, Addr idx)
+MerkleTree::slot(unsigned level, Addr idx) const
 {
     auto &chunk = nodes[level][idx / chunkNodes];
     if (chunk.empty())
@@ -48,9 +48,8 @@ MerkleTree::slot(unsigned level, Addr idx)
 }
 
 crypto::MacTag
-MerkleTree::leafTagOf(const CounterPage &page) const
+MerkleTree::leafTagOf(const Block &packed) const
 {
-    const Block packed = page.pack();
     return mac.compute(packed.data(), packed.size());
 }
 
@@ -70,12 +69,14 @@ MerkleTree::nodeTag(unsigned level, Addr idx) const
     DOLOS_ASSERT(level < levelSizes.size() && idx < levelSizes[level],
                  "node (%u, %llu) out of range", level,
                  (unsigned long long)idx);
+    if (level > 0)
+        flush();
     const auto &chunk = nodes[level][idx / chunkNodes];
     return chunk.empty() ? defaults[level] : chunk[idx % chunkNodes];
 }
 
 void
-MerkleTree::recomputeNode(unsigned level, Addr idx)
+MerkleTree::recomputeNode(unsigned level, Addr idx) const
 {
     // The eight children are contiguous within one chunk (chunks hold
     // whole sibling groups). Slots past the end of a ragged level are
@@ -90,16 +91,40 @@ MerkleTree::recomputeNode(unsigned level, Addr idx)
 }
 
 void
-MerkleTree::updateLeaf(Addr leaf_idx, const CounterPage &page)
+MerkleTree::installLeaf(Addr leaf_idx, const Block &packed)
 {
     DOLOS_ASSERT(leaf_idx < numLeaves, "leaf %llu out of range",
                  (unsigned long long)leaf_idx);
-    slot(0, leaf_idx) = leafTagOf(page);
-    Addr idx = leaf_idx;
+    slot(0, leaf_idx) = leafTagOf(packed);
+    if (levelSizes.size() > 1)
+        dirty.push_back(leaf_idx / arity);
+}
+
+void
+MerkleTree::updateLeaf(Addr leaf_idx, const Block &packed)
+{
+    installLeaf(leaf_idx, packed);
+    if (dirty.size() >= maxDirty)
+        flush();
+}
+
+void
+MerkleTree::flush() const
+{
+    if (dirty.empty())
+        return;
+    // Recompute each distinct dirty node once, level by level, so
+    // every child is final before its parent is hashed. Dividing a
+    // sorted list by the arity keeps it sorted.
+    std::sort(dirty.begin(), dirty.end());
     for (unsigned lvl = 1; lvl < levelSizes.size(); ++lvl) {
-        idx /= arity;
-        recomputeNode(lvl, idx);
+        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+        for (Addr &idx : dirty) {
+            recomputeNode(lvl, idx);
+            idx /= arity;
+        }
     }
+    dirty.clear();
 }
 
 crypto::MacTag
@@ -114,11 +139,13 @@ MerkleTree::clear()
     for (auto &level : nodes)
         for (auto &chunk : level)
             chunk.clear();
+    dirty.clear();
 }
 
 std::size_t
 MerkleTree::numStoredNodes() const
 {
+    flush();
     std::size_t n = 0;
     for (unsigned lvl = 0; lvl < nodes.size(); ++lvl)
         for (const auto &chunk : nodes[lvl])
@@ -132,32 +159,11 @@ void
 MerkleTree::rebuild(const std::unordered_map<Addr, CounterPage> &pages)
 {
     clear();
-    // Install leaves, then recompute touched parents level by level.
-    // Leaf installation order is immaterial (distinct keys, and
-    // `touched` is sorted before the climb below).
-    std::vector<Addr> touched;
-    touched.reserve(pages.size());
-    for (const auto &[leaf_idx, page] : pages) { // dolos-lint: allow(determinism)
-        DOLOS_ASSERT(leaf_idx < numLeaves, "leaf %llu out of range",
-                     (unsigned long long)leaf_idx);
-        slot(0, leaf_idx) = leafTagOf(page);
-        touched.push_back(leaf_idx);
-    }
-    for (unsigned lvl = 1; lvl < levelSizes.size(); ++lvl) {
-        std::vector<Addr> parents;
-        parents.reserve(touched.size());
-        Addr last = ~Addr(0);
-        std::sort(touched.begin(), touched.end());
-        for (const Addr idx : touched) {
-            const Addr parent = idx / arity;
-            if (parent != last) {
-                recomputeNode(lvl, parent);
-                parents.push_back(parent);
-                last = parent;
-            }
-        }
-        touched = std::move(parents);
-    }
+    // Installation order is immaterial: distinct leaves, and the
+    // flush sorts the dirty list.
+    for (const auto &[leaf_idx, page] : pages) // dolos-lint: allow(determinism)
+        installLeaf(leaf_idx, page.pack());
+    flush();
 }
 
 persist::StateManifest
@@ -169,6 +175,7 @@ MerkleTree::stateManifest() const
     DOLOS_MF_CONST(m, levelSizes);
     DOLOS_MF_CONST(m, defaults);
     DOLOS_MF_V(m, nodes);
+    DOLOS_MF_V(m, dirty);
     return m;
 }
 

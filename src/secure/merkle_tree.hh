@@ -10,6 +10,14 @@
  * costs memory only around pages actually written, and a node's
  * eight children sit contiguously, ready to be MACed in place.
  *
+ * Leaf tags are installed eagerly; interior nodes are materialized
+ * on demand. A leaf update only records its parent as dirty, and the
+ * first read of an interior node or the root recomputes every dirty
+ * path bottom-up, each shared ancestor once. A node is a pure
+ * function of its children, so when the recomputation happens cannot
+ * change any tag. The modeled cost of the paper's eager climb is
+ * charged separately, by the security engine's timing model.
+ *
  * This class is the secure processor's volatile *current* view (the
  * trusted state built from verified fetches and local updates). NVM
  * persistence of individual nodes and the on-chip persistent root
@@ -38,6 +46,13 @@ class MerkleTree
     static constexpr unsigned arity = 8;
 
     /**
+     * Leaf updates buffered before the dirty paths are materialized
+     * unread. Bounds the dirty list's memory; the tags never depend
+     * on it.
+     */
+    static constexpr std::size_t maxDirty = 4096;
+
+    /**
      * @param num_leaves Number of counter blocks covered.
      * @param mac Keyed MAC engine (not owned; must outlive the tree).
      */
@@ -50,18 +65,21 @@ class MerkleTree
     Addr levelSize(unsigned level) const { return levelSizes[level]; }
 
     /** MAC tag of a packed counter page (leaf content hash). */
-    crypto::MacTag leafTagOf(const CounterPage &page) const;
+    crypto::MacTag leafTagOf(const Block &packed) const;
 
     /**
-     * Install a new leaf tag and recompute the path to the root
-     * (functional equivalent of an eager update).
+     * Install a new leaf tag from the packed counter page and mark
+     * the path above it dirty; the path is recomputed when read.
      */
-    void updateLeaf(Addr leaf_idx, const CounterPage &page);
+    void updateLeaf(Addr leaf_idx, const Block &packed);
 
     /** Current root tag. */
     crypto::MacTag root() const;
 
-    /** Current tag of (@p level, @p idx); default if untouched. */
+    /**
+     * Current tag of (@p level, @p idx); default if untouched. An
+     * interior level materializes every dirty path first.
+     */
     crypto::MacTag nodeTag(unsigned level, Addr idx) const;
 
     /**
@@ -75,6 +93,7 @@ class MerkleTree
     {
         DOLOS_ASSERT(level > 0 && level < numLevels(),
                      "cannot repair level %u from children", level);
+        flush();
         recomputeNode(level, idx);
         return nodeTag(level, idx);
     }
@@ -119,20 +138,28 @@ class MerkleTree
     using Level = std::vector<std::vector<crypto::MacTag>>;
 
     /** Writable tag of (@p level, @p idx); allocates its chunk. */
-    crypto::MacTag &slot(unsigned level, Addr idx);
+    crypto::MacTag &slot(unsigned level, Addr idx) const;
 
     /** Parent tag from eight child tags. */
     crypto::MacTag hashChildren(unsigned parent_level,
                                 const crypto::MacTag *children) const;
 
     /** Recompute one node from its children's current tags. */
-    void recomputeNode(unsigned level, Addr idx);
+    void recomputeNode(unsigned level, Addr idx) const;
+
+    /** Install a leaf tag and record its parent as dirty. */
+    void installLeaf(Addr leaf_idx, const Block &packed);
+
+    /** Recompute every dirty node bottom-up and empty the dirty list. */
+    void flush() const;
 
     Addr numLeaves;
     const crypto::MacEngine &mac;
     std::vector<Addr> levelSizes;           ///< per-level node counts
     std::vector<crypto::MacTag> defaults;   ///< per-level default tags
-    std::vector<Level> nodes;               ///< per-level chunked tags
+    mutable std::vector<Level> nodes;       ///< per-level chunked tags
+    /// Level-1 parents of the leaves updated since the last flush.
+    mutable std::vector<Addr> dirty;
 };
 
 } // namespace dolos

@@ -376,7 +376,7 @@ SecurityEngine::loadEcc(Addr addr) const
 void
 SecurityEngine::verifyFetchedPage(Addr page_idx, const CounterPage &page)
 {
-    if (tree.leafTagOf(page) != tree.nodeTag(0, page_idx)) {
+    if (tree.leafTagOf(page.pack()) != tree.nodeTag(0, page_idx)) {
         ++statAttacks;
         warn("counter block for page %llu failed tree verification",
              (unsigned long long)page_idx);
@@ -628,14 +628,14 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
         // same atomic step. Any later crash point would otherwise
         // leave stored siblings unreadable: recovery's re-drain only
         // rewrites the dumped address, never its page siblings.
-        const CounterPage &npage = counters.page(page_idx);
-        tree.updateLeaf(page_idx, npage);
-        rootRegister = tree.root();
+        const Block npacked = counters.page(page_idx).pack();
+        tree.updateLeaf(page_idx, npacked);
+        rootStale = true;
         if (params.crashScheme == CrashScheme::Anubis)
             shadow.recordUpdate(ctrCache.slotOf(cb_addr), page_idx,
-                                npage, ++shadowSeq, t);
+                                npacked, ++shadowSeq, t);
         else
-            nvm_.write(cb_addr, npage.pack(), t);
+            nvm_.write(cb_addr, npacked, t);
     }
     DOLOS_CRASH_POINT(MasuCtrBumped);
 
@@ -668,8 +668,8 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
     // (rewriting data, MAC, and ECC) before any demand read.
     DOLOS_CRASH_POINT(MasuMacStored);
 
-    const CounterPage &page = counters.page(page_idx);
-    tree.updateLeaf(page_idx, page);
+    const Block packed = counters.page(page_idx).pack();
+    tree.updateLeaf(page_idx, packed);
 
     // Keep the tree cache coherent with the updated path (the root
     // lives in the on-chip register, not the cache).
@@ -695,11 +695,12 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
     // the controller's redo-log fill: a root register ahead of the
     // recoverable counters reads as tamper at reboot. The next
     // microstep is MasuRootCommit in the controller, fired only once
-    // the redo record can replay this write.
-    rootRegister = tree.root();
+    // the redo record can replay this write. The flip fixes the
+    // register's value; syncRootRegister reads it off the tree later.
+    rootStale = true;
     if (params.crashScheme == CrashScheme::Anubis) {
         // Anubis: persist the shadow entry for this counter block.
-        shadow.recordUpdate(ctrCache.slotOf(cb_addr), page_idx, page,
+        shadow.recordUpdate(ctrCache.slotOf(cb_addr), page_idx, packed,
                             ++shadowSeq, t);
     } else {
         // Osiris stop-loss: write the counter block through to NVM
@@ -707,7 +708,7 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
         // re-encryption, whose counter jump exceeds the stop-loss).
         if (bump.newCounter % params.osirisStopLoss == 0 ||
             bump.pageOverflow) {
-            nvm_.write(cb_addr, page.pack(), t);
+            nvm_.write(cb_addr, packed, t);
         }
     }
 
@@ -924,8 +925,20 @@ SecurityEngine::recoverCountersOsiris(SecureRecoveryResult &res)
 }
 
 void
+SecurityEngine::syncRootRegister() const
+{
+    if (rootStale) {
+        rootRegister = tree.root();
+        rootStale = false;
+    }
+}
+
+void
 SecurityEngine::crash()
 {
+    // The register is persistent; its committed value must be read
+    // off the tree before the tree is lost.
+    syncRootRegister();
     ctrCache.invalidateAll();
     mtCache.invalidateAll();
     counters.clear();
@@ -938,6 +951,8 @@ SecurityEngine::crash()
 SecureRecoveryResult
 SecurityEngine::recover()
 {
+    // The rebuild below replaces the tree the register is read from.
+    syncRootRegister();
     SecureRecoveryResult res;
 
     // 1. Restore counters from the NVM counter region. Reads pass
@@ -1211,6 +1226,8 @@ SecurityEngine::scrubMetadata()
 persist::StateManifest
 SecurityEngine::stateManifest() const
 {
+    // Snapshots read the register as committed.
+    syncRootRegister();
     persist::StateManifest m("SecurityEngine");
     DOLOS_MF_CONST(m, params);
     DOLOS_MF_CONST(m, nvm_);
@@ -1222,6 +1239,7 @@ SecurityEngine::stateManifest() const
     DOLOS_MF_DELEGATED_V(m, mtCache);
     DOLOS_MF_DELEGATED_P(m, shadow);
     DOLOS_MF_P(m, rootRegister);
+    DOLOS_MF_V(m, rootStale);
     DOLOS_MF_P(m, shadowSeq);
     DOLOS_MF_V(m, busyUntil_);
     DOLOS_MF_V(m, bmtInflight);

@@ -263,7 +263,12 @@ class SecurityEngine
     }
 
     /** On-chip persistent root register. */
-    crypto::MacTag persistentRoot() const { return rootRegister; }
+    crypto::MacTag
+    persistentRoot() const
+    {
+        syncRootRegister();
+        return rootRegister;
+    }
 
     const SecureParams &config() const { return params; }
     const crypto::MacEngine &macEngine() const { return *mac; }
@@ -383,6 +388,15 @@ class SecurityEngine
      */
     Tick fetchCounter(Addr addr, Tick start, bool for_write);
 
+    /**
+     * Read the last commit group's root off the tree into the root
+     * register. A commit only marks the register stale. Every leaf
+     * update reaches its commit group before any crash point or
+     * register read, so the tree's root is the committed value
+     * whenever the register is read.
+     */
+    void syncRootRegister() const;
+
     /** Verify an NVM-fetched counter page against the trusted tree. */
     void verifyFetchedPage(Addr page_idx, const CounterPage &page);
 
@@ -479,7 +493,9 @@ class SecurityEngine
     TagCache mtCache;
     AnubisShadow shadow;
 
-    crypto::MacTag rootRegister{};    ///< on-chip persistent
+    mutable crypto::MacTag rootRegister{}; ///< on-chip persistent
+    /// The register awaits the last commit's root (syncRootRegister).
+    mutable bool rootStale = false;
     std::uint64_t shadowSeq = 0;      ///< on-chip persistent
     Tick busyUntil_ = 0;
 

@@ -39,7 +39,7 @@ TEST_F(AnubisTest, EmptyScanFindsNothing)
 
 TEST_F(AnubisTest, RecordedEntryIsRecovered)
 {
-    shadow.recordUpdate(3, 42, page(1, 5), 100, 0);
+    shadow.recordUpdate(3, 42, page(1, 5).pack(), 100, 0);
     const auto scan = shadow.scan();
     ASSERT_EQ(scan.entries.size(), 1u);
     EXPECT_EQ(scan.entries[0].pageIdx, 42u);
@@ -50,8 +50,8 @@ TEST_F(AnubisTest, RecordedEntryIsRecovered)
 
 TEST_F(AnubisTest, SlotOverwriteKeepsLatest)
 {
-    shadow.recordUpdate(3, 42, page(1, 5), 100, 0);
-    shadow.recordUpdate(3, 42, page(1, 6), 101, 10);
+    shadow.recordUpdate(3, 42, page(1, 5).pack(), 100, 0);
+    shadow.recordUpdate(3, 42, page(1, 6).pack(), 101, 10);
     const auto scan = shadow.scan();
     ASSERT_EQ(scan.entries.size(), 1u);
     EXPECT_EQ(scan.entries[0].page, page(1, 6));
@@ -59,15 +59,15 @@ TEST_F(AnubisTest, SlotOverwriteKeepsLatest)
 
 TEST_F(AnubisTest, IndependentSlotsCoexist)
 {
-    shadow.recordUpdate(0, 1, page(1, 1), 1, 0);
-    shadow.recordUpdate(15, 2, page(2, 2), 2, 0);
+    shadow.recordUpdate(0, 1, page(1, 1).pack(), 1, 0);
+    shadow.recordUpdate(15, 2, page(2, 2).pack(), 2, 0);
     const auto scan = shadow.scan();
     EXPECT_EQ(scan.entries.size(), 2u);
 }
 
 TEST_F(AnubisTest, TamperedContentDetected)
 {
-    shadow.recordUpdate(5, 9, page(3, 3), 7, 0);
+    shadow.recordUpdate(5, 9, page(3, 3).pack(), 7, 0);
     // Attacker flips a bit in the packed page stored in NVM.
     const Addr addr = AddressMap::shadowSlotAddr(5 * 2);
     Block b = nvm.readFunctional(addr);
@@ -81,7 +81,7 @@ TEST_F(AnubisTest, TamperedContentDetected)
 
 TEST_F(AnubisTest, TamperedMetadataDetected)
 {
-    shadow.recordUpdate(5, 9, page(3, 3), 7, 0);
+    shadow.recordUpdate(5, 9, page(3, 3).pack(), 7, 0);
     const Addr addr = AddressMap::shadowSlotAddr(5 * 2) + blockSize;
     Block b = nvm.readFunctional(addr);
     b[8] ^= 0x10; // page index field
@@ -96,12 +96,12 @@ TEST_F(AnubisTest, ReplayedOldEntryIsInternallyConsistent)
     // A replayed old (content, MAC) pair passes the slot MAC -- the
     // defense against replay is the eagerly-persisted tree root,
     // checked at the engine level, not here.
-    shadow.recordUpdate(5, 9, page(3, 3), 7, 0);
+    shadow.recordUpdate(5, 9, page(3, 3).pack(), 7, 0);
     const Addr a0 = AddressMap::shadowSlotAddr(5 * 2);
     const Block old0 = nvm.readFunctional(a0);
     const Block old1 = nvm.readFunctional(a0 + blockSize);
 
-    shadow.recordUpdate(5, 9, page(3, 4), 8, 10);
+    shadow.recordUpdate(5, 9, page(3, 4).pack(), 8, 10);
     nvm.writeFunctional(a0, old0);
     nvm.writeFunctional(a0 + blockSize, old1);
 
@@ -113,14 +113,14 @@ TEST_F(AnubisTest, ReplayedOldEntryIsInternallyConsistent)
 
 TEST_F(AnubisTest, WritesAreCounted)
 {
-    shadow.recordUpdate(0, 1, page(1, 1), 1, 0);
-    shadow.recordUpdate(1, 2, page(1, 1), 2, 0);
+    shadow.recordUpdate(0, 1, page(1, 1).pack(), 1, 0);
+    shadow.recordUpdate(1, 2, page(1, 1).pack(), 2, 0);
     EXPECT_EQ(shadow.writes(), 2u);
 }
 
 TEST_F(AnubisTest, DeathOnBadSlot)
 {
-    EXPECT_DEATH(shadow.recordUpdate(16, 1, page(1, 1), 1, 0),
+    EXPECT_DEATH(shadow.recordUpdate(16, 1, page(1, 1).pack(), 1, 0),
                  "out of range");
 }
 

@@ -5,8 +5,10 @@
  * AES, counter pads, the Merkle tree) that alters a single
  * ciphertext, MAC or root byte fails here.
  *
- * The run is hashmap, 100 transactions on the default machine, then a
- * power failure. The digest is FNV-1a over, in order:
+ * The run is hashmap, 100 transactions, then a power failure: once per
+ * mode on the default machine, and in Dolos-Partial under the Osiris
+ * crash scheme, under the lazy ToC tree policy and on the crash-test
+ * machine with a 2 KB tree cache. The digest is FNV-1a over, in order:
  *  - every NVM block, sorted by address (address, then 64 bytes);
  *  - the security engine's persistent root register;
  *  - the Mi-SU WPQ-tree root register (all-zero except in Dolos-Full).
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "dolos/system.hh"
+#include "verify/sweep_driver.hh"
 #include "workloads/runner.hh"
 
 namespace
@@ -55,12 +58,21 @@ struct Fnv1a
     }
 };
 
-/** Run hashmap for 100 tx, fail power, and digest the bytes. */
-std::uint64_t
-runDigest(SecurityMode mode)
+/** Number of integrity-tree nodes the NVM image holds. */
+std::size_t
+storedTreeNodes(System &sys)
 {
-    auto cfg = SystemConfig::paperDefault();
-    cfg.mode = mode;
+    std::size_t n = 0;
+    for (const auto &[addr, block] : sys.nvmDevice().store().raw())
+        if (addr >= AddressMap::treeBase && addr < AddressMap::shadowBase)
+            ++n;
+    return n;
+}
+
+/** Run hashmap for 100 tx on @p cfg, fail power, and digest the bytes. */
+std::uint64_t
+runDigest(const SystemConfig &cfg, std::size_t *tree_nodes = nullptr)
+{
     System sys(cfg);
     auto wl = makeWorkload("hashmap", WorkloadParams{});
     const auto res = runWorkload(sys, *wl, 100);
@@ -69,6 +81,8 @@ runDigest(SecurityMode mode)
     // encrypts every dirty cache line on its way out, so the image
     // also holds bytes that a 100-tx eADR run never writes back.
     sys.crash();
+    if (tree_nodes)
+        *tree_nodes = storedTreeNodes(sys);
 
     std::vector<std::pair<Addr, const Block *>> blocks;
     for (const auto &[addr, block] : sys.nvmDevice().store().raw())
@@ -89,6 +103,14 @@ runDigest(SecurityMode mode)
     return d.h;
 }
 
+SystemConfig
+paperConfig(SecurityMode mode)
+{
+    auto cfg = SystemConfig::paperDefault();
+    cfg.mode = mode;
+    return cfg;
+}
+
 TEST(GoldenBytes, HashmapDigestPerMode)
 {
     const std::pair<SecurityMode, std::uint64_t> pinned[] = {
@@ -99,10 +121,40 @@ TEST(GoldenBytes, HashmapDigestPerMode)
         {SecurityMode::EadrSecure, 0x7fd3bfe66447c676ULL},
     };
     for (const auto &[mode, digest] : pinned) {
-        const std::uint64_t got = runDigest(mode);
+        const std::uint64_t got = runDigest(paperConfig(mode));
         EXPECT_EQ(got, digest) << securityModeCliName(mode) << " digest 0x"
                                << std::hex << got;
     }
+}
+
+TEST(GoldenBytes, PartialDigestUnderOsiris)
+{
+    auto cfg = paperConfig(SecurityMode::DolosPartialWpq);
+    cfg.secure.crashScheme = CrashScheme::Osiris;
+    const std::uint64_t got = runDigest(cfg);
+    EXPECT_EQ(got, 0xd00255ee7a723070ULL) << "digest 0x" << std::hex << got;
+}
+
+TEST(GoldenBytes, PartialDigestUnderLazyToc)
+{
+    auto cfg = paperConfig(SecurityMode::DolosPartialWpq);
+    cfg.secure.treePolicy = TreeUpdatePolicy::LazyToc;
+    const std::uint64_t got = runDigest(cfg);
+    EXPECT_EQ(got, 0x57859943e2165f8cULL) << "digest 0x" << std::hex << got;
+}
+
+TEST(GoldenBytes, PartialDigestOnCrashTestMachine)
+{
+    // The crash-test machine's tree cache holds its whole 8192-leaf
+    // tree; shrink it so dirty tree nodes are evicted to NVM mid-run.
+    // The digest then pins the interior tags as read at eviction
+    // time, not only the root register.
+    auto cfg = verify::crashTestConfig(SecurityMode::DolosPartialWpq);
+    cfg.secure.mtCache = {"mtCache", 2 * 1024, 2};
+    std::size_t tree_nodes = 0;
+    const std::uint64_t got = runDigest(cfg, &tree_nodes);
+    EXPECT_GT(tree_nodes, 0u);
+    EXPECT_EQ(got, 0xfbbca38f72581918ULL) << "digest 0x" << std::hex << got;
 }
 
 } // namespace

@@ -175,7 +175,7 @@ TEST(StatTimeline, SelfProfilerPinsHostWorkAndDoesNotPerturb)
     const std::pair<Comp, std::uint64_t> expected[] = {
         {Comp::Core, 25414},       {Comp::CacheModel, 22800},
         {Comp::Controller, 67215}, {Comp::SecurityEngine, 13434},
-        {Comp::Aes, 51968},        {Comp::Mac, 124095},
+        {Comp::Aes, 51968},        {Comp::Mac, 49859},
         {Comp::Sha, 0},            {Comp::CtrPad, 12992},
         {Comp::Nvm, 38844},        {Comp::Verify, 0},
     };
