@@ -82,6 +82,20 @@ if(NOT damage_text MATCHES "\"unrecoverableMedia\":true")
         "${damage_text}")
 endif()
 
+# 4: a raw write failure in a mode that skips the Ma-SU drain: the
+#    device's retries are counted once, in the media object too.
+set(raw_damage "${WORKDIR}/raw_damage.json")
+expect_rc(4 "${SIM}" --workload hashmap --mode baseline
+            --txns 40 --keys 64 --inject-fault media-write-fail
+            --damage-json "${raw_damage}")
+expect_rc(0 "${REPORT}" --check "${raw_damage}")
+file(READ "${raw_damage}" raw_damage_text)
+if(NOT raw_damage_text MATCHES "\"media\":{[^}]*\"retries\":3[,}]")
+    message(FATAL_ERROR
+        "exit_codes_smoke: media object does not count the 3 device "
+        "retries:\n${raw_damage_text}")
+endif()
+
 # 0: a transient fault heals through retry — clean exit, no report.
 expect_rc(0 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --media-fault transient)

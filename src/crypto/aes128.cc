@@ -44,7 +44,6 @@ xtime(std::uint8_t a)
 struct SboxTables
 {
     std::array<std::uint8_t, 256> sbox{};
-    std::array<std::uint8_t, 256> inv{};
     /**
      * Encryption T-tables: te[r][x] is the MixColumns column that
      * S-box output sbox[x] contributes from row r, packed big-endian
@@ -78,8 +77,6 @@ struct SboxTables
             }
             sbox[x] = s;
         }
-        for (int x = 0; x < 256; ++x)
-            inv[sbox[x]] = std::uint8_t(x);
         for (int x = 0; x < 256; ++x) {
             const std::uint32_t s = sbox[x];
             const std::uint32_t s2 = xtime(sbox[x]);
@@ -98,52 +95,6 @@ tables()
 {
     static const SboxTables t;
     return t;
-}
-
-void
-invSubBytes(std::uint8_t *st)
-{
-    const auto &t = tables().inv;
-    for (int i = 0; i < 16; ++i)
-        st[i] = t[st[i]];
-}
-
-// State layout: st[4*c + r] is row r, column c (column-major, as in
-// the FIPS-197 byte ordering of the input block).
-
-void
-invShiftRows(std::uint8_t *st)
-{
-    std::uint8_t tmp[16];
-    std::memcpy(tmp, st, 16);
-    for (int r = 1; r < 4; ++r)
-        for (int c = 0; c < 4; ++c)
-            st[4 * ((c + r) % 4) + r] = tmp[4 * c + r];
-}
-
-void
-invMixColumns(std::uint8_t *st)
-{
-    for (int c = 0; c < 4; ++c) {
-        std::uint8_t *col = st + 4 * c;
-        const std::uint8_t a0 = col[0], a1 = col[1];
-        const std::uint8_t a2 = col[2], a3 = col[3];
-        col[0] = std::uint8_t(gmul(a0, 14) ^ gmul(a1, 11) ^
-                              gmul(a2, 13) ^ gmul(a3, 9));
-        col[1] = std::uint8_t(gmul(a0, 9) ^ gmul(a1, 14) ^
-                              gmul(a2, 11) ^ gmul(a3, 13));
-        col[2] = std::uint8_t(gmul(a0, 13) ^ gmul(a1, 9) ^
-                              gmul(a2, 14) ^ gmul(a3, 11));
-        col[3] = std::uint8_t(gmul(a0, 11) ^ gmul(a1, 13) ^
-                              gmul(a2, 9) ^ gmul(a3, 14));
-    }
-}
-
-void
-addRoundKey(std::uint8_t *st, const std::uint8_t *rk)
-{
-    for (int i = 0; i < 16; ++i)
-        st[i] ^= rk[i];
 }
 
 /** Big-endian load of one state column. */
@@ -285,24 +236,6 @@ Aes128::encryptPortable(const AesBlock &plaintext) const
     storeColumn(out.data() + 8, last(s2, s3, s0, s1, rk + 8));
     storeColumn(out.data() + 12, last(s3, s0, s1, s2, rk + 12));
     return out;
-}
-
-AesBlock
-Aes128::decryptBlock(const AesBlock &ciphertext) const
-{
-    DOLOS_PROF_SCOPE(Aes);
-    AesBlock st = ciphertext;
-    addRoundKey(st.data(), roundKeys.data() + 16 * numRounds);
-    for (int round = numRounds - 1; round >= 1; --round) {
-        invShiftRows(st.data());
-        invSubBytes(st.data());
-        addRoundKey(st.data(), roundKeys.data() + 16 * round);
-        invMixColumns(st.data());
-    }
-    invShiftRows(st.data());
-    invSubBytes(st.data());
-    addRoundKey(st.data(), roundKeys.data());
-    return st;
 }
 
 } // namespace dolos::crypto

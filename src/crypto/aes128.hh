@@ -11,6 +11,8 @@
  * (x86-64, checked once at startup) and otherwise on the portable
  * T-table code, which also serves as the test oracle for the AES-NI
  * path. Both produce the same bytes; the choice only moves host time.
+ * There is no decryption: counter mode only ever runs the forward
+ * cipher to make pads.
  *
  * This is a functional model: simulated latency (Table 1: 40 cycles)
  * is accounted separately by the timing model.
@@ -55,9 +57,6 @@ class Aes128
 
     /** True if this host can run encryptAesNi(). */
     static bool hasAesNi();
-
-    /** Decrypt one 16-byte block. */
-    AesBlock decryptBlock(const AesBlock &ciphertext) const;
 
   private:
     static constexpr int numRounds = 10;

@@ -96,48 +96,6 @@ SecureMemController::liveEntry(Addr addr)
     return &wpq[idx];
 }
 
-ReadResult
-SecureMemController::readRetried(Addr addr, Tick now)
-{
-    DOLOS_PROF_SCOPE(Controller);
-    if (nvm.isQuarantined(addr))
-        return {zeroBlock(), now + cfg.nvm.readLatency};
-    ReadResult r = nvm.read(addr, now);
-    unsigned attempts = 0;
-    while (nvm.lastReadMediaError() &&
-           attempts < cfg.secure.mediaRetryLimit) {
-        ++attempts;
-        r = nvm.read(addr, r.completeTick +
-                               (cfg.secure.mediaRetryBackoff
-                                << (attempts - 1)));
-    }
-    if (nvm.lastReadMediaError()) {
-        nvm.quarantine(addr, "uncorrectable media fault (raw read)",
-                       attempts);
-        return {zeroBlock(), r.completeTick};
-    }
-    return r;
-}
-
-Tick
-SecureMemController::writeRetried(Addr addr, const Block &data, Tick now)
-{
-    DOLOS_PROF_SCOPE(Controller);
-    Tick done = nvm.write(addr, data, now);
-    unsigned attempts = 0;
-    while (nvm.lastWriteMediaError() &&
-           attempts < cfg.secure.mediaRetryLimit) {
-        ++attempts;
-        done = nvm.write(addr, data,
-                         done + (cfg.secure.mediaRetryBackoff
-                                 << (attempts - 1)));
-    }
-    if (nvm.lastWriteMediaError())
-        nvm.quarantine(addr, "write failure persisted through retries",
-                       attempts);
-    return done;
-}
-
 void
 SecureMemController::drainEntry(WpqEntry &e)
 {
@@ -145,17 +103,22 @@ SecureMemController::drainEntry(WpqEntry &e)
     Tick done;
     switch (cfg.mode) {
       case SecurityMode::NonSecureIdeal:
-        // Plain NVM write of the buffered data.
-        done = writeRetried(e.addr, e.plaintext,
-                            std::max(start, lastDrainIssue));
+      case SecurityMode::PreWpqSecure: {
+        // Plain NVM write of the buffered data (Pre-WPQ secured it
+        // before insertion, so that is the ciphertext).
+        MediaRetry m;
+        done = nvm.writeRetried(
+            e.addr,
+            cfg.mode == SecurityMode::NonSecureIdeal ? e.plaintext
+                                                     : e.ciphertext,
+            std::max(start, lastDrainIssue), m);
+        if (m.failed)
+            nvm.quarantine(e.addr,
+                           "write failure persisted through retries",
+                           m.retries);
         lastDrainIssue = std::max(lastDrainIssue, start);
         break;
-      case SecurityMode::PreWpqSecure:
-        // Already secured before insertion: just the NVM write.
-        done = writeRetried(e.addr, e.ciphertext,
-                            std::max(start, lastDrainIssue));
-        lastDrainIssue = std::max(lastDrainIssue, start);
-        break;
+      }
       default: {
         // Ma-SU: decrypt (1-cycle XOR), full backend security, then
         // the NVM data write. Tentative results are staged in the
@@ -382,9 +345,20 @@ SecureMemController::readBlock(Addr addr, Tick now)
         return {e->plaintext, t + 1};
     }
 
-    if (cfg.mode == SecurityMode::NonSecureIdeal)
-        return readRetried(blockAlign(addr), t);
-    return engine.secureRead(blockAlign(addr), t);
+    const Addr aligned = blockAlign(addr);
+    if (cfg.mode != SecurityMode::NonSecureIdeal)
+        return engine.secureRead(aligned, t);
+    // Modes that skip the security engine still honor the device's
+    // fault flag.
+    if (nvm.isQuarantined(aligned))
+        return {zeroBlock(), t + cfg.nvm.readLatency};
+    MediaRetry m;
+    const ReadResult r = nvm.readRetried(aligned, t, m);
+    if (!m.failed)
+        return r;
+    nvm.quarantine(aligned, "uncorrectable media fault (raw read)",
+                   m.retries);
+    return {zeroBlock(), r.completeTick};
 }
 
 void

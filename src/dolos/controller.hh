@@ -218,13 +218,6 @@ class SecureMemController : public PersistController
     /** Common write path (persists and evictions). */
     PersistTicket enqueueWrite(Addr addr, const Block &data, Tick now);
 
-    /**
-     * Raw NVM access with bounded media-error retry (modes that skip
-     * the security engine still honor the device's fault flag).
-     */
-    ReadResult readRetried(Addr addr, Tick now);
-    Tick writeRetried(Addr addr, const Block &data, Tick now);
-
     /** Persistent recovery-journal state (see recover()). */
     enum class RecoveryPhase : std::uint64_t
     {

@@ -149,8 +149,8 @@ System::dumpDamageJson(std::ostream &os) const
        << ",\"media\":{"
        << "\"errorReads\":" << nvm->mediaErrorReads()
        << ",\"errorWrites\":" << nvm->mediaErrorWrites()
-       << ",\"retries\":" << eng->mediaRetries()
-       << ",\"healed\":" << eng->mediaHealed()
+       << ",\"retries\":" << nvm->mediaRetries()
+       << ",\"healed\":" << nvm->mediaHealed()
        << ",\"quarantineReads\":" << eng->quarantineReads()
        << ",\"spareRemaps\":" << nvm->remapLog().size()
        << ",\"sparesLeft\":" << nvm->sparesLeft() << "}"

@@ -21,6 +21,10 @@ NvmDevice::NvmDevice(const NvmParams &p)
                      "timed reads the device flagged as faulty");
     stats_.addScalar(&statMediaErrorWrites, "mediaErrorWrites",
                      "timed writes that failed to commit");
+    stats_.addScalar(&statMediaRetries, "mediaRetries",
+                     "device accesses retried after a media error");
+    stats_.addScalar(&statMediaHealed, "mediaHealed",
+                     "media errors corrected by retrying");
     stats_.addScalar(&statQuarantines, "quarantines",
                      "blocks retired as unrecoverable");
     stats_.addScalar(&statRemaps, "spareRemaps",
@@ -107,6 +111,68 @@ NvmDevice::readFunctionalChecked(Addr addr)
     Block block = data_.read(blockAlign(addr));
     applyReadFaults(blockAlign(addr), block);
     return block;
+}
+
+template <typename Again>
+MediaRetry
+NvmDevice::retryLoop(MediaAttempt attempt, Again &&again)
+{
+    unsigned retries = 0;
+    while (attempt.flagged && !attempt.accepted &&
+           retries < params.mediaRetryLimit) {
+        ++retries;
+        ++statMediaRetries;
+        attempt = again(attempt.done +
+                        (params.mediaRetryBackoff << (retries - 1)));
+    }
+    if (attempt.accepted && retries)
+        ++statMediaHealed;
+    return {retries, !attempt.accepted, attempt.flagged, attempt.done};
+}
+
+ReadResult
+NvmDevice::readRetried(Addr addr, Tick now, MediaRetry &out)
+{
+    ReadResult r;
+    const auto attempt = [&](Tick at) {
+        r = read(addr, at);
+        return MediaAttempt{lastReadMediaError_, !lastReadMediaError_,
+                            r.completeTick};
+    };
+    out = retryLoop(attempt(now), attempt);
+    return r;
+}
+
+Block
+NvmDevice::readCheckedRetried(Addr addr, MediaRetry &out)
+{
+    Block b;
+    const auto attempt = [&](Tick) {
+        b = readFunctionalChecked(addr);
+        return MediaAttempt{lastReadMediaError_, !lastReadMediaError_, 0};
+    };
+    out = retryLoop(attempt(0), attempt);
+    return b;
+}
+
+Tick
+NvmDevice::writeRetried(Addr addr, const Block &data, Tick now,
+                        MediaRetry &out)
+{
+    const auto attempt = [&](Tick at) {
+        const Tick done = write(addr, data, at);
+        return MediaAttempt{lastWriteMediaError_, !lastWriteMediaError_,
+                            done};
+    };
+    out = retryLoop(attempt(now), attempt);
+    return out.done;
+}
+
+MediaRetry
+NvmDevice::retry(const MediaAttempt &first,
+                 const std::function<MediaAttempt(Tick)> &again)
+{
+    return retryLoop(first, again);
 }
 
 Tick
@@ -267,6 +333,8 @@ NvmDevice::stateManifest() const
     DOLOS_MF_P(m, statWrites);
     DOLOS_MF_P(m, statMediaErrorReads);
     DOLOS_MF_P(m, statMediaErrorWrites);
+    DOLOS_MF_P(m, statMediaRetries);
+    DOLOS_MF_P(m, statMediaHealed);
     DOLOS_MF_P(m, statQuarantines);
     DOLOS_MF_P(m, statRemaps);
     DOLOS_MF_P(m, statBankConflicts);

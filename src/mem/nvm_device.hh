@@ -14,6 +14,7 @@
 #ifndef DOLOS_MEM_NVM_DEVICE_HH
 #define DOLOS_MEM_NVM_DEVICE_HH
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -53,6 +54,32 @@ struct NvmParams
      * quarantine instead.
      */
     unsigned spareBlocks = 32;
+
+    /**
+     * Media-retry policy: an access the device flags as faulty is
+     * reissued up to mediaRetryLimit times, the k-th retry at the
+     * previous attempt's completion plus mediaRetryBackoff << (k-1).
+     * Only then does the caller repair or quarantine the block.
+     */
+    unsigned mediaRetryLimit = 3;
+    Cycles mediaRetryBackoff = 300; ///< first retry delay; doubles
+};
+
+/** One attempt of an access under the media-retry policy. */
+struct MediaAttempt
+{
+    bool flagged = false;  ///< the device reported a media fault
+    bool accepted = false; ///< the result is usable as it stands
+    Tick done = 0;         ///< when the attempt (and its check) ended
+};
+
+/** What the media-retry policy did to one access. */
+struct MediaRetry
+{
+    unsigned retries = 0; ///< reissues after the first attempt
+    bool failed = false;  ///< the last attempt was still not accepted
+    bool flagged = false; ///< the device flagged the last attempt
+    Tick done = 0;        ///< when the last attempt ended
 };
 
 /** One quarantined (unrecoverable) block and why it was retired. */
@@ -137,6 +164,31 @@ class NvmDevice
      * same cell wear a demand read would.
      */
     Block readFunctionalChecked(Addr addr);
+
+    // --- media-retry policy ------------------------------------------
+    //
+    // The one implementation of the retry loop. Each method reports
+    // the retries and whether the fault outlived them in @p out, and
+    // counts them in nvm.mediaRetries / nvm.mediaHealed; repairing or
+    // quarantining a failed block is the caller's decision.
+
+    /** read() under the media-retry policy. */
+    ReadResult readRetried(Addr addr, Tick now, MediaRetry &out);
+
+    /** readFunctionalChecked() under the media-retry policy. */
+    Block readCheckedRetried(Addr addr, MediaRetry &out);
+
+    /** write() under the media-retry policy. */
+    Tick writeRetried(Addr addr, const Block &data, Tick now,
+                      MediaRetry &out);
+
+    /**
+     * The policy for an access whose content the caller judges: given
+     * the @p first attempt, while an attempt is flagged and not
+     * accepted, call @p again with the retry's issue tick.
+     */
+    MediaRetry retry(const MediaAttempt &first,
+                     const std::function<MediaAttempt(Tick)> &again);
 
     /** Earliest tick at which the bank holding @p addr is free. */
     Tick bankFreeAt(Addr addr) const;
@@ -230,10 +282,14 @@ class NvmDevice
     {
         return statMediaErrorWrites.value();
     }
+    std::uint64_t mediaRetries() const { return statMediaRetries.value(); }
+    std::uint64_t mediaHealed() const { return statMediaHealed.value(); }
 
   private:
     std::size_t bankIndex(Addr addr) const;
     void applyReadFaults(Addr addr, Block &data);
+    template <typename Again>
+    MediaRetry retryLoop(MediaAttempt attempt, Again &&again);
 
     NvmParams params;
     BackingStore data_;
@@ -255,6 +311,8 @@ class NvmDevice
     stats::Scalar statWrites;
     stats::Scalar statMediaErrorReads;
     stats::Scalar statMediaErrorWrites;
+    stats::Scalar statMediaRetries;
+    stats::Scalar statMediaHealed;
     stats::Scalar statQuarantines;
     stats::Scalar statRemaps;
     stats::Scalar statBankConflicts;

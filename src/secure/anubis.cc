@@ -53,43 +53,38 @@ AnubisShadow::recordUpdate(std::size_t slot, Addr page_idx,
 }
 
 ShadowScan
-AnubisShadow::scan(unsigned media_retry_limit)
+AnubisShadow::scan()
 {
     ShadowScan result;
+    Addr addr = 0;
+    // One read of a slot; a MAC mismatch on a clean read is tamper.
+    const std::function<MediaAttempt(Tick)> attempt = [&](Tick) {
+        const Block meta = nvm.readFunctionalChecked(addr + blockSize);
+        bool media = nvm.lastReadMediaError();
+        // An unmarked slot was never written, unless a transient flip
+        // hit the marker.
+        if (loadWord(meta, 0) != slotValidMarker)
+            return MediaAttempt{media, !media, 0};
+        const Block packed = nvm.readFunctionalChecked(addr);
+        media |= nvm.lastReadMediaError();
+        ShadowEntry e;
+        e.pageIdx = loadWord(meta, 8);
+        e.seq = loadWord(meta, 16);
+        crypto::MacTag stored;
+        std::memcpy(stored.data(), meta.data() + 24, stored.size());
+        if (entryMac(e.pageIdx, packed, e.seq) != stored)
+            return MediaAttempt{media, false, 0};
+        e.page = CounterPage::unpack(packed);
+        result.entries.push_back(e);
+        return MediaAttempt{media, true, 0};
+    };
     for (std::size_t slot = 0; slot < slots; ++slot) {
-        const Addr addr = AddressMap::shadowSlotAddr(Addr(slot) * 2);
-        for (unsigned attempt = 0;; ++attempt) {
-            const Block meta = nvm.readFunctionalChecked(addr + blockSize);
-            bool media = nvm.lastReadMediaError();
-            if (loadWord(meta, 0) != slotValidMarker) {
-                if (!media)
-                    break; // never written
-                if (attempt < media_retry_limit)
-                    continue; // a transient flip may have hit the marker
-                ++result.mediaSkippedSlots;
-                break;
-            }
-            const Block packed = nvm.readFunctionalChecked(addr);
-            media |= nvm.lastReadMediaError();
-            ShadowEntry e;
-            e.pageIdx = loadWord(meta, 8);
-            e.seq = loadWord(meta, 16);
-            crypto::MacTag stored;
-            std::memcpy(stored.data(), meta.data() + 24, stored.size());
-            if (entryMac(e.pageIdx, packed, e.seq) == stored) {
-                e.page = CounterPage::unpack(packed);
-                result.entries.push_back(e);
-                break;
-            }
-            if (media && attempt < media_retry_limit)
-                continue; // retry: transient disturb errors heal
-            if (media) {
-                ++result.mediaSkippedSlots;
-                break; // worn slot: skip, never alarm
-            }
+        addr = AddressMap::shadowSlotAddr(Addr(slot) * 2);
+        const MediaRetry m = nvm.retry(attempt(0), attempt);
+        if (m.failed && m.flagged)
+            ++result.mediaSkippedSlots; // worn slot: skip, never alarm
+        else if (m.failed)
             result.tamperDetected = true;
-            break;
-        }
     }
     return result;
 }

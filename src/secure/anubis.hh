@@ -80,9 +80,9 @@ class AnubisShadow
     /**
      * Scan all slots at recovery, verifying entry MACs. Reads pass
      * through the device's media-fault model; a media-flagged slot
-     * is retried up to @p media_retry_limit times, then skipped.
+     * is retried under the device's media-retry policy, then skipped.
      */
-    ShadowScan scan(unsigned media_retry_limit = 3);
+    ShadowScan scan();
 
     std::size_t numSlots() const { return slots; }
     std::uint64_t writes() const { return statWrites.value(); }

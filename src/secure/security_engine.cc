@@ -39,10 +39,6 @@ SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
                      "minor-counter overflow page re-encryptions");
     stats_.addScalar(&statColdReads, "coldReads",
                      "reads of never-written blocks");
-    stats_.addScalar(&statMediaRetries, "mediaRetries",
-                     "device accesses retried after a media error");
-    stats_.addScalar(&statMediaHealed, "mediaHealed",
-                     "media errors corrected by retrying");
     stats_.addScalar(&statQuarantineReads, "quarantineReads",
                      "reads served zeros from quarantined blocks");
     stats_.addScalar(&statMetaMediaFaults, "metaMediaFaults",
@@ -328,24 +324,15 @@ crypto::MacTag
 SecurityEngine::loadDataMacHealed(Addr addr)
 {
     const Addr mb_addr = AddressMap::macBlockAddr(addr);
-    Block b = nvm_.readFunctionalChecked(mb_addr);
-    bool media = nvm_.lastReadMediaError();
-    unsigned attempts = 0;
-    while (media && attempts < params.mediaRetryLimit) {
-        ++attempts;
-        ++statMediaRetries;
-        b = nvm_.readFunctionalChecked(mb_addr);
-        media = nvm_.lastReadMediaError();
-    }
-    if (media) {
+    MediaRetry m;
+    Block b = nvm_.readCheckedRetried(mb_addr, m);
+    if (m.failed) {
         // Persistent fault on the MAC frame itself: rebuild it (or
         // cascade). Either way the caller re-checks quarantine state.
-        if (repairMacBlock(mb_addr, attempts))
+        if (repairMacBlock(mb_addr, m.retries))
             b = nvm_.readFunctional(mb_addr);
         else
             b = Block{};
-    } else if (attempts) {
-        ++statMediaHealed;
     }
     crypto::MacTag tag;
     std::memcpy(tag.data(), b.data() + AddressMap::macOffsetInBlock(addr),
@@ -421,25 +408,12 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
     // backoff, and if the fault persists take the repair path instead
     // of comparing known-garbage against the truth.
     const Addr page_idx = AddressMap::pageOf(addr);
-    ReadResult r = nvm_.read(cb_addr, start);
-    bool cb_media = nvm_.lastReadMediaError();
+    MediaRetry cb_media;
+    const ReadResult r = nvm_.readRetried(cb_addr, start, cb_media);
     Tick t = r.completeTick;
-    unsigned cb_attempts = 0;
-    while (cb_media && cb_attempts < params.mediaRetryLimit) {
-        ++cb_attempts;
-        ++statMediaRetries;
-        const Cycles backoff = params.mediaRetryBackoff
-                               << (cb_attempts - 1);
-        r = nvm_.read(cb_addr, t + backoff);
-        cb_media = nvm_.lastReadMediaError();
-        t = r.completeTick;
-    }
-
-    if (cb_media) {
-        repairCounterBlock(cb_addr, page_idx, cb_attempts);
+    if (cb_media.failed) {
+        repairCounterBlock(cb_addr, page_idx, cb_media.retries);
     } else {
-        if (cb_attempts)
-            ++statMediaHealed;
         const CounterPage fetched = CounterPage::unpack(r.data);
         if (counters.hasPage(page_idx)) {
             // Volatile truth exists (block was evicted earlier): the
@@ -469,22 +443,11 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
         if (mtCache.lookup(node_addr))
             break;
         ++walked;
-        ReadResult nr = nvm_.read(node_addr, t);
-        bool node_media = nvm_.lastReadMediaError();
-        unsigned node_attempts = 0;
-        while (node_media && node_attempts < params.mediaRetryLimit) {
-            ++node_attempts;
-            ++statMediaRetries;
-            const Cycles backoff = params.mediaRetryBackoff
-                                   << (node_attempts - 1);
-            nr = nvm_.read(node_addr, nr.completeTick + backoff);
-            node_media = nvm_.lastReadMediaError();
-        }
+        MediaRetry node_media;
+        const ReadResult nr = nvm_.readRetried(node_addr, t, node_media);
         t = nr.completeTick + params.macLatency;
-        if (node_attempts && !node_media)
-            ++statMediaHealed;
-        if (node_media) {
-            repairTreeNode(node_addr, lvl, idx, node_attempts);
+        if (node_media.failed) {
+            repairTreeNode(node_addr, lvl, idx, node_media.retries);
         } else if (nvm_.store().contains(node_addr)) {
             crypto::MacTag stored;
             std::memcpy(stored.data(), nr.data.data(), stored.size());
@@ -771,7 +734,7 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     // while the data is in flight (counter-mode advantage), so only
     // the MAC verification and the XOR trail the data.
     ReadResult data = nvm_.read(addr, arrival);
-    bool media_error = nvm_.lastReadMediaError();
+    const bool media_error = nvm_.lastReadMediaError();
     const Tick ctr_ready = fetchCounter(addr, arrival, false);
     Tick t = std::max(data.completeTick, ctr_ready);
     t += params.macLatency + 1;
@@ -794,39 +757,35 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
         statReadLatencyHist.sample(double(t - arrival));
         return {zeroBlock(), t};
     }
-    bool mac_ok = dataMac(addr, data.data, counter) == stored_mac;
+    const bool mac_ok = dataMac(addr, data.data, counter) == stored_mac;
 
     // A failed MAC check has two very different causes. When the
     // device itself flagged the access, the cells are suspect: retry
     // with doubling backoff (a transient disturb error heals; a stuck
     // cell keeps failing and the block is retired). Only a mismatch
     // on a clean device read is attributed to an adversary.
-    unsigned attempts = 0;
-    while (!mac_ok && media_error && attempts < params.mediaRetryLimit) {
-        ++attempts;
-        ++statMediaRetries;
-        const Cycles backoff = params.mediaRetryBackoff
-                               << (attempts - 1);
-        data = nvm_.read(addr, t + backoff);
-        media_error = nvm_.lastReadMediaError();
-        t = data.completeTick + params.macLatency + 1;
-        mac_ok = dataMac(addr, data.data, counter) == stored_mac;
-    }
-    if (mac_ok && attempts) {
-        ++statMediaHealed;
-    } else if (!mac_ok) {
-        if (media_error || attempts) {
+    if (!mac_ok && media_error) {
+        const MediaRetry m = nvm_.retry({true, false, t}, [&](Tick at) {
+            data = nvm_.read(addr, at);
+            return MediaAttempt{
+                nvm_.lastReadMediaError(),
+                dataMac(addr, data.data, counter) == stored_mac,
+                data.completeTick + params.macLatency + 1};
+        });
+        t = m.done;
+        if (m.failed) {
             nvm_.quarantine(addr,
                             "uncorrectable media fault (read retries "
                             "exhausted)",
-                            attempts);
+                            m.retries);
             warn("data block 0x%llx quarantined after %u media "
                  "retries",
-                 (unsigned long long)addr, attempts);
+                 (unsigned long long)addr, m.retries);
             statReadLatency.sample(double(t - arrival));
             statReadLatencyHist.sample(double(t - arrival));
             return {zeroBlock(), t};
         }
+    } else if (!mac_ok) {
         ++statAttacks;
         warn("data block 0x%llx failed MAC verification",
              (unsigned long long)addr);
@@ -844,38 +803,17 @@ Tick
 SecurityEngine::writeCiphertext(Addr addr, const Block &ciphertext,
                                 Tick now)
 {
-    Tick done = nvm_.write(addr, ciphertext, now);
-    unsigned attempts = 0;
-    while (nvm_.lastWriteMediaError() &&
-           attempts < params.mediaRetryLimit) {
-        ++attempts;
-        ++statMediaRetries;
-        const Cycles backoff = params.mediaRetryBackoff
-                               << (attempts - 1);
-        done = nvm_.write(addr, ciphertext, done + backoff);
-    }
-    if (nvm_.lastWriteMediaError()) {
+    MediaRetry m;
+    const Tick done = nvm_.writeRetried(addr, ciphertext, now, m);
+    if (m.failed) {
         nvm_.quarantine(addr,
                         "write failure persisted through retries",
-                        attempts);
+                        m.retries);
         warn("data block 0x%llx quarantined after %u failed write "
              "retries",
-             (unsigned long long)addr, attempts);
-    } else if (attempts) {
-        ++statMediaHealed;
+             (unsigned long long)addr, m.retries);
     }
     return done;
-}
-
-void
-SecurityEngine::reissueCiphertext(Addr addr, const Block &plaintext)
-{
-    const std::uint64_t counter = counters.counterOf(addr);
-    Block ct = plaintext;
-    applyPad(ct, addr, counter);
-    nvm_.writeFunctional(addr, ct);
-    storeDataMac(addr, dataMac(addr, ct, counter));
-    storeEcc(addr, OsirisEcc::compute(plaintext));
 }
 
 void
@@ -977,20 +915,11 @@ SecurityEngine::recover()
     bool media_evidence = false;
     for (const Addr addr : ctr_blocks) {
         const Addr page_idx = (addr - ctr_lo) / blockSize;
-        Block b = nvm_.readFunctionalChecked(addr);
-        bool media = nvm_.lastReadMediaError();
-        unsigned attempts = 0;
-        while (media && attempts < params.mediaRetryLimit) {
-            ++attempts;
-            ++statMediaRetries;
-            b = nvm_.readFunctionalChecked(addr);
-            media = nvm_.lastReadMediaError();
-        }
-        if (!media) {
-            if (attempts) {
-                ++statMediaHealed;
+        MediaRetry m;
+        const Block b = nvm_.readCheckedRetried(addr, m);
+        if (!m.failed) {
+            if (m.retries)
                 media_evidence = true;
-            }
             counters.restorePage(page_idx, CounterPage::unpack(b));
             ++res.pagesRestored;
             continue;
@@ -1009,7 +938,7 @@ SecurityEngine::recover()
         } else {
             // Don't cascade yet: the shadow table may still hold a
             // valid image of this page. Resolve after the merge.
-            failed_frames.push_back({addr, page_idx, attempts});
+            failed_frames.push_back({addr, page_idx, m.retries});
         }
     }
 
@@ -1040,7 +969,7 @@ SecurityEngine::recover()
         // Merge Anubis shadow entries. Counters are monotonic, so
         // the componentwise-newest image wins; stale slots are
         // harmless.
-        const ShadowScan scan = shadow.scan(params.mediaRetryLimit);
+        const ShadowScan scan = shadow.scan();
         res.shadowTamper = scan.tamperDetected;
         res.shadowMediaSkipped = scan.mediaSkippedSlots;
         if (scan.mediaSkippedSlots) {
@@ -1176,22 +1105,14 @@ SecurityEngine::scrubMetadata()
         if (nvm_.isQuarantined(addr))
             continue;
         ++rep.blocksScanned;
-        nvm_.readFunctionalChecked(addr);
-        bool media = nvm_.lastReadMediaError();
-        if (!media)
-            continue;
-        unsigned attempts = 0;
-        while (media && attempts < params.mediaRetryLimit) {
-            ++attempts;
-            ++statMediaRetries;
-            nvm_.readFunctionalChecked(addr);
-            media = nvm_.lastReadMediaError();
-        }
+        MediaRetry m;
+        nvm_.readCheckedRetried(addr, m);
+        if (!m.failed && !m.retries)
+            continue; // the device flagged nothing
         ++rep.faultsFound;
-        if (!media) {
+        if (!m.failed) {
             // A transient disturb error: the retry consumed it and
             // the underlying cells are intact.
-            ++statMediaHealed;
             ++rep.repaired;
             ++statScrubRepairs;
             continue;
@@ -1200,15 +1121,15 @@ SecurityEngine::scrubMetadata()
         switch (params.map.regionOf(addr)) {
           case NvmRegion::Counter:
             repaired = repairCounterBlock(
-                addr, AddressMap::pageOfCounterBlock(addr), attempts);
+                addr, AddressMap::pageOfCounterBlock(addr), m.retries);
             break;
           case NvmRegion::Tree: {
             const auto [level, idx] = AddressMap::treeNodeOf(addr);
-            repairTreeNode(addr, level, idx, attempts);
+            repairTreeNode(addr, level, idx, m.retries);
             break;
           }
           case NvmRegion::Mac:
-            repaired = repairMacBlock(addr, attempts);
+            repaired = repairMacBlock(addr, m.retries);
             break;
           default:
             break;
@@ -1249,8 +1170,6 @@ SecurityEngine::stateManifest() const
     DOLOS_MF_P(m, statAttacks);
     DOLOS_MF_P(m, statOverflows);
     DOLOS_MF_P(m, statColdReads);
-    DOLOS_MF_P(m, statMediaRetries);
-    DOLOS_MF_P(m, statMediaHealed);
     DOLOS_MF_P(m, statQuarantineReads);
     DOLOS_MF_P(m, statMetaMediaFaults);
     DOLOS_MF_P(m, statCounterBlocksRebuilt);

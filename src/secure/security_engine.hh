@@ -100,16 +100,6 @@ struct SecureParams
     unsigned osirisStopLoss = 4;
 
     /**
-     * Media-error handling: when the NVM device flags a demand access
-     * as faulty (see NvmDevice's media-fault model) the engine
-     * retries up to mediaRetryLimit times, doubling the backoff each
-     * attempt. Only then is the block quarantined. A MAC mismatch
-     * *without* a device media flag is tamper and alarms immediately.
-     */
-    unsigned mediaRetryLimit = 3;
-    Cycles mediaRetryBackoff = 300; ///< first retry delay; doubles
-
-    /**
      * Counter repair: when a counter block is lost to an unhealable
      * media fault, the page is reconstructed Osiris/Phoenix-style by
      * trial-MACing each covered ciphertext against its stored data
@@ -227,12 +217,6 @@ class SecurityEngine
     /** Post the ciphertext of a completed secureWrite to NVM. */
     Tick writeCiphertext(Addr addr, const Block &ciphertext, Tick now);
 
-    /**
-     * Re-encrypt a block under its *current* counter without
-     * bumping it (used when Ma-SU replays a redo log at recovery).
-     */
-    void reissueCiphertext(Addr addr, const Block &plaintext);
-
     /** Drop all volatile state (power failure). */
     void crash();
 
@@ -278,9 +262,7 @@ class SecurityEngine
     std::uint64_t counterCacheHits() const { return ctrCache.hits(); }
     std::uint64_t counterCacheMisses() const { return ctrCache.misses(); }
 
-    /** Media-error handling outcomes (damage-report breakdown). */
-    std::uint64_t mediaRetries() const { return statMediaRetries.value(); }
-    std::uint64_t mediaHealed() const { return statMediaHealed.value(); }
+    /** Reads served as poison from quarantined blocks. */
     std::uint64_t quarantineReads() const
     {
         return statQuarantineReads.value();
@@ -508,8 +490,6 @@ class SecurityEngine
     stats::Scalar statAttacks;
     stats::Scalar statOverflows;
     stats::Scalar statColdReads;
-    stats::Scalar statMediaRetries;
-    stats::Scalar statMediaHealed;
     stats::Scalar statQuarantineReads;
     stats::Scalar statMetaMediaFaults;
     stats::Scalar statCounterBlocksRebuilt;

@@ -112,21 +112,6 @@ TEST(Aes128, AesNiMatchesPortableOnRandomPairs)
     }
 }
 
-TEST(Aes128, DecryptInvertsEncrypt)
-{
-    dolos::Random rng(123);
-    for (int trial = 0; trial < 50; ++trial) {
-        AesKey key;
-        AesBlock pt;
-        for (auto &b : key)
-            b = std::uint8_t(rng.next());
-        for (auto &b : pt)
-            b = std::uint8_t(rng.next());
-        Aes128 aes(key);
-        EXPECT_EQ(aes.decryptBlock(aes.encryptBlock(pt)), pt);
-    }
-}
-
 TEST(Aes128, DifferentKeysProduceDifferentCiphertext)
 {
     AesKey k1{}, k2{};

@@ -221,6 +221,117 @@ TEST(NvmMediaFaults, ReadFunctionalCheckedSeesTheFaultModel)
     EXPECT_EQ(nvm.readFunctional(0x7000)[0], 0x0F);
 }
 
+TEST(NvmMediaRetry, StuckCellGivesUpAfterTheLimitWithDoublingBackoff)
+{
+    auto p = paperParams();
+    p.mediaRetryLimit = 4;
+    p.mediaRetryBackoff = 100;
+    NvmDevice nvm(p);
+    nvm.write(0x2000, Block{}, 0);
+    nvm.injectStuckBit(0x2000, 3, true);
+
+    // Each retry is issued at the previous completion plus
+    // backoff << (k-1): reads end at 600, then 600+100+600,
+    // 1300+200+600, 2100+400+600 and 3100+800+600.
+    MediaRetry m;
+    const ReadResult r = nvm.readRetried(0x2000, 0, m);
+    EXPECT_EQ(m.retries, 4u);
+    EXPECT_TRUE(m.failed);
+    EXPECT_TRUE(m.flagged);
+    EXPECT_EQ(m.done, 4500u);
+    EXPECT_EQ(r.completeTick, 4500u);
+    EXPECT_EQ(r.data[0], 0x08); // the stuck value, for the caller
+    EXPECT_EQ(nvm.reads(), 5u);
+    EXPECT_EQ(nvm.mediaRetries(), 4u);
+    EXPECT_EQ(nvm.mediaHealed(), 0u);
+    EXPECT_FALSE(nvm.isQuarantined(0x2000)); // the caller's decision
+}
+
+TEST(NvmMediaRetry, TransientFlipHealsOnTheFirstRetry)
+{
+    NvmDevice nvm(paperParams());
+    Block b{};
+    b[0] = 0x5A;
+    nvm.write(0x1000, b, 0);
+    nvm.injectTransientFlip(0x1000, 0);
+
+    // The write holds no read-track bank: the first read ends at
+    // 1000+600, the retry 300 cycles later ends at 2500.
+    MediaRetry m;
+    const ReadResult r = nvm.readRetried(0x1000, 1000, m);
+    EXPECT_EQ(m.retries, 1u);
+    EXPECT_FALSE(m.failed);
+    EXPECT_EQ(r.completeTick, 2500u);
+    EXPECT_EQ(r.data[0], 0x5A);
+    EXPECT_EQ(nvm.mediaRetries(), 1u);
+    EXPECT_EQ(nvm.mediaHealed(), 1u);
+
+    // A clean read is one attempt, no retry.
+    nvm.readRetried(0x1000, 5000, m);
+    EXPECT_EQ(m.retries, 0u);
+    EXPECT_FALSE(m.failed);
+    EXPECT_EQ(nvm.mediaRetries(), 1u);
+}
+
+TEST(NvmMediaRetry, WriteRetriesUntilTheCommitLands)
+{
+    NvmDevice nvm(paperParams());
+    nvm.injectWriteFail(0x3000, 2);
+    Block b{};
+    b[0] = 0x77;
+    MediaRetry m;
+    // 0+2000, then 2000+300+2000, then 4300+600+2000.
+    EXPECT_EQ(nvm.writeRetried(0x3000, b, 0, m), 6900u);
+    EXPECT_EQ(m.retries, 2u);
+    EXPECT_FALSE(m.failed);
+    EXPECT_EQ(nvm.readFunctional(0x3000)[0], 0x77);
+    EXPECT_EQ(nvm.mediaHealed(), 1u);
+
+    // More failures than the limit: the fault persists.
+    nvm.injectWriteFail(0x3000, 8);
+    nvm.writeRetried(0x3000, Block{}, 10000, m);
+    EXPECT_EQ(m.retries, nvm.config().mediaRetryLimit);
+    EXPECT_TRUE(m.failed);
+    EXPECT_EQ(nvm.readFunctional(0x3000)[0], 0x77);
+    EXPECT_EQ(nvm.mediaRetries(), 2u + nvm.config().mediaRetryLimit);
+}
+
+TEST(NvmMediaRetry, CheckedReadRetriesUntimed)
+{
+    NvmDevice nvm(paperParams());
+    nvm.writeFunctional(0x6000, Block{});
+    nvm.injectTransientFlip(0x6000, 7);
+    MediaRetry m;
+    EXPECT_EQ(nvm.readCheckedRetried(0x6000, m), Block{});
+    EXPECT_EQ(m.retries, 1u);
+    EXPECT_FALSE(m.failed);
+    EXPECT_EQ(nvm.reads(), 0u); // untimed: no demand reads
+    EXPECT_EQ(nvm.mediaHealed(), 1u);
+}
+
+TEST(NvmMediaRetry, CallerCheckJudgesContent)
+{
+    // A flagged attempt the caller accepts is not retried; one it
+    // rejects is, and an unflagged rejection ends the retries.
+    NvmDevice nvm(paperParams());
+    unsigned calls = 0;
+    const auto again = [&](Tick at) {
+        ++calls;
+        return MediaAttempt{false, false, at + 1};
+    };
+    MediaRetry m = nvm.retry({true, true, 10}, again);
+    EXPECT_EQ(calls, 0u);
+    EXPECT_FALSE(m.failed);
+
+    m = nvm.retry({true, false, 10}, again);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(m.retries, 1u);
+    EXPECT_TRUE(m.failed);
+    EXPECT_FALSE(m.flagged);
+    EXPECT_EQ(m.done, 311u); // issued at 10 + 300
+    EXPECT_EQ(nvm.mediaHealed(), 0u);
+}
+
 TEST(NvmMediaFaults, RemapToSpareRetiresTheWornRow)
 {
     auto p = paperParams();

@@ -309,16 +309,6 @@ TEST_F(SecurityEngineTest, CounterCacheHitsTrackLocality)
     EXPECT_EQ(eng.counterCacheHits(), 1u);
 }
 
-TEST_F(SecurityEngineTest, ReissueCiphertextKeepsBlockReadable)
-{
-    const Block pt = pattern(12);
-    writeThrough(0x1000, pattern(11), 0);
-    eng.reissueCiphertext(0x1000, pt);
-    const auto rd = eng.secureRead(0x1000, 100000);
-    EXPECT_EQ(rd.data, pt);
-    EXPECT_FALSE(eng.attackDetected());
-}
-
 TEST_F(SecurityEngineTest, TransientMediaFaultHealsWithoutAlarm)
 {
     const Block pt = pattern(13);
@@ -330,8 +320,8 @@ TEST_F(SecurityEngineTest, TransientMediaFaultHealsWithoutAlarm)
     // and never escalated to the tamper alarm.
     EXPECT_EQ(rd.data, pt);
     EXPECT_FALSE(eng.attackDetected());
-    EXPECT_EQ(eng.mediaRetries(), 1u);
-    EXPECT_EQ(eng.mediaHealed(), 1u);
+    EXPECT_EQ(nvm.mediaRetries(), 1u);
+    EXPECT_EQ(nvm.mediaHealed(), 1u);
     EXPECT_EQ(nvm.quarantineCount(), 0u);
 }
 
@@ -347,8 +337,8 @@ TEST_F(SecurityEngineTest, StuckCellQuarantinesWithoutAlarm)
     // Unhealable, device-flagged: graceful degradation, not tamper.
     EXPECT_FALSE(eng.attackDetected());
     EXPECT_TRUE(nvm.isQuarantined(0x2000));
-    EXPECT_EQ(eng.mediaRetries(), testParams().mediaRetryLimit);
-    EXPECT_EQ(eng.mediaHealed(), 0u);
+    EXPECT_EQ(nvm.mediaRetries(), nvm.config().mediaRetryLimit);
+    EXPECT_EQ(nvm.mediaHealed(), 0u);
     EXPECT_EQ(rd.data, zeroBlock());
 
     // Later reads of the quarantined block short-circuit to zeros.
@@ -370,7 +360,7 @@ TEST_F(SecurityEngineTest, TamperWithoutMediaFlagStillAlarms)
 
     eng.secureRead(0x3000, 100000);
     EXPECT_TRUE(eng.attackDetected());
-    EXPECT_EQ(eng.mediaRetries(), 0u);
+    EXPECT_EQ(nvm.mediaRetries(), 0u);
     EXPECT_EQ(nvm.quarantineCount(), 0u);
 }
 
@@ -380,7 +370,7 @@ TEST_F(SecurityEngineTest, WriteFailuresRetryThenQuarantine)
     // Fewer failures than the retry budget: the write heals.
     nvm.injectWriteFail(0x4000, 2);
     writeThrough(0x4000, pt, 0);
-    EXPECT_EQ(eng.mediaHealed(), 1u);
+    EXPECT_EQ(nvm.mediaHealed(), 1u);
     EXPECT_FALSE(nvm.isQuarantined(0x4000));
     const auto rd = eng.secureRead(0x4000, 1000000);
     EXPECT_EQ(rd.data, pt);

@@ -185,6 +185,22 @@ INSTANTIATE_TEST_SUITE_P(DolosModes, TornDump,
                              return dolos::test::modeLabel(info.param);
                          });
 
+/**
+ * Rewrite @p victim and let the WPQ drain it: with an injected write
+ * failure every program pulse fails, the controller retries, gives
+ * up and quarantines.
+ */
+void
+rewriteAndDrain(System &sys, Addr victim)
+{
+    const std::uint64_t v = ~patternFor(victim);
+    sys.core().store(victim, &v, sizeof(v));
+    sys.core().clwb(victim);
+    sys.core().sfence();
+    sys.controller().drainTo(sys.core().now() + 1'000'000);
+    sys.core().compute(1'000'000);
+}
+
 class MediaFaults : public ::testing::TestWithParam<SecurityMode>
 {
 };
@@ -211,7 +227,7 @@ TEST_P(MediaFaults, TransientFlipHealsSilently)
         << rec.detail;
     EXPECT_FALSE(sys.attackDetected()) << rec.detail;
     EXPECT_FALSE(sys.unrecoverableMedia());
-    EXPECT_GE(sys.engine().mediaHealed(), 1u);
+    EXPECT_GE(sys.nvmDevice().mediaHealed(), 1u);
 }
 
 TEST_P(MediaFaults, StuckCellQuarantinesNotAlarms)
@@ -240,14 +256,7 @@ TEST_P(MediaFaults, WriteFailureQuarantinesNotAlarms)
 
     const auto rec = inj.inject(FaultKind::MediaWriteFail);
     ASSERT_TRUE(rec.injected) << rec.detail;
-    // Rewrite the victim: every program pulse fails, the controller
-    // retries, gives up and quarantines.
-    const std::uint64_t v = ~patternFor(rec.victim);
-    sys.core().store(rec.victim, &v, sizeof(v));
-    sys.core().clwb(rec.victim);
-    sys.core().sfence();
-    sys.controller().drainTo(sys.core().now() + 1'000'000);
-    sys.core().compute(1'000'000);
+    rewriteAndDrain(sys, rec.victim);
 
     EXPECT_FALSE(sys.attackDetected()) << rec.detail;
     EXPECT_TRUE(sys.unrecoverableMedia()) << rec.detail;
@@ -260,6 +269,63 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) {
         return dolos::test::modeLabel(info.param);
     });
+
+/**
+ * Ideal and Pre-WPQ write raw NVM on the drain: the device's retry
+ * policy still counts every retry it makes there.
+ */
+class RawMediaFaults : public ::testing::TestWithParam<SecurityMode>
+{
+};
+
+TEST_P(RawMediaFaults, WriteFailureRetriesAreCounted)
+{
+    System sys(dolos::test::cfgFor(GetParam()));
+    FaultInjector inj(sys, 303);
+    populateAndCycle(sys);
+
+    const auto rec = inj.inject(FaultKind::MediaWriteFail);
+    ASSERT_TRUE(rec.injected) << rec.detail;
+    rewriteAndDrain(sys, rec.victim);
+
+    const NvmDevice &nvm = sys.nvmDevice();
+    const auto q = nvm.quarantineLog().find(blockAlign(rec.victim));
+    ASSERT_NE(q, nvm.quarantineLog().end()) << rec.detail;
+    EXPECT_EQ(q->second.retries, 3u);
+    EXPECT_EQ(nvm.mediaRetries(), q->second.retries);
+    EXPECT_EQ(nvm.mediaHealed(), 0u);
+
+    std::ostringstream os;
+    sys.dumpDamageJson(os);
+    EXPECT_NE(os.str().find("\"retries\":3,\"healed\":0"),
+              std::string::npos)
+        << os.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RawModes, RawMediaFaults,
+    ::testing::Values(SecurityMode::NonSecureIdeal,
+                      SecurityMode::PreWpqSecure),
+    [](const auto &info) {
+        return dolos::test::modeLabel(info.param);
+    });
+
+TEST(RawMediaFaultsControl, IdealTransientIsRetriedAndHealed)
+{
+    System sys(dolos::test::cfgFor(SecurityMode::NonSecureIdeal));
+    FaultInjector inj(sys, 301);
+    populateAndCycle(sys);
+
+    const auto rec = inj.injectMediaTransient();
+    ASSERT_TRUE(rec.injected) << rec.detail;
+    std::uint64_t v = 0;
+    sys.core().load(rec.victim, &v, sizeof(v));
+
+    EXPECT_EQ(v, patternFor(rec.victim)) << rec.detail;
+    EXPECT_EQ(sys.nvmDevice().mediaRetries(), 1u);
+    EXPECT_EQ(sys.nvmDevice().mediaHealed(), 1u);
+    EXPECT_FALSE(sys.unrecoverableMedia());
+}
 
 TEST(MediaFaultsControl, DamageReportListsQuarantinedBlocks)
 {

@@ -467,8 +467,8 @@ main(int argc, char **argv)
                     std::uint64_t(sys.engine().attacksDetected()));
         std::printf("media: retries %llu, healed %llu, quarantined "
                     "%zu blocks\n",
-                    (unsigned long long)sys.engine().mediaRetries(),
-                    (unsigned long long)sys.engine().mediaHealed(),
+                    (unsigned long long)sys.nvmDevice().mediaRetries(),
+                    (unsigned long long)sys.nvmDevice().mediaHealed(),
                     sys.nvmDevice().quarantineCount());
         std::printf("repairs: ctr %llu, tree %llu, mac %llu, "
                     "cascaded %llu, reanchored %llu\n",
