@@ -27,25 +27,22 @@ main(int argc, char **argv)
                                      {1, 2, 3, 4});
     const crypto::AesKey key{{5, 6, 7, 8}};
 
-    struct Row
-    {
-        SecurityMode mode;
-        unsigned entries;
-    };
-    const Row rows[] = {{SecurityMode::DolosFullWpq, 16},
-                        {SecurityMode::DolosPartialWpq, 13},
-                        {SecurityMode::DolosPostWpq, 10}};
+    const auto wpq = SystemConfig::paperDefault().wpq;
 
     std::printf("%-22s %10s %10s %14s %12s\n", "", "PCR", "MACs",
                 "pads", "tag array");
-    for (const auto &row : rows) {
-        MiSu misu(row.mode, row.entries, 160, key, *mac);
+    for (const auto mode : {SecurityMode::DolosFullWpq,
+                            SecurityMode::DolosPartialWpq,
+                            SecurityMode::DolosPostWpq}) {
+        const unsigned entries = wpq.entriesFor(mode);
+        MiSu misu(modeTraits(mode), entries, wpq.misuMacLatency, key,
+                  *mac);
         const auto o = misu.storageOverhead();
         char pads[32];
         std::snprintf(pads, sizeof(pads), "%uB x %u",
-                      o.padBytes / row.entries, row.entries);
+                      o.padBytes / entries, entries);
         std::printf("%-22s %9uB %9uB %14s %11uB\n",
-                    securityModeName(row.mode),
+                    securityModeName(mode),
                     o.persistentCounterBytes, o.macBytes, pads,
                     o.tagArrayBytes);
     }

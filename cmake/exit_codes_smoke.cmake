@@ -49,6 +49,20 @@ expect_rc(2 "${SIM}" --mode not-a-mode)
 # 2: invalid configuration (degenerate WPQ) — rejected, not clamped.
 expect_rc(2 "${SIM}" --wpq 1 --txns 10)
 
+# A one-entry ADR budget leaves Partial no usable entry, but a mode
+# that does not use Partial's entries still runs.
+expect_rc(0 "${SIM}" --wpq 1 --mode baseline --txns 10)
+execute_process(
+    COMMAND "${SIM}" --wpq 1 --mode dolos-partial --txns 10
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "zero usable entries")
+    message(FATAL_ERROR
+        "exit_codes_smoke: --wpq 1 --mode dolos-partial: expected rc=2 "
+        "and 'zero usable entries', got rc=${rc}\n${err}")
+endif()
+
 # 3: injected integrity attack raises the alarm.
 expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --inject-fault data-flip)

@@ -47,8 +47,6 @@ expect_flag(manifest_dup_field.cc 1
     "registers 'field' twice")
 expect_flag(required_class_no_manifest.hh 1
     "crash-relevant class 'NvmDevice' has no stateManifest() definition")
-expect_flag(dup_stat_name.cc 1
-    "stat 'hits' registered twice on 'stats_'")
 # The suppressed malloc must not be flagged.
 expect_flag(raw_alloc.cc 1
     "raw 'new'")

@@ -1,10 +1,14 @@
 /**
  * @file
- * Configuration vocabulary: the security-mode name table, config
+ * Configuration vocabulary: the security-mode design table, config
  * validation and the --opt-knobs spec.
  */
 
 #include "dolos/config.hh"
+
+#include <iterator>
+
+#include "sim/logging.hh"
 
 namespace dolos
 {
@@ -12,53 +16,82 @@ namespace dolos
 namespace
 {
 
-/** Every spelling of one security mode. */
-struct ModeNames
-{
-    SecurityMode mode;
-    const char *cli;     ///< --mode spelling, printed in REPRO lines
-    const char *display; ///< human-readable name (bench/report output)
-    const char *alias;   ///< legacy --mode spelling, or nullptr
+using enum SecurityPlacement;
+
+/**
+ * The one place the modes and their designs are spelled out, in enum
+ * order. Columns left out take ModeTraits' defaults.
+ */
+constexpr ModeTraits modeTable[] = {
+    {.mode = SecurityMode::NonSecureIdeal, .cli = "ideal",
+     .display = "NonSecureIdeal"},
+    {.mode = SecurityMode::PreWpqSecure, .cli = "baseline",
+     .display = "PreWpqSecure", .security = BeforeWpq},
+    // Security runs on ADR power for every dumped entry (Figure 6).
+    {.mode = SecurityMode::PostWpqUnprotected, .cli = "post-unprotected",
+     .display = "PostWpqUnprotected", .security = AfterWpq,
+     .adrSecurityBytes = 2048},
+    // Entry MACs and the root are on-chip registers, so the dump
+    // carries no MACs and the whole budget flushes entries.
+    {.mode = SecurityMode::DolosFullWpq, .cli = "dolos-full",
+     .display = "Dolos-Full-WPQ", .alias = "full_wpq",
+     .security = AfterWpq, .misu = true, .inPathMacs = 2,
+     .rootMac = true, .misuMacBytes = 192},
+    // Entry MACs are dumped with the entries: 1/9 of the budget.
+    {.mode = SecurityMode::DolosPartialWpq, .cli = "dolos-partial",
+     .display = "Dolos-Partial-WPQ", .alias = "partial_wpq",
+     .security = AfterWpq, .misu = true,
+     .wpqEntries = &WpqParams::partialEntries, .inPathMacs = 1,
+     .dumpMacBlocks = 2, .entryBytes = 80, .misuMacBytes = 128},
+    // The MAC runs after commit; ADR reserves energy for one.
+    {.mode = SecurityMode::DolosPostWpq, .cli = "dolos-post",
+     .display = "Dolos-Post-WPQ", .alias = "post_wpq",
+     .security = AfterWpq, .misu = true,
+     .wpqEntries = &WpqParams::postEntries, .deferredMacs = 1,
+     .dumpMacBlocks = 2, .entryBytes = 80, .reserveBytes = 252,
+     .misuMacBytes = 128},
+    // The holdup flush writes one 64B line per item.
+    {.mode = SecurityMode::EadrSecure, .cli = "eadr",
+     .display = "Eadr-Secure", .security = AfterWpq, .eadrDomain = true,
+     .entryBytes = 64},
 };
 
-/** The one place the mode list is spelled out. */
-constexpr ModeNames modeTable[] = {
-    {SecurityMode::NonSecureIdeal, "ideal", "NonSecureIdeal", nullptr},
-    {SecurityMode::PreWpqSecure, "baseline", "PreWpqSecure", nullptr},
-    {SecurityMode::PostWpqUnprotected, "post-unprotected",
-     "PostWpqUnprotected", nullptr},
-    {SecurityMode::DolosFullWpq, "dolos-full", "Dolos-Full-WPQ",
-     "full_wpq"},
-    {SecurityMode::DolosPartialWpq, "dolos-partial", "Dolos-Partial-WPQ",
-     "partial_wpq"},
-    {SecurityMode::DolosPostWpq, "dolos-post", "Dolos-Post-WPQ",
-     "post_wpq"},
-    {SecurityMode::EadrSecure, "eadr", "Eadr-Secure", nullptr},
-};
-
-const ModeNames *
-namesOf(SecurityMode mode)
+constexpr bool
+inEnumOrder()
 {
-    for (const auto &n : modeTable)
-        if (n.mode == mode)
-            return &n;
-    return nullptr;
+    for (std::size_t i = 0; i < std::size(modeTable); ++i)
+        if (std::size_t(modeTable[i].mode) != i)
+            return false;
+    return true;
 }
+static_assert(inEnumOrder(), "modeTable rows must follow SecurityMode");
 
 } // namespace
+
+const ModeTraits &
+modeTraits(SecurityMode mode)
+{
+    DOLOS_ASSERT(std::size_t(mode) < std::size(modeTable),
+                 "no design row for mode %d", int(mode));
+    return modeTable[std::size_t(mode)];
+}
+
+unsigned
+WpqParams::entriesFor(SecurityMode mode) const
+{
+    return this->*modeTraits(mode).wpqEntries;
+}
 
 const char *
 securityModeName(SecurityMode mode)
 {
-    const auto *n = namesOf(mode);
-    return n ? n->display : "?";
+    return modeTraits(mode).display;
 }
 
 const char *
 securityModeCliName(SecurityMode mode)
 {
-    const auto *n = namesOf(mode);
-    return n ? n->cli : "?";
+    return modeTraits(mode).cli;
 }
 
 std::string
@@ -113,7 +146,7 @@ validateConfig(const SystemConfig &cfg)
     if (cfg.secure.bmtPipeline && cfg.secure.bmtPipelineWindow == 0)
         return "secure.bmtPipelineWindow must be nonzero when "
                "bmtPipeline is enabled";
-    if (cfg.mode == SecurityMode::EadrSecure &&
+    if (modeTraits(cfg.mode).eadrDomain &&
         cfg.eadr.energyBudgetCycles == 0)
         return "eadr.energyBudgetCycles must be nonzero in eADR mode "
                "(the holdup flush could never admit a line)";

@@ -76,16 +76,6 @@ const char *securityModeCliName(SecurityMode mode);
 /** Every --mode spelling joined by '|', for usage text. */
 std::string securityModeCliNames();
 
-/** True for the three Dolos Mi-SU modes. */
-bool isDolosMode(SecurityMode mode);
-
-/**
- * True for modes whose security engine runs *after* the WPQ and
- * serves drains (Dolos modes, the post-WPQ strawman, and eADR):
- * these persist at WPQ insertion.
- */
-bool securityAfterWpq(SecurityMode mode);
-
 /**
  * Parse a CLI mode name (ideal|baseline|post-unprotected|dolos-full|
  * dolos-partial|dolos-post|eadr, plus the full_wpq/partial_wpq/
@@ -121,20 +111,62 @@ struct WpqParams
     /** Enable write coalescing via the volatile tag array. */
     bool coalescing = true;
 
-    /** Usable entries for the given mode. */
-    unsigned
-    entriesFor(SecurityMode mode) const
-    {
-        switch (mode) {
-          case SecurityMode::DolosPartialWpq:
-            return partialEntries;
-          case SecurityMode::DolosPostWpq:
-            return postEntries;
-          default:
-            return adrBudgetEntries;
-        }
-    }
+    /** Usable entries for the given mode (its design row's column). */
+    unsigned entriesFor(SecurityMode mode) const;
 };
+
+/** Where a mode's security engine sits relative to the WPQ. */
+enum class SecurityPlacement
+{
+    None,      ///< no security engine: plaintext NVM
+    BeforeWpq, ///< secured before insertion; the WPQ holds ciphertext
+    AfterWpq,  ///< persists at insertion; the engine serves drains
+};
+
+/**
+ * One design row per security mode: every number and switch the
+ * simulator reads by mode, the way the paper states each design
+ * (Figure 5, §4, Table 3). The rows live in config.cc; code reads the
+ * columns and never tests the enum.
+ */
+struct ModeTraits
+{
+    SecurityMode mode;
+    const char *cli;     ///< --mode spelling, printed in REPRO lines
+    const char *display; ///< human-readable name (bench/report output)
+    const char *alias = nullptr; ///< legacy --mode spelling
+
+    SecurityPlacement security = SecurityPlacement::None;
+    bool misu = false; ///< Mi-SU protects the WPQ; ADR dumps its images
+
+    /**
+     * The caches are inside the persistence domain (eADR): CLWB is a
+     * no-op and a crash runs the holdup flush instead of an ADR dump.
+     */
+    bool eadrDomain = false;
+
+    /** The WpqParams field holding this design's usable entries. */
+    unsigned WpqParams::*wpqEntries = &WpqParams::adrBudgetEntries;
+
+    unsigned inPathMacs = 0;    ///< Mi-SU MACs before commit (2/1/0)
+    unsigned deferredMacs = 0;  ///< Mi-SU MACs after commit (Post: 1)
+    bool rootMac = false;       ///< Mi-SU WPQ-tree root register (Full)
+    unsigned dumpMacBlocks = 0; ///< MAC blocks in the ADR dump (0/2/2)
+    unsigned entryBytes = 72;   ///< ADR bytes and Mi-SU pad per entry
+    unsigned adrSecurityBytes = 0; ///< ADR energy to secure one entry
+    unsigned reserveBytes = 0;  ///< ADR reserve for a deferred MAC
+    unsigned misuMacBytes = 0;  ///< Mi-SU MAC storage (Table 3)
+};
+
+/** The design row of @p mode. */
+const ModeTraits &modeTraits(SecurityMode mode);
+
+/** True for the three Dolos Mi-SU modes. */
+inline bool
+isDolosMode(SecurityMode mode)
+{
+    return modeTraits(mode).misu;
+}
 
 /** eADR holdup-energy parameters (EadrSecure mode only). */
 struct EadrParams

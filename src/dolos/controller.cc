@@ -19,22 +19,6 @@ constexpr std::uint64_t dumpMarker = 0x57505144554D5031ULL; // "WPQDUMP1"
 constexpr std::uint64_t journalMarker = 0x5245434A524E4C31ULL; // "RECJRNL1"
 } // namespace
 
-bool
-isDolosMode(SecurityMode mode)
-{
-    return mode == SecurityMode::DolosFullWpq ||
-           mode == SecurityMode::DolosPartialWpq ||
-           mode == SecurityMode::DolosPostWpq;
-}
-
-bool
-securityAfterWpq(SecurityMode mode)
-{
-    return isDolosMode(mode) ||
-           mode == SecurityMode::PostWpqUnprotected ||
-           mode == SecurityMode::EadrSecure;
-}
-
 SecureMemController::SecureMemController(const SystemConfig &cfg,
                                          NvmDevice &nvm,
                                          SecurityEngine &engine)
@@ -44,11 +28,11 @@ SecureMemController::SecureMemController(const SystemConfig &cfg,
       capacity(cfg.wpq.entriesFor(cfg.mode)),
       stats_("mc")
 {
-    if (isDolosMode(cfg.mode)) {
+    if (design().misu) {
         // Mi-SU's pad key is derived from (distinct from) the data key.
         crypto::AesKey misu_key = cfg.secure.dataKey;
         misu_key[0] ^= 0xD5;
-        misu_ = std::make_unique<MiSu>(cfg.mode, capacity,
+        misu_ = std::make_unique<MiSu>(design(), capacity,
                                        cfg.wpq.misuMacLatency, misu_key,
                                        engine.macEngine());
     }
@@ -101,25 +85,18 @@ SecureMemController::drainEntry(WpqEntry &e)
 {
     const Tick start = e.persistTick;
     Tick done;
-    switch (cfg.mode) {
-      case SecurityMode::NonSecureIdeal:
-      case SecurityMode::PreWpqSecure: {
+    if (design().security != SecurityPlacement::AfterWpq) {
         // Plain NVM write of the buffered data (Pre-WPQ secured it
         // before insertion, so that is the ciphertext).
         MediaRetry m;
-        done = nvm.writeRetried(
-            e.addr,
-            cfg.mode == SecurityMode::NonSecureIdeal ? e.plaintext
-                                                     : e.ciphertext,
-            std::max(start, lastDrainIssue), m);
+        done = nvm.writeRetried(e.addr, homeImage(e, start),
+                                std::max(start, lastDrainIssue), m);
         if (m.failed)
             nvm.quarantine(e.addr,
                            "write failure persisted through retries",
                            m.retries);
         lastDrainIssue = std::max(lastDrainIssue, start);
-        break;
-      }
-      default: {
+    } else {
         // Ma-SU: decrypt (1-cycle XOR), full backend security, then
         // the NVM data write. Tentative results are staged in the
         // persistent redo log before the caches/NVM are touched, and
@@ -144,8 +121,6 @@ SecureMemController::drainEntry(WpqEntry &e)
         done = res.doneTick;
         if (misu_)
             misu_->clearSlot(slotOf(e));
-        break;
-      }
     }
     e.drained = true;
     e.releaseTick = done;
@@ -157,6 +132,39 @@ SecureMemController::drainEntry(WpqEntry &e)
                 (unsigned long long)done);
 }
 
+Block
+SecureMemController::homeImage(const WpqEntry &e, Tick at)
+{
+    const SecurityPlacement where = design().security;
+    if (where == SecurityPlacement::None)
+        return e.plaintext;
+    if (where == SecurityPlacement::BeforeWpq)
+        return e.ciphertext;
+    return engine.secureWrite(e.addr, e.plaintext, at).ciphertext;
+}
+
+Tick
+SecureMemController::secureBeforeWpq(Addr addr, const Block &data, Tick t,
+                                     Block &ct)
+{
+    if (design().security != SecurityPlacement::BeforeWpq)
+        return t;
+    const auto res = engine.secureWrite(addr, data, t);
+    ct = res.ciphertext;
+    return res.doneTick;
+}
+
+Tick
+SecureMemController::misuProtect(WpqEntry &e, Addr addr, const Block &data,
+                                 Tick t)
+{
+    if (!misu_)
+        return t;
+    t = misu_->acceptableAt(t) + misu_->insertLatency();
+    e.image = misu_->protect(slotOf(e), addr, data, t);
+    return t;
+}
+
 void
 SecureMemController::processDrainsUntil(Tick t)
 {
@@ -166,12 +174,11 @@ SecureMemController::processDrainsUntil(Tick t)
         WpqEntry &e = wpq[idx];
         // A drain starts the cycle after the entry commits, once the
         // drain server (security engine / NVM issue point) frees up.
-        Tick start = e.persistTick + 1;
-        if (securityAfterWpq(cfg.mode)) {
-            start = std::max(start, engine.busyUntil());
-        } else {
-            start = std::max(start, lastDrainIssue);
-        }
+        const Tick start = std::max(
+            e.persistTick + 1,
+            design().security == SecurityPlacement::AfterWpq
+                ? engine.busyUntil()
+                : lastDrainIssue);
         if (start > t)
             break;
         drainEntry(e);
@@ -206,24 +213,10 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
         if (e && !e->drained && e->id >= drainCursor) {
             ++statCoalesces;
             e->plaintext = data;
-            switch (cfg.mode) {
-              case SecurityMode::PreWpqSecure: {
-                // Still in front of the WPQ conceptually; the merged
-                // data re-runs the security engine.
-                const auto res = engine.secureWrite(addr, data, t);
-                e->ciphertext = res.ciphertext;
-                t = res.doneTick;
-                break;
-              }
-              case SecurityMode::NonSecureIdeal:
-              case SecurityMode::PostWpqUnprotected:
-              case SecurityMode::EadrSecure:
-                break;
-              default:
-                t = misu_->acceptableAt(t) + misu_->insertLatency();
-                e->image = misu_->protect(slotOf(*e), addr, data, t);
-                break;
-            }
+            // Pre-WPQ: still in front of the WPQ conceptually; the
+            // merged data re-runs the security engine.
+            t = secureBeforeWpq(addr, data, t, e->ciphertext);
+            t = misuProtect(*e, addr, data, t);
             e->persistTick = std::max(e->persistTick, t);
             statPersistLatency.sample(double(e->persistTick - now));
             statPersistLatencyHist.sample(double(e->persistTick - now));
@@ -233,13 +226,8 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
         }
     }
 
-    // Mode-specific front processing before the WPQ.
-    Block pre_ct{};
-    if (cfg.mode == SecurityMode::PreWpqSecure) {
-        const auto res = engine.secureWrite(addr, data, t);
-        pre_ct = res.ciphertext;
-        t = res.doneTick;
-    }
+    WpqEntry e;
+    t = secureBeforeWpq(addr, data, t, e.ciphertext);
 
     // Wait for a free WPQ slot, then pay the Mi-SU critical-path
     // latency and commit. An insertion that finds the queue full is
@@ -263,38 +251,10 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
                     (unsigned long long)(t - stall_from));
     }
 
-    WpqEntry e;
     e.id = nextId++;
     e.addr = blockAlign(addr);
     e.plaintext = data;
-
-    switch (cfg.mode) {
-      case SecurityMode::NonSecureIdeal:
-      case SecurityMode::PostWpqUnprotected:
-      case SecurityMode::EadrSecure:
-        e.persistTick = t;
-        break;
-      case SecurityMode::PreWpqSecure:
-        e.ciphertext = pre_ct;
-        e.persistTick = t;
-        break;
-      case SecurityMode::DolosFullWpq:
-      case SecurityMode::DolosPartialWpq: {
-        t = misu_->acceptableAt(t) + misu_->insertLatency();
-        e.image = misu_->protect(unsigned(e.id % capacity), e.addr,
-                                 data, t);
-        e.persistTick = t;
-        break;
-      }
-      case SecurityMode::DolosPostWpq: {
-        // Accepted as soon as the unit is free; the MAC runs after.
-        t = misu_->acceptableAt(t);
-        e.persistTick = t;
-        e.image = misu_->protect(unsigned(e.id % capacity), e.addr,
-                                 data, t);
-        break;
-      }
-    }
+    e.persistTick = misuProtect(e, e.addr, data, t);
 
     wpq.push_back(e);
     tagArray[e.addr] = e.id;
@@ -346,7 +306,7 @@ SecureMemController::readBlock(Addr addr, Tick now)
     }
 
     const Addr aligned = blockAlign(addr);
-    if (cfg.mode != SecurityMode::NonSecureIdeal)
+    if (design().security != SecurityPlacement::None)
         return engine.secureRead(aligned, t);
     // Modes that skip the security engine still honor the device's
     // fault flag.
@@ -542,14 +502,14 @@ SecureMemController::eadrHoldupFlush(Tick at, bool complete_in_flight,
     }
     report.withinAdrBudget =
         !report.budgetExhausted && !report.flushInterrupted;
-    report.energyBytes = unsigned(flushed) * 64;
+    report.energyBytes = unsigned(flushed) * design().entryBytes;
 }
 
 CrashDumpReport
 SecureMemController::crash(Tick at, bool complete_in_flight,
                            const std::vector<DirtyLine> *eadr_lines)
 {
-    if (cfg.mode == SecurityMode::EadrSecure) {
+    if (design().eadrDomain) {
         // eADR: no Mi-SU dump, no recovery journal — the holdup
         // flush fully drains (or loudly quarantines) everything in
         // the persistence domain, then the volatile state dies.
@@ -572,7 +532,7 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
     // the WPQ holds no new writes, and rewriting the dump header
     // below would orphan the undrained entries. Preserve the dump
     // and the journal; the restarted recovery resumes from them.
-    if (isDolosMode(cfg.mode) && readJournal()) {
+    if (misu_ && readJournal()) {
         loseVolatileState();
         return report;
     }
@@ -595,41 +555,7 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
                 : unsigned(undrained.size());
     adrTear.reset();
 
-    switch (cfg.mode) {
-      case SecurityMode::NonSecureIdeal:
-        // ADR flushes the plaintext WPQ to the home locations.
-        for (unsigned i = 0; i < flush_limit; ++i)
-            nvm.writeFunctional(undrained[i]->addr,
-                                undrained[i]->plaintext);
-        report.blocksFlushed = report.entriesDumped * 2;
-        report.energyBytes = report.entriesDumped * 72;
-        break;
-
-      case SecurityMode::PreWpqSecure:
-        // Entries are already secured ciphertext: flush home.
-        for (unsigned i = 0; i < flush_limit; ++i)
-            nvm.writeFunctional(undrained[i]->addr,
-                                undrained[i]->ciphertext);
-        report.blocksFlushed = report.entriesDumped * 2;
-        report.energyBytes = report.entriesDumped * 72;
-        break;
-
-      case SecurityMode::PostWpqUnprotected:
-        // The infeasible design: full security processing of every
-        // pending entry on backup power. Modeled for Figure 6; the
-        // report flags the budget violation.
-        for (unsigned i = 0; i < flush_limit; ++i) {
-            const auto res = engine.secureWrite(
-                undrained[i]->addr, undrained[i]->plaintext, at);
-            nvm.writeFunctional(undrained[i]->addr, res.ciphertext);
-        }
-        report.blocksFlushed = report.entriesDumped * 2;
-        report.energyBytes = report.entriesDumped * 72 +
-                             report.entriesDumped * 2048;
-        report.withinAdrBudget = report.entriesDumped == 0;
-        break;
-
-      default: {
+    if (misu_) {
         // Dolos: flush the Mi-SU-protected images to the dump
         // region; no cryptography runs on ADR power.
         Block header{};
@@ -639,30 +565,37 @@ SecureMemController::crash(Tick at, bool complete_in_flight,
         nvm.writeFunctional(AddressMap::wpqDumpBase, header);
         ++report.blocksFlushed;
 
-        unsigned i = 0;
-        for (const auto *e : undrained) {
-            if (i >= flush_limit)
-                break;
+        for (unsigned i = 0; i < flush_limit; ++i) {
+            const WpqEntry &e = *undrained[i];
             const Addr base = AddressMap::wpqDumpAddr(1 + i);
-            nvm.writeFunctional(base, e->image.ctData);
+            nvm.writeFunctional(base, e.image.ctData);
             Block meta{};
-            storeWord(meta, 0, e->image.ctAddr);
-            std::memcpy(meta.data() + 8, e->image.mac.data(), 8);
-            storeWord(meta, 16, slotOf(*e));
+            storeWord(meta, 0, e.image.ctAddr);
+            std::memcpy(meta.data() + 8, e.image.mac.data(), 8);
+            storeWord(meta, 16, slotOf(e));
             nvm.writeFunctional(base + blockSize, meta);
             report.blocksFlushed += 2;
-            ++i;
         }
-        const unsigned entry_bytes =
-            cfg.mode == SecurityMode::DolosFullWpq ? 72 : 80;
-        report.energyBytes = 64 + report.entriesDumped * entry_bytes;
-        if (cfg.mode == SecurityMode::DolosPostWpq)
-            report.energyBytes += 252; // reserved deferred-MAC energy
-        const unsigned budget = 64 + cfg.wpq.adrBudgetEntries * 72;
-        report.withinAdrBudget = report.energyBytes <= budget;
-        break;
-      }
+    } else {
+        // ADR flushes the WPQ to the home locations: plaintext, the
+        // Pre-WPQ ciphertext, or — the infeasible Figure 6 strawman
+        // — ciphertext secured on ADR power.
+        for (unsigned i = 0; i < flush_limit; ++i)
+            nvm.writeFunctional(undrained[i]->addr,
+                                homeImage(*undrained[i], at));
+        report.blocksFlushed = report.entriesDumped * 2;
     }
+    // Energy: the Mi-SU header block, each dumped entry (plus its
+    // security work if that runs on ADR power) and the reserve for
+    // an in-flight MAC, against the budget of a full non-secure WPQ.
+    const unsigned header_bytes = misu_ ? blockSize : 0;
+    report.energyBytes =
+        header_bytes +
+        report.entriesDumped *
+            (design().entryBytes + design().adrSecurityBytes) +
+        design().reserveBytes;
+    report.withinAdrBudget =
+        report.energyBytes <= blockSize + cfg.wpq.adrBudgetEntries * 72;
 
     loseVolatileState();
     return report;
@@ -694,7 +627,7 @@ SecureMemController::recover()
     std::optional<RecoveryJournal> journal;
     bool have_dump = false;
     Block header{};
-    if (isDolosMode(cfg.mode)) {
+    if (misu_) {
         journal = readJournal();
         report.resumed = journal.has_value();
         header = nvm.readFunctional(AddressMap::wpqDumpBase);
@@ -714,14 +647,14 @@ SecureMemController::recover()
         return report;
     }
 
-    if (cfg.mode != SecurityMode::NonSecureIdeal)
+    if (design().security != SecurityPlacement::None)
         report.engine = engine.recover();
     if (recoveryStep()) {
         report.interrupted = true;
         return report;
     }
 
-    if (!isDolosMode(cfg.mode))
+    if (!misu_)
         return report;
 
     if (!have_dump) {
@@ -742,9 +675,13 @@ SecureMemController::recover()
         return report;
     }
 
+    // The header's count is NVM content an attacker can forge; an
+    // honest dump never holds more than the WPQ, so a larger count
+    // fails authentication before a single entry is read.
     const std::uint64_t count = loadWord(header, 8);
+    const bool forged_count = count > capacity;
     std::vector<std::pair<unsigned, MisuEntryImage>> images;
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::uint64_t i = 0; !forged_count && i < count; ++i) {
         const Addr base = AddressMap::wpqDumpAddr(1 + i);
         MisuEntryImage img;
         img.ctData = nvm.readFunctional(base);
@@ -754,7 +691,9 @@ SecureMemController::recover()
         images.emplace_back(unsigned(loadWord(meta, 16)), img);
     }
 
-    if (cfg.mode == SecurityMode::DolosFullWpq) {
+    if (forged_count) {
+        report.misuVerified = false;
+    } else if (design().rootMac) {
         report.misuVerified = misu_->verifyRoot(images);
     } else {
         for (const auto &[slot, img] : images)
@@ -803,8 +742,7 @@ SecureMemController::recover()
     // Paper §5.5 recovery-latency model: read back the dump, re-
     // generate pads, drain each entry (2100 cycles incl. NVM write
     // and Ma-SU), recompute fresh pads.
-    const unsigned read_blocks =
-        capacity + (cfg.mode == SecurityMode::DolosFullWpq ? 0 : 2);
+    const unsigned read_blocks = capacity + design().dumpMacBlocks;
     report.modeledRecoveryCycles =
         Cycles(read_blocks) * cfg.nvm.readLatency +
         Cycles(capacity) * cfg.secure.aesLatency +

@@ -2,15 +2,16 @@
  * @file
  * The secure memory controller: WPQ + Mi-SU + Ma-SU (paper §4).
  *
- * One class implements every organization in Figure 5 via
- * SecurityMode, so baselines and Dolos share all machinery except
- * the placement of the security work:
+ * One class implements every organization in Figure 5, reading the
+ * mode's design row (ModeTraits), so baselines and Dolos share all
+ * machinery except the placement of the security work:
  *
  *   NonSecureIdeal      persist at WPQ insert; plaintext to NVM
  *   PreWpqSecure        security engine -> WPQ -> NVM (baseline)
  *   PostWpqUnprotected  WPQ -> security engine -> NVM (infeasible)
  *   DolosFull/Partial   Mi-SU (2/1 MACs) -> WPQ -> Ma-SU -> NVM
  *   DolosPost           WPQ (Mi-SU deferred) -> Ma-SU -> NVM
+ *   EadrSecure          caches + WPQ -> security engine -> NVM
  *
  * Timing uses exact timestamp simulation: the drain pipeline is
  * deterministic FIFO, so entries record their insert/persist ticks at
@@ -199,6 +200,26 @@ class SecureMemController : public PersistController
     /** Drain one entry (mode-specific); sets drained/releaseTick. */
     void drainEntry(WpqEntry &e);
 
+    /**
+     * What a raw write of @p e puts at its home address: the
+     * plaintext, the Pre-WPQ ciphertext, or — security after the
+     * WPQ, on the ADR flush only — a ciphertext secured at @p at.
+     */
+    Block homeImage(const WpqEntry &e, Tick at);
+
+    /**
+     * Pre-WPQ security: secure @p data into @p ct before insertion
+     * and return when that finishes (other designs return @p t).
+     */
+    Tick secureBeforeWpq(Addr addr, const Block &data, Tick t,
+                         Block &ct);
+
+    /**
+     * Mi-SU protection of @p e once the unit is free, paying the
+     * in-path MACs; returns the commit tick (others return @p t).
+     */
+    Tick misuProtect(WpqEntry &e, Addr addr, const Block &data, Tick t);
+
     /** Pop released entries and retire their tag-array mappings. */
     void retireReleased(Tick t);
 
@@ -238,6 +259,9 @@ class SecureMemController : public PersistController
 
     /** Recovery epilogue: retire pads, clear dump + journal. */
     void finishDump();
+
+    /** This controller's design row. */
+    const ModeTraits &design() const { return modeTraits(cfg.mode); }
 
     /** Find the live WPQ entry currently mapping @p addr, if any. */
     WpqEntry *liveEntry(Addr addr);

@@ -17,9 +17,9 @@ namespace
 constexpr std::uint64_t misuIvDomain = 0xD0105ULL << 20;
 } // namespace
 
-MiSu::MiSu(SecurityMode mode, unsigned capacity, Cycles mac_latency,
+MiSu::MiSu(const ModeTraits &design, unsigned capacity, Cycles mac_latency,
            const crypto::AesKey &key, const crypto::MacEngine &mac)
-    : mode_(mode),
+    : design_(design),
       capacity_(capacity),
       macLatency(mac_latency),
       padGen(key),
@@ -28,7 +28,7 @@ MiSu::MiSu(SecurityMode mode, unsigned capacity, Cycles mac_latency,
       slotLive(capacity, false),
       stats_("misu")
 {
-    DOLOS_ASSERT(isDolosMode(mode), "MiSu requires a Dolos mode");
+    DOLOS_ASSERT(design.misu, "MiSu requires a Dolos mode");
     regeneratePads();
 
     // The Full-WPQ root must cover the *initial* (empty) register
@@ -53,16 +53,9 @@ MiSu::MiSu(SecurityMode mode, unsigned capacity, Cycles mac_latency,
 Cycles
 MiSu::insertLatency() const
 {
-    switch (mode_) {
-      case SecurityMode::DolosFullWpq:
-        return 2 * macLatency; // entry/L1 MAC + WPQ root (Fig. 8)
-      case SecurityMode::DolosPartialWpq:
-        return macLatency; // single BMT-style MAC (Fig. 9)
-      case SecurityMode::DolosPostWpq:
-        return 0; // deferred (Fig. 10)
-      default:
-        return 0;
-    }
+    // Full: entry/L1 MAC + WPQ root (Fig. 8); Partial: one BMT-style
+    // MAC (Fig. 9); Post: none, the MAC is deferred (Fig. 10).
+    return design_.inPathMacs * macLatency;
 }
 
 Tick
@@ -106,7 +99,7 @@ MiSu::protect(unsigned slot, Addr addr, const Block &data,
     entryMacs[slot] = img.mac;
     slotLive[slot] = true;
 
-    if (mode_ == SecurityMode::DolosFullWpq) {
+    if (design_.rootMac) {
         // Root over all entry-MAC registers (the tiny WPQ tree).
         rootRegister = macEngine.compute(
             entryMacs.data(),
@@ -115,9 +108,7 @@ MiSu::protect(unsigned slot, Addr addr, const Block &data,
 
     // The MAC unit frees at the commit tick (Full/Partial pay their
     // MACs before commit); Post's single deferred MAC runs after.
-    busyUntil_ = mode_ == SecurityMode::DolosPostWpq
-                     ? commit_tick + macLatency
-                     : commit_tick;
+    busyUntil_ = commit_tick + design_.deferredMacs * macLatency;
 
     ++statProtects;
     const Cycles in_path = insertLatency();
@@ -129,18 +120,10 @@ MiSu::protect(unsigned slot, Addr addr, const Block &data,
                 commit_tick > in_path ? commit_tick - in_path
                                       : commit_tick,
                 addr, slot);
-    if (mode_ == SecurityMode::DolosPostWpq) {
-        ++statMacOps;
-        ++statDeferredMacs;
-        DOLOS_TRACE(trace::Stage::MisuMac, commit_tick, busyUntil_,
-                    addr, slot);
-    } else {
-        const unsigned macs =
-            mode_ == SecurityMode::DolosFullWpq ? 2 : 1;
-        statMacOps += macs;
-        DOLOS_TRACE(trace::Stage::MisuMac, commit_tick - in_path,
-                    commit_tick, addr, slot);
-    }
+    statMacOps += design_.inPathMacs + design_.deferredMacs;
+    statDeferredMacs += design_.deferredMacs;
+    DOLOS_TRACE(trace::Stage::MisuMac, commit_tick - in_path, busyUntil_,
+                addr, slot);
     debugPrintf("Misu", "protect slot=%u addr=0x%llx commit=%llu",
                 slot, (unsigned long long)addr,
                 (unsigned long long)commit_tick);
@@ -205,21 +188,10 @@ MiSu::storageOverhead() const
 {
     StorageOverhead o{};
     o.persistentCounterBytes = 8;
-    switch (mode_) {
-      case SecurityMode::DolosFullWpq:
-        // Entry-MAC registers (16 x 8B) + L1 MACs (2 x 8B) + root +
-        // indices: the paper reports 192B total.
-        o.macBytes = 192;
-        o.padBytes = 72 * capacity_;
-        break;
-      case SecurityMode::DolosPartialWpq:
-      case SecurityMode::DolosPostWpq:
-        o.macBytes = 128;
-        o.padBytes = 80 * capacity_;
-        break;
-      default:
-        break;
-    }
+    // Full: entry-MAC registers (16 x 8B) + L1 MACs (2 x 8B) + root +
+    // indices, 192B in the paper.
+    o.macBytes = design_.misuMacBytes;
+    o.padBytes = design_.entryBytes * capacity_;
     o.tagArrayBytes = 8 * capacity_; // volatile address registers
     return o;
 }
@@ -228,7 +200,7 @@ persist::StateManifest
 MiSu::stateManifest() const
 {
     persist::StateManifest m("MiSu");
-    DOLOS_MF_CONST(m, mode_);
+    DOLOS_MF_CONST(m, design_);
     DOLOS_MF_CONST(m, capacity_);
     DOLOS_MF_CONST(m, macLatency);
     DOLOS_MF_CONST(m, padGen);

@@ -9,7 +9,8 @@
  * at a crash dump — after which the PCR advances by the WPQ capacity
  * and all pads are regenerated.
  *
- * Three designs trade critical-path MAC work against usable WPQ size:
+ * Three designs trade critical-path MAC work against usable WPQ size
+ * (each one's numbers are its ModeTraits row in config.cc):
  *  - Full-WPQ-MiSU: 2 MACs (entry + WPQ-tree root) before commit;
  *    MACs/root live in on-chip persistent registers, so the whole
  *    ADR budget flushes entries (16).
@@ -60,13 +61,13 @@ class MiSu
 {
   public:
     /**
-     * @param mode One of the three Dolos modes.
+     * @param design The design row of one of the three Dolos modes.
      * @param capacity Usable WPQ entries for this design.
      * @param mac_latency One MAC computation (Table 1: 160).
      * @param key AES key for pad generation.
      * @param mac MAC engine (not owned).
      */
-    MiSu(SecurityMode mode, unsigned capacity, Cycles mac_latency,
+    MiSu(const ModeTraits &design, unsigned capacity, Cycles mac_latency,
          const crypto::AesKey &key, const crypto::MacEngine &mac);
 
     /** Critical-path latency added before a write commits. */
@@ -136,7 +137,6 @@ class MiSu
     /** WPQ-tree root register (on-chip; Full design only). */
     crypto::MacTag persistentRoot() const { return rootRegister; }
 
-    SecurityMode mode() const { return mode_; }
     unsigned capacity() const { return capacity_; }
     Tick busyUntil() const { return busyUntil_; }
 
@@ -173,7 +173,7 @@ class MiSu
     crypto::MacTag entryMac(unsigned slot,
                             const MisuEntryImage &img) const;
 
-    SecurityMode mode_;
+    const ModeTraits &design_;
     unsigned capacity_;
     Cycles macLatency;
     crypto::CtrPadGenerator padGen;

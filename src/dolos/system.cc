@@ -26,7 +26,7 @@ System::System(const SystemConfig &config) : cfg(config)
     // user knob: EadrSecure pulls the caches inside it (CLWB becomes
     // a completed no-op and crash() runs the holdup flush).
     HierarchyParams hp = cfg.hierarchy;
-    hp.eadrDomain = cfg.mode == SecurityMode::EadrSecure;
+    hp.eadrDomain = modeTraits(cfg.mode).eadrDomain;
     hier = std::make_unique<CacheHierarchy>(hp, *mc);
     core_ = std::make_unique<SimpleCore>(*hier);
 }
@@ -35,7 +35,7 @@ CrashDumpReport
 System::crash(bool mid_operation)
 {
     CrashDumpReport report;
-    if (cfg.mode == SecurityMode::EadrSecure) {
+    if (modeTraits(cfg.mode).eadrDomain) {
         // Capture the eADR persistence domain (every dirty line)
         // before the caches die; the controller's holdup flush
         // drains it through the security pipeline on residual

@@ -118,7 +118,7 @@ verifyCrashManifest(SecurityMode mode, std::uint64_t seed)
     // ciphertext), so flush the caches through the ordinary persist
     // path first — the holdup flush then finds nothing and the
     // differential compares a pure reset.
-    if (mode == SecurityMode::EadrSecure) {
+    if (modeTraits(mode).eadrDomain) {
         dirty.hierarchy().flushAll(dirty.core().now());
         // The flushed lines enter the WPQ with transit latency, so
         // draining "to now" would leave them undrained and the

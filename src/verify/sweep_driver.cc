@@ -198,7 +198,7 @@ enumerateCrashPoints(const SweepOptions &opt)
         return enumerateWpqBoundaries(opt);
 
     if (opt.pointSet == CrashPoints::Microstep &&
-        opt.mode == SecurityMode::EadrSecure) {
+        modeTraits(opt.mode).eadrDomain) {
         // eADR: the interesting microsteps fire inside crash()
         // itself — the holdup flush. Pick a few anchor operations
         // across the run (the flush's contents change with the dirty
@@ -273,7 +273,7 @@ runCrashPoint(const SweepOptions &opt, std::uint64_t crash_op)
     sys.core().setObserver(&golden);
 
     const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    const bool eadr = opt.mode == SecurityMode::EadrSecure;
+    const bool eadr = modeTraits(opt.mode).eadrDomain;
     const bool eadr_flush =
         eadr && opt.pointSet == CrashPoints::Microstep;
     workloads::CrashPlan plan;

@@ -366,12 +366,69 @@ TEST(Controller, PostWpqUnprotectedCrashViolatesAdrBudget)
 
 TEST(Controller, ModeledRecoveryCyclesMatchPaperFullWpq)
 {
-    // §5.5: 16 * (600 + 40 + 2100 + 40) = 44480 cycles.
-    Rig rig(SecurityMode::DolosFullWpq);
-    const auto tk = rig.mc->persistBlock(0x1000, pattern(1), 0);
-    rig.mc->crash(tk.persistTick);
-    const auto rec = rig.mc->recover();
-    EXPECT_EQ(rec.modeledRecoveryCycles, 44480u);
+    // §5.5: 16 * (600 + 40 + 2100 + 40) = 44480 cycles for Full.
+    // Partial and Post also read back 2 MAC blocks: 15 * 600 +
+    // 13 * 2180 = 37340 and 12 * 600 + 10 * 2180 = 29000.
+    const std::pair<SecurityMode, Cycles> cases[] = {
+        {SecurityMode::DolosFullWpq, 44480},
+        {SecurityMode::DolosPartialWpq, 37340},
+        {SecurityMode::DolosPostWpq, 29000}};
+    for (const auto &[mode, cycles] : cases) {
+        Rig rig(mode);
+        const auto tk = rig.mc->persistBlock(0x1000, pattern(1), 0);
+        rig.mc->crash(tk.persistTick);
+        const auto rec = rig.mc->recover();
+        EXPECT_EQ(rec.modeledRecoveryCycles, cycles)
+            << securityModeName(mode);
+    }
+}
+
+TEST(Controller, FullWpqDumpFitsAdrBudgetPerDesign)
+{
+    // Paper §4: a full WPQ dumps the header block plus 72B entries
+    // (Full), 80B entries (Partial) or 80B entries and the 252B
+    // deferred-MAC reserve (Post) -- each within the 16 x 72B budget.
+    const std::pair<SecurityMode, unsigned> cases[] = {
+        {SecurityMode::DolosFullWpq, 64 + 16 * 72},
+        {SecurityMode::DolosPartialWpq, 64 + 13 * 80},
+        {SecurityMode::DolosPostWpq, 64 + 10 * 80 + 252}};
+    for (const auto &[mode, bytes] : cases) {
+        Rig rig(mode);
+        const unsigned cap = rig.mc->wpqCapacity();
+        for (unsigned i = 0; i < cap; ++i)
+            rig.mc->persistBlock(Addr(i) * 64, pattern(2), 0);
+        const auto dump = rig.mc->crash(0);
+        EXPECT_EQ(dump.entriesDumped, cap) << securityModeName(mode);
+        EXPECT_EQ(dump.energyBytes, bytes) << securityModeName(mode);
+        EXPECT_LE(dump.energyBytes, 64u + 16 * 72)
+            << securityModeName(mode);
+        EXPECT_TRUE(dump.withinAdrBudget) << securityModeName(mode);
+    }
+}
+
+TEST(Controller, ForgedDumpCountFailsAuthentication)
+{
+    // The dump header's entry count lives in NVM. A count larger
+    // than the WPQ is forged: recovery must reject it without
+    // reading (or allocating) a single entry.
+    for (const auto mode :
+         {SecurityMode::DolosPartialWpq, SecurityMode::DolosFullWpq}) {
+        for (const bool huge : {false, true}) {
+            Rig rig(mode);
+            const auto tk = rig.mc->persistBlock(0x3000, pattern(4), 0);
+            rig.mc->crash(tk.persistTick);
+            Block header = rig.nvm->readFunctional(AddressMap::wpqDumpBase);
+            storeWord(header, 8,
+                      huge ? std::uint64_t(1) << 40
+                           : rig.mc->wpqCapacity() + 1);
+            rig.nvm->writeFunctional(AddressMap::wpqDumpBase, header);
+            const auto rec = rig.mc->recover();
+            EXPECT_FALSE(rec.misuVerified) << securityModeName(mode);
+            EXPECT_EQ(rec.entriesRecovered, 0u) << securityModeName(mode);
+            EXPECT_TRUE(rig.eng->attackDetected())
+                << securityModeName(mode);
+        }
+    }
 }
 
 } // namespace

@@ -22,7 +22,7 @@ struct MisuTest : ::testing::Test
     MiSu
     make(SecurityMode mode, unsigned cap)
     {
-        return MiSu(mode, cap, 160, key, *mac);
+        return MiSu(modeTraits(mode), cap, 160, key, *mac);
     }
 
     Block

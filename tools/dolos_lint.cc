@@ -1,7 +1,7 @@
 /**
  * @file
  * dolos_lint — static checker for the persist-domain crash-state
- * model and repository-wide logging/statistics hygiene.
+ * model and repository-wide allocation/threading/determinism hygiene.
  *
  * Self-contained (no compiler front end): a small C++ tokenizer plus
  * purpose-built scanners. Checks:
@@ -12,9 +12,6 @@
  *                (DOLOS_MF_* or raw add()) exactly once, every
  *                registered name is a real data member, and the
  *                crash-relevant core classes all define one.
- *  stat-name     No two statistics registered on the same group in
- *                the same file share a name (the runtime panics on
- *                collisions only when that constructor actually runs).
  *  raw-alloc     No raw new/malloc/calloc/realloc outside approved
  *                files (arena types own allocation; everything else
  *                uses std:: containers and smart pointers).
@@ -83,8 +80,6 @@ constexpr CheckDef g_checkTable[] = {
      "stateManifest() registers every data member of its class "
      "exactly once and nothing else; the crash-relevant classes all "
      "define one"},
-    {"stat-name",
-     "no two statistics on one group in one file share a name"},
     {"raw-alloc",
      "no raw new/malloc/calloc/realloc outside approved files"},
     {"thread-shared",
@@ -756,53 +751,6 @@ crossCheckManifests()
     }
 }
 
-// --- check: duplicate stat names ------------------------------------
-
-void
-scanStatNames(const std::string &file, const std::vector<Token> &toks)
-{
-    // (receiver, name) -> line of first registration, per file.
-    std::map<std::pair<std::string, std::string>, int> seen;
-    for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.type != Token::Ident ||
-            (t.text != "addScalar" && t.text != "addAverage" &&
-             t.text != "addHistogram"))
-            continue;
-        if (!(isPunct(toks[i - 1], ".") || isPunct(toks[i - 1], "->")))
-            continue;
-        if (!isPunct(toks[i + 1], "("))
-            continue;
-        const std::string receiver =
-            i >= 2 && toks[i - 2].type == Token::Ident ? toks[i - 2].text
-                                                       : "?";
-        const std::size_t cp = matchBracket(toks, i + 1);
-        const auto args = splitArgs(toks, i + 1, cp);
-        if (args.size() < 2)
-            continue;
-        // Name = the first string-literal argument.
-        std::string name;
-        for (const auto &[b, e] : args) {
-            if (toks[b].type == Token::Str) {
-                name = literalContent(toks[b].text);
-                break;
-            }
-        }
-        if (name.empty())
-            continue;
-        const auto key = std::make_pair(receiver, name);
-        const auto it = seen.find(key);
-        if (it != seen.end())
-            report(file, t.line, "stat-name",
-                   "stat '" + name + "' registered twice on '" +
-                       receiver + "' (previous at line " +
-                       std::to_string(it->second) + ")");
-        else
-            seen.emplace(key, t.line);
-        i = cp;
-    }
-}
-
 // --- check: raw allocations -----------------------------------------
 
 /** Files allowed to use raw allocation (none today). */
@@ -1378,7 +1326,6 @@ lintFile(const std::string &path)
         i = next == i ? i + 1 : next;
     }
     scanManifests(path, toks);
-    scanStatNames(path, toks);
     scanRawAllocs(path, toks);
     scanThreadShared(path, toks);
     scanCrashPoints(path, toks);

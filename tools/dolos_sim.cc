@@ -84,7 +84,9 @@ usage(int code)
         "  --tx-size BYTES     payload per transaction (default 1024)\n"
         "  --keys N            key-space size (default 1024)\n"
         "  --think CYCLES      modeled compute per tx (default 60000)\n"
-        "  --wpq N             ADR budget entries (default 16)\n"
+        "  --wpq N             ADR budget entries (default 16); Partial\n"
+        "                      gets max(N*8/9-1, 0) entries, Post\n"
+        "                      N*8/9-4 for N > 6 else N/2, others N\n"
         "  --tree eager|lazy   integrity-tree scheme (default eager)\n"
         "  --crash-scheme anubis|osiris\n"
         "  --crash-at OP       inject a power failure at env op OP\n"
@@ -353,9 +355,12 @@ main(int argc, char **argv)
     cfg.secure.treePolicy = o.tree;
     cfg.secure.crashScheme = o.crashScheme;
     cfg.wpq.adrBudgetEntries = o.wpqBudget;
-    cfg.wpq.partialEntries = o.wpqBudget * 8 / 9 - 1;
+    // Below zero the rule gives 0, which validateConfig rejects only
+    // for the mode that would use it.
+    const unsigned eight_ninths = o.wpqBudget * 8 / 9;
+    cfg.wpq.partialEntries = eight_ninths > 0 ? eight_ninths - 1 : 0;
     cfg.wpq.postEntries =
-        o.wpqBudget > 6 ? o.wpqBudget * 8 / 9 - 4 : o.wpqBudget / 2;
+        o.wpqBudget > 6 ? eight_ninths - 4 : o.wpqBudget / 2;
     cfg.wpq.coalescing = !o.noCoalescing;
     if (o.optKnobs)
         applyOptKnobs(cfg, *o.optKnobs);

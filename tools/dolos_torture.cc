@@ -620,7 +620,8 @@ struct EpisodeSpec
 std::vector<FaultKind>
 applicableFaults(SecurityMode mode)
 {
-    if (mode == SecurityMode::NonSecureIdeal)
+    const ModeTraits &design = modeTraits(mode);
+    if (design.security == SecurityPlacement::None)
         return {FaultKind::None, FaultKind::DroppedClwb,
                 FaultKind::MediaTransient};
     std::vector<FaultKind> kinds = {
@@ -630,7 +631,7 @@ applicableFaults(SecurityMode mode)
         FaultKind::MediaTransient, FaultKind::MediaStuck,
         FaultKind::MediaWriteFail,
     };
-    if (isDolosMode(mode))
+    if (design.misu)
         kinds.push_back(FaultKind::TornAdrDump);
     return kinds;
 }
@@ -894,8 +895,8 @@ main(int argc, char **argv)
         r.fail("--faults covers every mode; drop --mode");
 
     // Modes with an interruptible persist surface (see genProgram).
-    const bool microstepOps =
-        isDolosMode(mode) || mode == SecurityMode::EadrSecure;
+    const ModeTraits &design = modeTraits(mode);
+    const bool microstepOps = design.misu || design.eadrDomain;
 
     if (faults)
         return runFaultCampaign(*faults, seed, txns.value_or(4), jobs,
