@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulation substrate:
- * host cost of cache accesses, WPQ insert/drain paths, and whole
- * secure-write operations — the numbers that bound how many
- * simulated transactions per second the harness sustains.
+ * host cost of cache accesses, of building and crashing a machine,
+ * of WPQ insert/drain paths, and of whole secure-write operations —
+ * the numbers that bound how many simulated transactions (and crash
+ * points) per second the harness sustains.
  */
 
 #include <benchmark/benchmark.h>
@@ -36,6 +37,23 @@ BM_CacheHitLoad(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheHitLoad);
+
+/**
+ * What every crash point pays before replaying anything: build the
+ * default machine, touch one block, and crash it.
+ */
+void
+BM_SystemBuildAndCrash(benchmark::State &state)
+{
+    const auto cfg = benchConfig(SecurityMode::DolosPartialWpq);
+    std::uint64_t v = 1;
+    for (auto _ : state) {
+        System sys(cfg);
+        sys.core().store(0x1000, &v, sizeof(v));
+        benchmark::DoNotOptimize(sys.crash());
+    }
+}
+BENCHMARK(BM_SystemBuildAndCrash)->Unit(benchmark::kMillisecond);
 
 void
 BM_SecureWriteThroughEngine(benchmark::State &state)

@@ -63,6 +63,28 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "zero usable entries")
         "and 'zero usable entries', got rc=${rc}\n${err}")
 endif()
 
+# 2: a transaction size the workload's fixed regions cannot hold —
+# the 64 KB undo log, or the persistent heap — is a configuration
+# error, not an abort.
+function(expect_config_error pattern)
+    execute_process(
+        COMMAND ${ARGN}
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET
+        ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "${pattern}")
+        message(FATAL_ERROR
+            "exit_codes_smoke: expected rc=2 and '${pattern}', got "
+            "rc=${rc} for: ${ARGN}\n${err}")
+    endif()
+endfunction()
+expect_config_error("64 KB undo log" "${SIM}" --workload hashmap
+                    --tx-size 65536 --txns 2)
+expect_config_error("64 KB undo log" "${SIM}" --workload nstore-ycsb
+                    --tx-size 65536 --txns 2)
+expect_config_error("heap limit" "${SIM}" --workload redis
+                    --tx-size 4096 --txns 2)
+
 # 3: injected integrity attack raises the alarm.
 expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --inject-fault data-flip)

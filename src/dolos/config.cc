@@ -7,6 +7,7 @@
 #include "dolos/config.hh"
 
 #include <iterator>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -133,6 +134,32 @@ validateConfig(const SystemConfig &cfg)
                "would not advance time)";
     if (cfg.nvm.numBanks == 0)
         return "nvm.numBanks must be nonzero";
+    const auto &h = cfg.hierarchy;
+    const auto &sp = cfg.secure;
+    const struct
+    {
+        const char *name;
+        std::uint64_t sizeBytes;
+        unsigned assoc;
+    } caches[] = {
+        {"hierarchy.l1", h.l1.sizeBytes, h.l1.assoc},
+        {"hierarchy.l2", h.l2.sizeBytes, h.l2.assoc},
+        {"hierarchy.llc", h.llc.sizeBytes, h.llc.assoc},
+        {"secure.counterCache", sp.counterCache.sizeBytes,
+         sp.counterCache.assoc},
+        {"secure.mtCache", sp.mtCache.sizeBytes, sp.mtCache.assoc},
+    };
+    for (const auto &c : caches) {
+        const std::string name = c.name;
+        if (c.sizeBytes == 0)
+            return name + ".sizeBytes must be nonzero";
+        if (c.assoc == 0)
+            return name + ".assoc must be nonzero";
+        if (c.sizeBytes % (blockSize * c.assoc) != 0)
+            return name + ".sizeBytes (" + std::to_string(c.sizeBytes) +
+                   ") must be a multiple of 64 x assoc (" +
+                   std::to_string(blockSize * c.assoc) + ")";
+    }
     if (cfg.secure.functionalLeaves == 0)
         return "secure.functionalLeaves must be nonzero";
     if (cfg.secure.map.protectedBytes == 0)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache level implementation.
+ * Cache level and shared value store implementation.
  */
 
 #include "mem/cache.hh"
@@ -10,10 +10,25 @@
 namespace dolos
 {
 
-Cache::Cache(const CacheParams &p, MemDevice &down)
-    : params(p), downstream(down), stats_(p.name)
+ValueStore::Slot
+ValueStore::add(Addr addr, const Block &data)
 {
-    DOLOS_ASSERT(p.sizeBytes % (blockSize * p.assoc) == 0,
+    if (freeSlots.empty()) {
+        slots.push_back({data, addr, 1});
+        return Slot(slots.size() - 1);
+    }
+    const Slot s = freeSlots.back();
+    freeSlots.pop_back();
+    slots[s] = {data, addr, 1};
+    return s;
+}
+
+Cache::Cache(const CacheParams &p, ValueStore &store, MemDevice &mem,
+             Cache *next)
+    : params(p), values(store), memory(mem), below(next), stats_(p.name)
+{
+    DOLOS_ASSERT(p.assoc > 0 && p.sizeBytes > 0 &&
+                     p.sizeBytes % (blockSize * p.assoc) == 0,
                  "cache %s: size not divisible by way size",
                  p.name.c_str());
     numSets = p.sizeBytes / (blockSize * p.assoc);
@@ -36,21 +51,15 @@ Cache::setIndex(Addr addr) const
 }
 
 Cache::Line *
-Cache::findLine(Addr addr)
+Cache::findLine(Addr addr) const
 {
     const Addr tag = blockAlign(addr);
-    Line *set = &lines[setIndex(addr) * params.assoc];
+    auto *set = const_cast<Line *>(&lines[setIndex(addr) * params.assoc]);
     for (unsigned w = 0; w < params.assoc; ++w) {
         if (set[w].valid && set[w].tag == tag)
             return &set[w];
     }
     return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
 }
 
 Cache::Line &
@@ -70,115 +79,79 @@ Cache::allocate(Addr addr, Tick now)
         ++statEvictions;
         if (victim->dirty) {
             ++statWritebacks;
-            downstream.writebackBlock(victim->tag, victim->data, now);
+            if (below)
+                below->writeback(victim->tag, victim->slot, now);
+            else
+                memory.writebackBlock(victim->tag,
+                                      values.value(victim->slot), now);
         }
+        values.drop(victim->slot);
     }
-    victim->valid = false;
-    victim->dirty = false;
     return *victim;
 }
 
-ReadResult
-Cache::readBlock(Addr addr, Tick now)
+Cache::Access
+Cache::access(Addr addr, Tick now, bool store)
 {
     const Addr tag = blockAlign(addr);
     if (Line *line = findLine(tag)) {
         ++statHits;
         line->lastUse = ++useClock;
-        return {line->data, now + params.latency};
+        line->dirty |= store;
+        return {line->slot, now + params.latency};
     }
     ++statMisses;
-    const ReadResult below = downstream.readBlock(tag, now + params.latency);
-    statMissLatency.sample(double(below.completeTick - now));
-    Line &line = allocate(tag, below.completeTick);
-    line.valid = true;
-    line.dirty = false;
-    line.tag = tag;
-    line.lastUse = ++useClock;
-    line.data = below.data;
-    return {line.data, below.completeTick};
+    // Hold the value before allocating: the victim's writeback may
+    // push the block out of the level that just supplied it.
+    Access fill;
+    if (below) {
+        fill = below->access(tag, now + params.latency);
+        values.hold(fill.slot);
+    } else {
+        const ReadResult r = memory.readBlock(tag, now + params.latency);
+        fill = {values.add(tag, r.data), r.completeTick};
+    }
+    statMissLatency.sample(double(fill.done - now));
+    allocate(tag, fill.done) = {tag, ++useClock, fill.slot, true, store};
+    return fill;
 }
 
 Tick
-Cache::writebackBlock(Addr addr, const Block &data, Tick now)
+Cache::writeback(Addr tag, ValueStore::Slot slot, Tick now)
 {
-    const Addr tag = blockAlign(addr);
     const Tick done = now + params.latency;
     if (Line *line = findLine(tag)) {
+        // Every level holding a block shares its slot: nothing to copy.
         ++statHits;
-        line->data = data;
         line->dirty = true;
         line->lastUse = ++useClock;
         return done;
     }
-    Line &line = allocate(tag, done);
-    line.valid = true;
-    line.dirty = true;
-    line.tag = tag;
-    line.lastUse = ++useClock;
-    line.data = data;
+    values.hold(slot);
+    allocate(tag, done) = {tag, ++useClock, slot, true, true};
     return done;
 }
 
-PersistTicket
-Cache::persistBlock(Addr addr, const Block &data, Tick now)
-{
-    // CLWB traffic is orchestrated by the hierarchy; forwarding keeps
-    // the chain composable if a user wires caches directly to a
-    // controller.
-    return downstream.persistBlock(addr, data, now + params.latency);
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    return findLine(addr) != nullptr;
-}
-
-bool
-Cache::peek(Addr addr, Block &data, bool &dirty) const
-{
-    if (const Line *line = findLine(addr)) {
-        data = line->data;
-        dirty = line->dirty;
-        return true;
-    }
-    return false;
-}
-
-bool
-Cache::updateIfPresent(Addr addr, const Block &data)
+void
+Cache::clean(Addr addr)
 {
     if (Line *line = findLine(addr)) {
-        line->data = data;
-        line->dirty = true;
         line->lastUse = ++useClock;
-        return true;
-    }
-    return false;
-}
-
-void
-Cache::markClean(Addr addr)
-{
-    if (Line *line = findLine(addr))
         line->dirty = false;
-}
-
-void
-Cache::forEachDirty(
-    const std::function<void(Addr, const Block &)> &fn) const
-{
-    for (const auto &line : lines)
-        if (line.valid && line.dirty)
-            fn(line.tag, line.data);
+    }
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &line : lines)
-        line = Line{};
+    // Only resident blocks have lines to reset, so a crash costs what
+    // the run touched, not the cache's capacity.
+    values.forEach([&](Addr addr, const Block &) {
+        if (Line *line = findLine(addr)) {
+            values.drop(line->slot);
+            *line = Line{};
+        }
+    });
     // The LRU clock is volatile state too: a rebooted machine starts
     // at zero, and a survivor here would leak pre-crash recency into
     // post-recovery victim selection.
@@ -190,7 +163,9 @@ Cache::stateManifest(std::string instance) const
 {
     persist::StateManifest m("Cache", std::move(instance));
     DOLOS_MF_CONST(m, params);
-    DOLOS_MF_CONST(m, downstream);
+    DOLOS_MF_CONST(m, values);
+    DOLOS_MF_CONST(m, memory);
+    DOLOS_MF_CONST(m, below);
     DOLOS_MF_CONST(m, numSets);
     DOLOS_MF_EADR_FLUSHED(m, lines);
     DOLOS_MF_V(m, useClock);

@@ -1,18 +1,22 @@
 /**
  * @file
- * Set-associative writeback cache with LRU replacement.
+ * Set-associative writeback cache with LRU replacement, and the store
+ * of block values its levels share.
  *
- * Caches are functional: they hold real block data, and dirty lines
- * that were never written back are genuinely lost on a crash — which
- * is exactly why persistent workloads flush. Timing is a fixed
- * per-level lookup latency (Table 1) plus downstream time on misses.
+ * A cache line holds only what timing reads: the tag, the valid and
+ * dirty bits, the LRU stamp, and the slot of its block's value in a
+ * ValueStore. Every level holding a block shares that one value, so a
+ * store is seen by all of them at once and a dirty line evicted from
+ * any level writes back the newest data. Dirty lines that were never
+ * written back are still genuinely lost on a crash — which is exactly
+ * why persistent workloads flush. Timing is a fixed per-level lookup
+ * latency (Table 1) plus downstream time on misses.
  */
 
 #ifndef DOLOS_MEM_CACHE_HH
 #define DOLOS_MEM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,43 +37,135 @@ struct CacheParams
 };
 
 /**
- * One cache level. Reads and upstream writebacks chain to the
- * downstream MemDevice; CLWB extraction is orchestrated by the
- * hierarchy via the probe/markClean helpers.
+ * The values of resident blocks: one slot per block, shared by every
+ * cache level holding it. A per-slot count of those levels frees the
+ * slot when the last one drops the block.
  */
-class Cache : public MemDevice
+class ValueStore
 {
   public:
-    Cache(const CacheParams &params, MemDevice &downstream);
+    using Slot = std::uint32_t;
 
-    ReadResult readBlock(Addr addr, Tick now) override;
-    Tick writebackBlock(Addr addr, const Block &data, Tick now) override;
-    PersistTicket persistBlock(Addr addr, const Block &data,
-                               Tick now) override;
+    /** Room for @p max_blocks resident blocks without reallocating. */
+    explicit ValueStore(std::size_t max_blocks)
+    {
+        slots.reserve(max_blocks);
+    }
 
-    /** True if the block is present. */
-    bool probe(Addr addr) const;
+    /** A new slot holding @p data for @p addr, held by one level. */
+    Slot add(Addr addr, const Block &data);
+
+    /** One more level holds the block in @p s. */
+    void hold(Slot s) { ++slots[s].levels; }
+
+    /** One level dropped the block in @p s; the last frees the slot. */
+    void
+    drop(Slot s)
+    {
+        if (--slots[s].levels == 0)
+            freeSlots.push_back(s);
+    }
+
+    Block &value(Slot s) { return slots[s].value; }
+    const Block &value(Slot s) const { return slots[s].value; }
+
+    /** Resident blocks: slots some level still holds. */
+    std::size_t size() const { return slots.size() - freeSlots.size(); }
+
+    /** Visit the address and value of every resident block. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const auto &e : slots)
+            if (e.levels > 0)
+                fn(e.addr, e.value);
+    }
+
+    /** Forget every slot (crash). */
+    void clear() { slots.clear(); freeSlots.clear(); }
+
+    friend void
+    dolosDescribeValue(std::ostream &os, const ValueStore &v)
+    {
+        os << v.size() << ':';
+        v.forEach([&](Addr addr, const Block &value) {
+            os << addr << ':' << persist::describe(value) << ';';
+        });
+    }
+
+  private:
+    struct Entry
+    {
+        Block value;
+        Addr addr;
+        std::uint8_t levels;
+    };
+
+    std::vector<Entry> slots;
+    std::vector<Slot> freeSlots;
+};
+
+/**
+ * One cache level. Misses fill from the level below (or, for the
+ * last level, from memory) and dirty victims write back the same way;
+ * CLWB and the flushes are orchestrated by the hierarchy.
+ */
+class Cache
+{
+  public:
+    struct Line
+    {
+        Addr tag = 0; ///< full block address
+        std::uint64_t lastUse = 0;
+        ValueStore::Slot slot = 0; ///< where the block's value lives
+        bool valid = false;
+        bool dirty = false;
+
+        friend void
+        dolosDescribeValue(std::ostream &os, const Line &l)
+        {
+            os << l.valid << '/' << l.dirty << '/' << l.tag << '/'
+               << l.lastUse << '/' << l.slot;
+        }
+    };
+
+    /** A timed access: the block's value slot and its ready tick. */
+    struct Access
+    {
+        ValueStore::Slot slot;
+        Tick done;
+    };
+
+    /** @p below is the next level; nullptr sends misses to @p memory. */
+    Cache(const CacheParams &params, ValueStore &values, MemDevice &memory,
+          Cache *below = nullptr);
 
     /**
-     * Fetch the cached copy without timing side effects.
-     *
-     * @return true and fills @p data / @p dirty if present.
+     * Timed access to the block at @p addr, filling it on a miss.
+     * A @p store also marks the line dirty.
      */
-    bool peek(Addr addr, Block &data, bool &dirty) const;
+    Access access(Addr addr, Tick now, bool store = false);
 
-    /** Update the cached copy in place if present; marks dirty. */
-    bool updateIfPresent(Addr addr, const Block &data);
+    /** The line holding @p addr, or nullptr; no timing side effects. */
+    const Line *find(Addr addr) const { return findLine(addr); }
 
-    /** Clear the dirty bit if the block is present. */
-    void markClean(Addr addr);
+    /** Its value was written back: touch the line, clear dirty. */
+    void clean(Addr addr);
 
     /**
-     * Visit every dirty line in set-major index order (set 0 way 0
+     * Visit every valid line in set-major index order (set 0 way 0
      * first) — the deterministic walk order the eADR holdup flush
      * and the software flushAll() rely on.
      */
-    void forEachDirty(
-        const std::function<void(Addr, const Block &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (const auto &line : lines)
+            if (line.valid)
+                fn(line);
+    }
 
     /** Drop everything (crash / power loss). */
     void invalidateAll();
@@ -77,47 +173,33 @@ class Cache : public MemDevice
     /** Lookup latency of this level. */
     Cycles latency() const { return params.latency; }
 
-    const CacheParams &config() const { return params; }
     stats::StatGroup &statGroup() { return stats_; }
 
     std::uint64_t hits() const { return statHits.value(); }
     std::uint64_t misses() const { return statMisses.value(); }
-    std::uint64_t writebacks() const { return statWritebacks.value(); }
 
     /** Register every member into the crash-state manifest. */
     persist::StateManifest stateManifest(std::string instance) const;
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0; ///< full block address
-        std::uint64_t lastUse = 0;
-        Block data{};
-
-        friend void
-        dolosDescribeValue(std::ostream &os, const Line &l)
-        {
-            os << l.valid << '/' << l.dirty << '/' << l.tag << '/'
-               << l.lastUse << '/' << persist::describe(l.data);
-        }
-    };
-
     std::size_t setIndex(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    Line *findLine(Addr addr) const;
+
+    /** A dirty block from the level above lands here. */
+    Tick writeback(Addr tag, ValueStore::Slot slot, Tick now);
 
     /**
      * Choose a victim in the set of @p addr, writing it back
-     * downstream if dirty.
+     * downstream if dirty and dropping its value.
      *
-     * @return the victim line, invalidated and ready for refill.
+     * @return the victim line, ready for refill.
      */
     Line &allocate(Addr addr, Tick now);
 
     CacheParams params;
-    MemDevice &downstream;
+    ValueStore &values;
+    MemDevice &memory;
+    Cache *below;
     std::size_t numSets;
     // numSets x assoc, set-major. Cache contents sit in the eADR
     // persistence domain: drained to NVM by the holdup flush when the

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "sim/logging.hh"
 #include "sim/profiler.hh"
 
 namespace dolos
@@ -16,26 +15,20 @@ namespace dolos
 
 CacheHierarchy::CacheHierarchy(const HierarchyParams &p,
                                PersistController &controller)
-    : params(p), mc(controller), stats_("hierarchy")
+    : params(p), mc(controller),
+      values((p.l1.sizeBytes + p.l2.sizeBytes + p.llc.sizeBytes) /
+             blockSize),
+      llc_(p.llc, values, mc), l2_(p.l2, values, mc, &llc_),
+      l1_(p.l1, values, mc, &l2_), stats_("hierarchy")
 {
-    llc_ = std::make_unique<Cache>(p.llc, mc);
-    l2_ = std::make_unique<Cache>(p.l2, *llc_);
-    l1_ = std::make_unique<Cache>(p.l1, *l2_);
-
     stats_.addScalar(&statLoads, "loads", "core loads");
     stats_.addScalar(&statStores, "stores", "core stores");
     stats_.addScalar(&statClwbs, "clwbs", "CLWB operations");
     stats_.addScalar(&statClwbMisses, "clwbMisses",
                      "CLWBs that found no cached copy");
-    stats_.addChild(&l1_->statGroup());
-    stats_.addChild(&l2_->statGroup());
-    stats_.addChild(&llc_->statGroup());
-}
-
-ReadResult
-CacheHierarchy::readBlockTimed(Addr addr, Tick now)
-{
-    return l1_->readBlock(blockAlign(addr), now);
+    stats_.addChild(&l1_.statGroup());
+    stats_.addChild(&l2_.statGroup());
+    stats_.addChild(&llc_.statGroup());
 }
 
 Tick
@@ -53,12 +46,12 @@ CacheHierarchy::load(Addr addr, void *out, unsigned size, Tick now)
         const unsigned chunk = std::min(remaining, blockSize - off);
         // Block accesses are sequential: a multi-block load pays for
         // each block in turn (rare; workload fields are aligned).
-        const ReadResult r = readBlockTimed(base, done);
-        if (dst)
-            std::memcpy(dst, r.data.data() + off, chunk);
-        done = r.completeTick;
-        if (dst)
+        const Cache::Access a = l1_.access(base, done);
+        if (dst) {
+            std::memcpy(dst, values.value(a.slot).data() + off, chunk);
             dst += chunk;
+        }
+        done = a.done;
         cur += chunk;
         remaining -= chunk;
     }
@@ -79,12 +72,9 @@ CacheHierarchy::store(Addr addr, const void *src, unsigned size, Tick now)
         const unsigned off = unsigned(cur - base);
         const unsigned chunk = std::min(remaining, blockSize - off);
         // Write-allocate: bring the block into L1, then modify.
-        ReadResult r = readBlockTimed(base, done);
-        std::memcpy(r.data.data() + off, p, chunk);
-        const bool present = l1_->updateIfPresent(base, r.data);
-        DOLOS_ASSERT(present, "block 0x%llx vanished from L1 after fill",
-                     (unsigned long long)base);
-        done = r.completeTick;
+        const Cache::Access a = l1_.access(base, done, /*store=*/true);
+        std::memcpy(values.value(a.slot).data() + off, p, chunk);
+        done = a.done;
         p += chunk;
         cur += chunk;
         remaining -= chunk;
@@ -98,73 +88,55 @@ CacheHierarchy::clwb(Addr addr, Tick now)
     DOLOS_PROF_SCOPE(CacheModel);
     ++statClwbs;
     const Addr base = blockAlign(addr);
+    const Tick issue = now + l1_.latency();
 
     if (params.eadrDomain) {
         // The caches are inside the persistence domain: the line is
         // persistent where it sits, so CLWB completes immediately
         // with no controller traffic and no fence stall to order.
-        const Tick issue = now + l1_->latency();
         return {issue, issue};
     }
 
-    // Locate the newest copy: L1 > L2 > LLC.
-    Block newest{};
-    bool found = false;
-    bool any_dirty = false;
-    for (Cache *c : {l1_.get(), l2_.get(), llc_.get()}) {
-        Block data;
-        bool dirty = false;
-        if (c->peek(base, data, dirty)) {
-            if (!found)
-                newest = data;
-            found = true;
-            any_dirty |= dirty;
-        }
-    }
-
-    const Tick issue = now + l1_->latency();
-    if (!found || !any_dirty) {
+    // Every level holding the block shares its value, so any dirty
+    // copy names the data to persist.
+    const Cache::Line *dirty = nullptr;
+    for (const Cache *c : {&l1_, &l2_, &llc_})
+        if (const Cache::Line *line = c->find(base); line && line->dirty)
+            dirty = line;
+    if (!dirty) {
         // Nothing (dirty) cached: the line may still be in flight in
         // the controller from an earlier eviction; order against it.
         ++statClwbMisses;
-        const Tick pending = mc.pendingPersistTick(base, issue);
-        return {issue, pending};
+        return {issue, mc.pendingPersistTick(base, issue)};
     }
 
-    // Propagate the newest copy to every level holding the line and
-    // clean all copies, so no stale data can surface later.
-    for (Cache *c : {l1_.get(), l2_.get(), llc_.get()}) {
-        if (c->probe(base)) {
-            c->updateIfPresent(base, newest);
-            c->markClean(base);
-        }
-    }
-
-    return mc.persistBlock(base, newest, issue);
+    for (Cache *c : {&l1_, &l2_, &llc_})
+        c->clean(base);
+    return mc.persistBlock(base, values.value(dirty->slot), issue);
 }
 
 void
 CacheHierarchy::invalidateAll()
 {
-    l1_->invalidateAll();
-    l2_->invalidateAll();
-    llc_->invalidateAll();
+    l1_.invalidateAll();
+    l2_.invalidateAll();
+    llc_.invalidateAll();
+    values.clear();
 }
 
 void
 CacheHierarchy::collectDirtyLines(std::vector<DirtyLine> &out) const
 {
-    // Upper levels hold the newest copy, so the first capture of an
-    // address wins and lower-level (stale or equal) copies are
-    // skipped. Within a level, set-major index order makes the walk
-    // deterministic for a given machine history.
+    // Every level holding a block shares its value, so the first
+    // capture of a block is as good as any; within a level,
+    // set-major index order makes the walk deterministic for a given
+    // machine history.
     std::unordered_set<Addr> seen;
-    for (const Cache *c : {l1_.get(), l2_.get(), llc_.get()}) {
-        c->forEachDirty([&](Addr addr, const Block &data) {
-            if (seen.insert(addr).second)
-                out.push_back({addr, data});
+    for (const Cache *c : {&l1_, &l2_, &llc_})
+        c->forEachLine([&](const Cache::Line &line) {
+            if (line.dirty && seen.insert(line.tag).second)
+                out.push_back({line.tag, values.value(line.slot)});
         });
-    }
 }
 
 void
@@ -174,12 +146,8 @@ CacheHierarchy::flushAll(Tick now)
     collectDirtyLines(dirty);
     for (const auto &line : dirty) {
         mc.persistBlock(line.addr, line.data, now);
-        for (Cache *c : {l1_.get(), l2_.get(), llc_.get()}) {
-            if (c->probe(line.addr)) {
-                c->updateIfPresent(line.addr, line.data);
-                c->markClean(line.addr);
-            }
-        }
+        for (Cache *c : {&l1_, &l2_, &llc_})
+            c->clean(line.addr);
     }
 }
 
@@ -189,6 +157,7 @@ CacheHierarchy::stateManifest() const
     persist::StateManifest m("CacheHierarchy");
     DOLOS_MF_CONST(m, params);
     DOLOS_MF_CONST(m, mc);
+    DOLOS_MF_EADR_FLUSHED(m, values);
     DOLOS_MF_DELEGATED_V(m, llc_);
     DOLOS_MF_DELEGATED_V(m, l2_);
     DOLOS_MF_DELEGATED_V(m, l1_);

@@ -2,16 +2,14 @@
  * @file
  * Three-level cache hierarchy with CLWB support (core-facing).
  *
- * L1 holds the newest copy of a line; stores allocate into L1. CLWB
- * locates the newest copy, propagates it to every level holding the
- * line (so no stale copy can ever become visible), marks all copies
- * clean, and issues a persist-path write to the memory controller.
+ * Stores allocate into L1. The hierarchy owns the ValueStore every
+ * level shares, so a block has one value however many levels hold
+ * it. CLWB marks every copy clean and sends that value down the
+ * memory controller's persist path.
  */
 
 #ifndef DOLOS_MEM_HIERARCHY_HH
 #define DOLOS_MEM_HIERARCHY_HH
-
-#include <memory>
 
 #include "mem/cache.hh"
 #include "mem/mem_iface.hh"
@@ -81,8 +79,8 @@ class CacheHierarchy
     Tick store(Addr addr, const void *src, unsigned size, Tick now);
 
     /**
-     * CLWB of the block containing @p addr: push the newest copy to
-     * the memory controller's persist path, keeping (clean) copies
+     * CLWB of the block containing @p addr: push its value to the
+     * memory controller's persist path, keeping (clean) copies
      * cached.
      */
     PersistTicket clwb(Addr addr, Tick now);
@@ -91,11 +89,11 @@ class CacheHierarchy
     void invalidateAll();
 
     /**
-     * Capture every dirty line for the eADR holdup flush, newest
-     * copy first: L1, then L2, then LLC, each level in set-major
-     * index order; a line already captured at an upper level is
-     * skipped. The walk is deterministic, which is what makes flush
-     * microsteps replayable crash points.
+     * Capture every dirty line for the eADR holdup flush: L1, then
+     * L2, then LLC, each level in set-major index order; a block
+     * already captured at an upper level is skipped. The walk is
+     * deterministic, which is what makes flush microsteps replayable
+     * crash points.
      */
     void collectDirtyLines(std::vector<DirtyLine> &out) const;
 
@@ -107,25 +105,24 @@ class CacheHierarchy
      */
     void flushAll(Tick now);
 
-    Cache &l1() { return *l1_; }
-    Cache &l2() { return *l2_; }
-    Cache &llc() { return *llc_; }
-    const Cache &l1() const { return *l1_; }
-    const Cache &l2() const { return *l2_; }
-    const Cache &llc() const { return *llc_; }
+    Cache &l1() { return l1_; }
+    Cache &l2() { return l2_; }
+    Cache &llc() { return llc_; }
+    const ValueStore &valueStore() const { return values; }
     stats::StatGroup &statGroup() { return stats_; }
 
     /** Register every member into the crash-state manifest. */
     persist::StateManifest stateManifest() const;
 
   private:
-    ReadResult readBlockTimed(Addr addr, Tick now);
-
     HierarchyParams params;
     PersistController &mc;
-    std::unique_ptr<Cache> llc_;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<Cache> l1_;
+    // One value per resident block, shared by every level holding it;
+    // in the eADR persistence domain like the lines that index it.
+    ValueStore values;
+    Cache llc_;
+    Cache l2_;
+    Cache l1_;
 
     stats::StatGroup stats_;
     stats::Scalar statLoads;

@@ -5,6 +5,9 @@
 
 #include "workloads/pmem.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/logging.hh"
 
 namespace dolos::workloads
@@ -60,8 +63,13 @@ PmemEnv::alloc(unsigned size, unsigned align)
                  "alignment must be a power of two");
     Addr base = (allocCursor + align - 1) & ~Addr(align - 1);
     const Addr end = base + size;
-    DOLOS_ASSERT(end <= sys.config().secure.functionalLeaves * pageBytes,
-                 "persistent heap exhausted");
+    const Addr limit = sys.config().secure.functionalLeaves * pageBytes;
+    if (end > limit)
+        throw std::invalid_argument(
+            "persistent heap exhausted: a " + std::to_string(size) +
+            "-byte allocation passes the " + std::to_string(limit) +
+            "-byte heap limit (secure.functionalLeaves pages); use a "
+            "smaller transaction size or fewer keys");
     allocCursor = end;
     write<Addr>(PmemLayout::allocCursorAddr, allocCursor);
     flush(PmemLayout::allocCursorAddr, sizeof(Addr));

@@ -5,6 +5,9 @@
 
 #include "workloads/tx.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/logging.hh"
 
 namespace dolos::workloads
@@ -28,7 +31,16 @@ TxContext::~TxContext()
 void
 TxContext::appendUndo(Addr addr, unsigned len)
 {
-    // Record: addr, len, old data.
+    // Record: addr, len, old data. A transaction whose records do not
+    // fit is a configuration error (its size), not a simulator fault.
+    const unsigned rec_len = 16 + ((len + 7) & ~7u);
+    const Addr log_end = PmemLayout::txLogBase + PmemLayout::txLogBytes;
+    if (logCursor + rec_len >= log_end)
+        throw std::invalid_argument(
+            "transaction log overflow: a " + std::to_string(len) +
+            "-byte write does not fit in what is left of the " +
+            std::to_string(PmemLayout::txLogBytes / 1024) +
+            " KB undo log; use a smaller transaction size");
     std::vector<std::uint8_t> old(len);
     env.readBytes(addr, old.data(), len);
 
@@ -36,11 +48,7 @@ TxContext::appendUndo(Addr addr, unsigned len)
     env.write<Addr>(rec, addr);
     env.write<std::uint64_t>(rec + 8, len);
     env.writeBytes(rec + 16, old.data(), len);
-    const unsigned rec_len = 16 + ((len + 7) & ~7u);
     logCursor += rec_len;
-    DOLOS_ASSERT(logCursor <
-                     PmemLayout::txLogBase + PmemLayout::txLogBytes,
-                 "transaction log overflow");
 
     // Durably publish the record, then the count.
     env.flush(rec, rec_len);

@@ -194,6 +194,29 @@ TEST(ConfigValidation, DegenerateTimingAndGeometryAreRejected)
     cfg = SystemConfig::paperDefault();
     cfg.secure.map.protectedBytes = 0;
     EXPECT_FALSE(validateConfig(cfg).empty());
+
+    // Cache geometry the set-index arithmetic cannot use: zero ways
+    // or size would divide by zero, a partial way would panic. Every
+    // cache level and both metadata caches are checked.
+    const auto rejected = [](void (*edit)(SystemConfig &),
+                             const char *expect) {
+        auto c = SystemConfig::paperDefault();
+        edit(c);
+        const std::string err = validateConfig(c);
+        EXPECT_NE(err.find(expect), std::string::npos)
+            << expect << ": " << err;
+        EXPECT_THROW({ System sys(c); }, std::invalid_argument) << expect;
+    };
+    rejected([](SystemConfig &c) { c.hierarchy.l2.assoc = 0; },
+             "hierarchy.l2.assoc");
+    rejected([](SystemConfig &c) { c.secure.counterCache.assoc = 0; },
+             "secure.counterCache.assoc");
+    rejected([](SystemConfig &c) { c.hierarchy.l1.sizeBytes = 1000; },
+             "hierarchy.l1.sizeBytes");
+    rejected([](SystemConfig &c) { c.hierarchy.llc.sizeBytes = 0; },
+             "hierarchy.llc.sizeBytes");
+    rejected([](SystemConfig &c) { c.secure.mtCache.sizeBytes = 64 * 3; },
+             "secure.mtCache.sizeBytes");
 }
 
 TEST(ConfigValidation, SystemCtorThrowsInsteadOfClamping)

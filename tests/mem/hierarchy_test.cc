@@ -1,6 +1,7 @@
 /**
  * @file
- * Cache hierarchy tests: load/store semantics, CLWB, crash loss.
+ * Cache hierarchy tests: load/store semantics, CLWB, crash loss, and
+ * the one value every level holding a block shares.
  */
 
 #include <gtest/gtest.h>
@@ -87,7 +88,8 @@ TEST_F(HierarchyTest, ClwbLeavesLineCachedClean)
     const std::uint64_t v = 43;
     h.store(0x80, &v, sizeof(v), 0);
     h.clwb(0x80, 100);
-    EXPECT_TRUE(h.l1().probe(0x80));
+    ASSERT_NE(h.l1().find(0x80), nullptr);
+    EXPECT_FALSE(h.l1().find(0x80)->dirty);
     std::uint64_t out = 0;
     const Tick t = h.load(0x80, &out, 8, 1000);
     EXPECT_EQ(out, 43u);
@@ -152,6 +154,44 @@ TEST_F(HierarchyTest, ClwbAfterPartialEvictionStillPersistsNewest)
     h.load(0x800, buf, 8, 200); // 0x0 evicted from L1 into L2
     h.clwb(0x0, 300);
     EXPECT_EQ(loadWord(mem.store.read(0x0), 0), 0x7777u);
+}
+
+TEST_F(HierarchyTest, StaleDirtyEvictionWritesTheNewestValue)
+{
+    // In the tiny hierarchy a block's L2 and LLC sets are subsets of
+    // its L1 set (strides 0x100, 0x200, 0x400), so filling X's lower
+    // sets also thrashes L1; touching X between the fills keeps it
+    // there.
+    const Addr x = 0x0;
+    const std::uint64_t v1 = 0x1111, v2 = 0x2222;
+    std::uint8_t buf[8];
+    Tick t = 0;
+
+    // 1. Dirty X in L1.
+    h.store(x, &v1, sizeof(v1), t);
+    // 2. Thrash L1's set: X is written back into L2.
+    h.load(0x400, buf, 8, t += 1000);
+    h.load(0x800, buf, 8, t += 1000);
+    ASSERT_EQ(h.l1().find(x), nullptr);
+    ASSERT_NE(h.l2().find(x), nullptr);
+    ASSERT_TRUE(h.l2().find(x)->dirty);
+    // 3. Reload X into L1 and store a new value: L2's dirty copy is
+    //    now older than L1's.
+    h.store(x, &v2, sizeof(v2), t += 1000);
+    // 4. Force L2 and then the LLC to evict X.
+    for (Addr a = 0xC00; h.llc().find(x) && a < 0x10000; a += 0x400) {
+        h.load(a, buf, 8, t += 1000);
+        h.load(x, buf, 8, t += 1000);
+    }
+    ASSERT_EQ(h.l2().find(x), nullptr);
+    ASSERT_EQ(h.llc().find(x), nullptr);
+    ASSERT_NE(h.l1().find(x), nullptr);
+    EXPECT_TRUE(h.l1().find(x)->dirty);
+
+    // Memory received the newest value, not the copy L2 was holding.
+    ASSERT_EQ(mem.writebackLog.size(), 1u);
+    EXPECT_EQ(mem.writebackLog[0], x);
+    EXPECT_EQ(loadWord(mem.store.read(x), 0), v2);
 }
 
 } // namespace

@@ -16,6 +16,8 @@
 #include "dolos/system.hh"
 #include "sim/persist_annotations.hh"
 #include "verify/manifest_check.hh"
+#include "verify/sweep_driver.hh"
+#include "workloads/runner.hh"
 
 using namespace dolos;
 using persist::describe;
@@ -202,4 +204,29 @@ TEST(PowerLossDifferential, AllModesHelper)
                   std::string::npos);
         EXPECT_NE(report.find("0 mismatch(es)"), std::string::npos);
     }
+}
+
+TEST(CacheValueStore, HoldsExactlyTheResidentBlocks)
+{
+    // One value per block resident in any cache level after a run on
+    // the crash-sweep machine, and none once a crash has emptied the
+    // caches.
+    System sys(verify::crashTestConfig(SecurityMode::DolosPartialWpq));
+    auto wl = workloads::makeWorkload("hashmap", verify::crashTestParams(3));
+    const auto res = workloads::runWorkload(sys, *wl, 60);
+    ASSERT_TRUE(res.verified) << res.verifyDiagnostic;
+
+    auto &h = sys.hierarchy();
+    std::set<Addr> tags;
+    for (const Cache *c : {&h.l1(), &h.l2(), &h.llc()})
+        c->forEachLine([&](const Cache::Line &l) { tags.insert(l.tag); });
+    std::set<Addr> stored;
+    h.valueStore().forEach(
+        [&](Addr a, const Block &) { stored.insert(a); });
+    EXPECT_GT(tags.size(), 0u);
+    EXPECT_EQ(h.valueStore().size(), tags.size());
+    EXPECT_EQ(stored, tags);
+
+    sys.crash();
+    EXPECT_EQ(h.valueStore().size(), 0u);
 }

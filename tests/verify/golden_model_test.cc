@@ -196,4 +196,48 @@ TEST(GoldenModelSystem, HonoredClwbKeepsTheSameSequenceClean)
     sys.core().setObserver(nullptr);
 }
 
+TEST(GoldenModelSystem, StaleDirtyEvictionImageIsAdmissible)
+{
+    // The hierarchy's stale-dirty eviction on a real machine: L2 and
+    // the LLC hold a dirty copy of X older than L1's when they evict
+    // it, and memory receives L1's newer, never-flushed value. The
+    // crash image holds that value, which the golden model admits as
+    // in flight.
+    auto cfg = dolos::test::cfgFor(SecurityMode::DolosPartialWpq);
+    cfg.hierarchy.l1 = {"l1", 512, 2, 2};
+    cfg.hierarchy.l2 = {"l2", 2048, 4, 20};
+    cfg.hierarchy.llc = {"llc", 8192, 8, 32};
+    System sys(cfg);
+    GoldenModel golden;
+    auto &core = sys.core();
+    core.setObserver(&golden);
+
+    const Addr x = 0x10000; // set 0 at every level
+    const std::uint64_t v1 = 0x1111, v2 = 0x2222;
+    std::uint64_t out = 0;
+    core.store(x, &v1, sizeof(v1));
+    core.load(x + 0x400, &out, sizeof(out)); // L1 writes X back to L2
+    core.load(x + 0x800, &out, sizeof(out));
+    core.store(x, &v2, sizeof(v2)); // L2's dirty copy is now stale
+    auto &h = sys.hierarchy();
+    for (Addr a = x + 0xC00; h.llc().find(x) && a < x + 0x10000;
+         a += 0x400) {
+        core.load(a, &out, sizeof(out));
+        core.load(x, &out, sizeof(out)); // keep X in L1
+    }
+    ASSERT_EQ(h.llc().find(x), nullptr);
+    ASSERT_NE(h.l1().find(x), nullptr);
+
+    sys.crash();
+    sys.recover();
+    EXPECT_EQ(golden.classify(x), ByteClass::InFlight);
+    const auto report = checkAgainstGolden(sys, golden);
+    EXPECT_TRUE(report.clean()) << report.summary();
+    EXPECT_FALSE(sys.attackDetected());
+    core.load(x, &out, sizeof(out));
+    EXPECT_EQ(out, v2); // the newest value reached NVM
+    EXPECT_TRUE(golden.clean());
+    core.setObserver(nullptr);
+}
+
 } // namespace

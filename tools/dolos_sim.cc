@@ -412,7 +412,16 @@ main(int argc, char **argv)
     if (o.stats || !o.statsJsonFile.empty())
         profiler.enable();
     const auto host_start = std::chrono::steady_clock::now();
-    const auto res = runWorkload(sys, *wl, o.txns, crash);
+    RunResult res;
+    try {
+        res = runWorkload(sys, *wl, o.txns, crash);
+    } catch (const std::invalid_argument &e) {
+        // The workload outgrew a fixed region (undo log, heap): the
+        // options asked for a machine that cannot run it.
+        std::fprintf(stderr, "invalid workload configuration: %s\n",
+                     e.what());
+        return ExitUsage;
+    }
     const double host_sec = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() -
                                 host_start)
