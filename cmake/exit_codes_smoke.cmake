@@ -132,6 +132,23 @@ if(NOT raw_damage_text MATCHES "\"media\":{[^}]*\"retries\":3[,}]")
         "retries:\n${raw_damage_text}")
 endif()
 
+# 4: a worn counter frame with no spare row left is retired like a
+#    worn tree frame: its page lives on-chip, so no data cascades,
+#    but the frame itself is quarantined.
+set(ctr_damage "${WORKDIR}/counter_no_spare.json")
+expect_rc(4 "${SIM}" --workload hashmap --mode dolos-partial
+            --txns 40 --keys 64 --media-fault stuck
+            --media-region counter --spares 0
+            --damage-json "${ctr_damage}")
+expect_rc(0 "${REPORT}" --check "${ctr_damage}")
+file(READ "${ctr_damage}" ctr_damage_text)
+if(NOT ctr_damage_text MATCHES
+       "\"quarantined\":\\[[^]]*\"region\":\"counter\"")
+    message(FATAL_ERROR
+        "exit_codes_smoke: the worn counter frame is not quarantined:\n"
+        "${ctr_damage_text}")
+endif()
+
 # 0: a transient fault heals through retry — clean exit, no report.
 expect_rc(0 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --media-fault transient)

@@ -10,8 +10,11 @@
 #ifndef DOLOS_MEM_BACKING_STORE_HH
 #define DOLOS_MEM_BACKING_STORE_HH
 
+#include <algorithm>
 #include <functional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "mem/block.hh"
 #include "sim/logging.hh"
@@ -54,8 +57,28 @@ class BackingStore
     /** Number of blocks ever written. */
     std::size_t numBlocks() const { return blocks.size(); }
 
-    /** Direct access for whole-image snapshot/restore. */
-    const std::unordered_map<Addr, Block> &raw() const { return blocks; }
+    /** Upper bound for a walk over the whole store. */
+    static constexpr Addr allAddrs = ~Addr(0);
+
+    /**
+     * Call @p visit(addr, block) for every stored block in [@p lo,
+     * @p hi), in ascending address order. This is the store's only
+     * enumeration, so no caller can depend on hash-table order. The
+     * visitor may overwrite blocks (stored or not) but not clear().
+     */
+    template <typename Visit>
+    void
+    walk(Addr lo, Addr hi, Visit &&visit) const
+    {
+        std::vector<std::pair<Addr, const Block *>> found;
+        // Sorted below, before anything is visited.
+        for (const auto &[addr, block] : blocks) // dolos-lint: allow(determinism)
+            if (addr >= lo && addr < hi)
+                found.emplace_back(addr, &block);
+        std::sort(found.begin(), found.end());
+        for (const auto &[addr, block] : found)
+            visit(addr, *block);
+    }
 
     void clear() { blocks.clear(); }
 

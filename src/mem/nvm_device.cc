@@ -294,19 +294,14 @@ BackingStore::stateManifest(std::function<bool(Addr)> exclude) const
 {
     persist::StateManifest m("BackingStore");
     m.add("blocks", persist::Kind::Persistent, [this, exclude] {
-        // Sorted, filtered rendering: the crash path legitimately
-        // rewrites the excluded regions (ADR dump, recovery journal).
-        std::vector<std::pair<std::uint64_t, std::string>> items;
-        for (const auto &[addr, block] : blocks) {
-            if (exclude && exclude(addr))
-                continue;
-            items.emplace_back(addr, persist::describe(block));
-        }
-        std::sort(items.begin(), items.end());
+        // Filtered rendering: the crash path legitimately rewrites
+        // the excluded regions (ADR dump, recovery journal).
         std::ostringstream os;
         os << '{';
-        for (const auto &[addr, s] : items)
-            os << addr << ':' << s << ';';
+        walk(0, allAddrs, [&](Addr addr, const Block &block) {
+            if (!exclude || !exclude(addr))
+                os << addr << ':' << persist::describe(block) << ';';
+        });
         os << '}';
         return os.str();
     });

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_set>
 
 #include "secure/osiris.hh"
 #include "sim/crash_points.hh"
@@ -148,57 +147,79 @@ SecurityEngine::loadDataMac(Addr addr) const
 
 namespace
 {
-/** Cascade-provenance tag for a lost metadata block. */
-std::string
-causeTag(const char *kind, Addr addr)
+/** How the lost frame of one metadata region is repaired or contained. */
+struct FrameKind
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%s_0x%llx", kind,
-                  (unsigned long long)addr);
-    return buf;
+    const char *remapReason = ""; ///< the spare-row remap record
+    /**
+     * Quarantine reason for a frame with no spare row left whose
+     * content lives on-chip; nullptr when it has no on-chip home, so
+     * losing the frame loses the data it covers.
+     */
+    const char *retireReason = nullptr;
+    // The data cascade, when the frame's content is lost.
+    const char *name = "";        ///< warning prefix
+    const char *causeKind = "";   ///< provenance tag prefix
+    const char *lostReason = "";  ///< the lost frame's quarantine reason
+    const char *coverReason = ""; ///< each covered block's reason
+    std::vector<Addr> (AddressMap::*covered)(Addr) const = nullptr;
+};
+
+constexpr FrameKind counterFrame{
+    .remapReason = "counter frame media fault",
+    .retireReason = "counter frame unrecoverable (no spare frame left)",
+    .name = "counter block",
+    .causeKind = "counter_block",
+    .lostReason = "counter block media fault (reconstruction failed)",
+    .coverReason = "covering counter block unrecoverable",
+    .covered = &AddressMap::dataCoveredByCounterBlock};
+
+// A tree frame is never lost, as its children re-hash it: worst case
+// it is retired and the node lives on-chip.
+constexpr FrameKind treeFrame{
+    .remapReason = "tree node media fault",
+    .retireReason = "tree node frame unrecoverable"};
+
+constexpr FrameKind macFrame{
+    .remapReason = "MAC block media fault",
+    .name = "MAC block",
+    .causeKind = "mac_block",
+    .lostReason = "MAC block media fault (no spare frame left)",
+    .coverReason = "covering MAC block unrecoverable",
+    .covered = &AddressMap::dataCoveredByMacBlock};
+
+const FrameKind &
+frameKind(NvmRegion region)
+{
+    switch (region) {
+      case NvmRegion::Counter:
+        return counterFrame;
+      case NvmRegion::Tree:
+        return treeFrame;
+      default:
+        return macFrame;
+    }
 }
 } // namespace
 
 void
-SecurityEngine::cascadeQuarantineCounterBlock(Addr cb_addr,
-                                              unsigned retries)
+SecurityEngine::cascadeQuarantine(Addr frame, unsigned retries)
 {
-    const std::string cause = causeTag("counter_block", cb_addr);
-    nvm_.quarantine(cb_addr,
-                    "counter block media fault (reconstruction failed)",
-                    retries);
+    const FrameKind &kind = frameKind(params.map.regionOf(frame));
+    char cause[48];
+    std::snprintf(cause, sizeof(cause), "%s_0x%llx", kind.causeKind,
+                  (unsigned long long)frame);
+    nvm_.quarantine(frame, kind.lostReason, retries);
     std::size_t lost = 0;
-    for (const Addr a : params.map.dataCoveredByCounterBlock(cb_addr)) {
+    for (const Addr a : (params.map.*kind.covered)(frame)) {
         if (!nvm_.store().contains(a) || nvm_.isQuarantined(a))
             continue;
-        nvm_.quarantine(a, "covering counter block unrecoverable",
-                        retries, cause);
+        nvm_.quarantine(a, kind.coverReason, retries, cause);
         ++statCascadedBlocks;
         ++lost;
     }
-    warn("counter block 0x%llx unrecoverable: %zu data blocks "
-         "quarantined",
-         (unsigned long long)cb_addr, lost);
-}
-
-void
-SecurityEngine::cascadeQuarantineMacBlock(Addr mb_addr, unsigned retries)
-{
-    const std::string cause = causeTag("mac_block", mb_addr);
-    nvm_.quarantine(mb_addr,
-                    "MAC block media fault (no spare frame left)",
-                    retries);
-    std::size_t lost = 0;
-    for (const Addr a : params.map.dataCoveredByMacBlock(mb_addr)) {
-        if (!nvm_.store().contains(a) || nvm_.isQuarantined(a))
-            continue;
-        nvm_.quarantine(a, "covering MAC block unrecoverable", retries,
-                        cause);
-        ++statCascadedBlocks;
-        ++lost;
-    }
-    warn("MAC block 0x%llx unrecoverable: %zu data blocks quarantined",
-         (unsigned long long)mb_addr, lost);
+    warn("%s 0x%llx unrecoverable: %zu data blocks quarantined",
+         kind.name, (unsigned long long)frame, lost);
 }
 
 std::optional<CounterPage>
@@ -248,76 +269,75 @@ SecurityEngine::rebuildCounterPage(Addr page_idx)
     return page;
 }
 
-bool
-SecurityEngine::repairCounterBlock(Addr cb_addr, Addr page_idx,
-                                   unsigned retries)
+SecurityEngine::FrameFate
+SecurityEngine::repairFrame(Addr frame, unsigned retries, bool recovering)
 {
     ++statMetaMediaFaults;
-    if (counters.hasPage(page_idx)) {
-        // The volatile truth survives on-chip: remap the worn frame
-        // (when a spare row is left) and rewrite it.
-        nvm_.remapToSpare(cb_addr, "counter frame media fault");
-        nvm_.writeFunctional(cb_addr, counters.page(page_idx).pack());
-        ++statCounterBlocksRebuilt;
-        return true;
+    if (params.map.regionOf(frame) == NvmRegion::Counter) {
+        const Addr page_idx = AddressMap::pageOfCounterBlock(frame);
+        if (!counters.hasPage(page_idx)) {
+            if (const auto rebuilt = rebuildCounterPage(page_idx))
+                counters.restorePage(page_idx, *rebuilt);
+            else if (recovering)
+                return FrameFate::Pending;
+        }
     }
-    const auto rebuilt = rebuildCounterPage(page_idx);
-    if (rebuilt) {
-        counters.restorePage(page_idx, *rebuilt);
-        nvm_.remapToSpare(cb_addr, "counter frame media fault");
-        nvm_.writeFunctional(cb_addr, rebuilt->pack());
-        ++statCounterBlocksRebuilt;
-        return true;
-    }
-    cascadeQuarantineCounterBlock(cb_addr, retries);
-    return false;
+    return settleFrame(frame, retries, recovering);
 }
 
-void
-SecurityEngine::repairTreeNode(Addr node_addr, unsigned level, Addr idx,
-                               unsigned retries)
+SecurityEngine::FrameFate
+SecurityEngine::settleFrame(Addr frame, unsigned retries, bool recovering)
 {
-    ++statMetaMediaFaults;
-    // The children's current tags pin the node's only possible value;
-    // re-hash root-ward and rewrite. A lost node frame never cascades
-    // to data — worst case the frame itself is retired and the node
-    // lives only in the volatile tree until the next rewrite.
-    const crypto::MacTag tag = level == 0
-                                   ? tree.nodeTag(0, idx)
-                                   : tree.repairNode(level, idx);
-    if (!nvm_.remapToSpare(node_addr, "tree node media fault"))
-        nvm_.quarantine(node_addr, "tree node frame unrecoverable",
-                        retries);
-    Block b{};
-    std::memcpy(b.data(), tag.data(), tag.size());
-    nvm_.writeFunctional(node_addr, b);
-    ++statTreeNodesRepaired;
-}
+    const NvmRegion region = params.map.regionOf(frame);
+    const FrameKind &kind = frameKind(region);
+    // The frame's content, from on-chip state alone.
+    Block image{};
+    stats::Scalar *rewritten = &statMacBlocksRebuilt;
+    if (region == NvmRegion::Counter) {
+        const Addr page_idx = AddressMap::pageOfCounterBlock(frame);
+        if (!counters.hasPage(page_idx)) {
+            cascadeQuarantine(frame, retries);
+            return FrameFate::Cascaded;
+        }
+        image = counters.page(page_idx).pack();
+        rewritten = &statCounterBlocksRebuilt;
+    } else if (region == NvmRegion::Tree) {
+        // The children's current tags pin the node's only value.
+        const auto [level, idx] = AddressMap::treeNodeOf(frame);
+        const crypto::MacTag tag = level == 0
+                                       ? tree.nodeTag(0, idx)
+                                       : tree.repairNode(level, idx);
+        std::memcpy(image.data(), tag.data(), tag.size());
+        rewritten = &statTreeNodesRepaired;
+    } else {
+        // Every lane is recomputable: the covered ciphertext and its
+        // current counter pin the only MAC the engine would accept. A
+        // device-flagged frame is wear, not tamper (an adversary
+        // leaves no media flag), so re-blessing the intact ciphertext
+        // loses nothing.
+        for (const Addr a : params.map.dataCoveredByMacBlock(frame)) {
+            if (!nvm_.store().contains(a) || nvm_.isQuarantined(a))
+                continue;
+            const crypto::MacTag tag =
+                dataMac(a, nvm_.readFunctional(a), counters.counterOf(a));
+            std::memcpy(image.data() + AddressMap::macOffsetInBlock(a),
+                        tag.data(), tag.size());
+        }
+    }
 
-bool
-SecurityEngine::repairMacBlock(Addr mb_addr, unsigned retries)
-{
-    ++statMetaMediaFaults;
-    if (!nvm_.remapToSpare(mb_addr, "MAC block media fault")) {
-        cascadeQuarantineMacBlock(mb_addr, retries);
-        return false;
+    std::string why = kind.remapReason;
+    if (recovering)
+        why += " (recovery)";
+    if (!nvm_.remapToSpare(frame, std::move(why))) {
+        if (!kind.retireReason) {
+            cascadeQuarantine(frame, retries);
+            return FrameFate::Cascaded;
+        }
+        nvm_.quarantine(frame, kind.retireReason, retries);
     }
-    // Every lane is recomputable: the covered ciphertext and its
-    // current counter pin the only MAC the engine would accept. A
-    // device-flagged frame is wear, not tamper (an adversary leaves no
-    // media flag), so re-blessing the intact ciphertext loses nothing.
-    Block b{};
-    for (const Addr a : params.map.dataCoveredByMacBlock(mb_addr)) {
-        if (!nvm_.store().contains(a) || nvm_.isQuarantined(a))
-            continue;
-        const crypto::MacTag tag =
-            dataMac(a, nvm_.readFunctional(a), counters.counterOf(a));
-        std::memcpy(b.data() + AddressMap::macOffsetInBlock(a),
-                    tag.data(), tag.size());
-    }
-    nvm_.writeFunctional(mb_addr, b);
-    ++statMacBlocksRebuilt;
-    return true;
+    nvm_.writeFunctional(frame, image);
+    ++*rewritten;
+    return FrameFate::Repaired;
 }
 
 crypto::MacTag
@@ -329,10 +349,9 @@ SecurityEngine::loadDataMacHealed(Addr addr)
     if (m.failed) {
         // Persistent fault on the MAC frame itself: rebuild it (or
         // cascade). Either way the caller re-checks quarantine state.
-        if (repairMacBlock(mb_addr, m.retries))
-            b = nvm_.readFunctional(mb_addr);
-        else
-            b = Block{};
+        b = repairFrame(mb_addr, m.retries) == FrameFate::Repaired
+                ? nvm_.readFunctional(mb_addr)
+                : Block{};
     }
     crypto::MacTag tag;
     std::memcpy(tag.data(), b.data() + AddressMap::macOffsetInBlock(addr),
@@ -412,7 +431,7 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
     const ReadResult r = nvm_.readRetried(cb_addr, start, cb_media);
     Tick t = r.completeTick;
     if (cb_media.failed) {
-        repairCounterBlock(cb_addr, page_idx, cb_media.retries);
+        repairFrame(cb_addr, cb_media.retries);
     } else {
         const CounterPage fetched = CounterPage::unpack(r.data);
         if (counters.hasPage(page_idx)) {
@@ -447,7 +466,7 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
         const ReadResult nr = nvm_.readRetried(node_addr, t, node_media);
         t = nr.completeTick + params.macLatency;
         if (node_media.failed) {
-            repairTreeNode(node_addr, lvl, idx, node_media.retries);
+            repairFrame(node_addr, node_media.retries);
         } else if (nvm_.store().contains(node_addr)) {
             crypto::MacTag stored;
             std::memcpy(stored.data(), nr.data.data(), stored.size());
@@ -822,15 +841,11 @@ SecurityEngine::recoverCountersOsiris(SecureRecoveryResult &res)
     // The persisted counter lags the true one by less than the
     // stop-loss K, so decrypting with candidates c0..c0+K-1 and
     // checking the plaintext's ECC pins the true counter.
-    std::vector<Addr> data_blocks;
-    for (const auto &[addr, block] : nvm_.store().raw())
-        if (params.map.isProtectedData(addr) &&
-            !nvm_.isQuarantined(addr))
-            data_blocks.push_back(addr);
-
-    for (const Addr addr : data_blocks) {
+    nvm_.store().walk(0, params.map.protectedBytes,
+                      [&](Addr addr, const Block &ct) {
+        if (nvm_.isQuarantined(addr))
+            return;
         ++res.osirisProbed;
-        const Block ct = nvm_.readFunctional(addr);
         const EccCode stored = loadEcc(addr);
         const std::uint64_t c0 = counters.counterOf(addr);
         bool recovered = false;
@@ -859,7 +874,7 @@ SecurityEngine::recoverCountersOsiris(SecureRecoveryResult &res)
             warn("Osiris could not recover counter for 0x%llx",
                  (unsigned long long)addr);
         }
-    }
+    });
 }
 
 void
@@ -893,75 +908,43 @@ SecurityEngine::recover()
     syncRootRegister();
     SecureRecoveryResult res;
 
-    // 1. Restore counters from the NVM counter region. Reads pass
-    // through the media-fault model: a crash can land while metadata
-    // frames are worn, and trusting a garbage image would poison the
-    // tree rebuild. Persistent faults take the trial-MAC repair path.
-    const Addr ctr_lo = AddressMap::counterBase;
-    const Addr ctr_hi =
-        ctr_lo + params.map.numPages() * blockSize;
-    std::vector<Addr> ctr_blocks;
-    for (const auto &[addr, block] : nvm_.store().raw())
-        if (addr >= ctr_lo && addr < ctr_hi)
-            ctr_blocks.push_back(addr);
-    std::sort(ctr_blocks.begin(), ctr_blocks.end());
-    struct FailedFrame
-    {
-        Addr addr;
-        Addr pageIdx;
-        unsigned retries;
-    };
-    std::vector<FailedFrame> failed_frames;
-    bool media_evidence = false;
-    for (const Addr addr : ctr_blocks) {
-        const Addr page_idx = (addr - ctr_lo) / blockSize;
-        MediaRetry m;
-        const Block b = nvm_.readCheckedRetried(addr, m);
-        if (!m.failed) {
-            if (m.retries)
-                media_evidence = true;
-            counters.restorePage(page_idx, CounterPage::unpack(b));
-            ++res.pagesRestored;
-            continue;
-        }
-        media_evidence = true;
-        ++statMetaMediaFaults;
-        const auto rebuilt = rebuildCounterPage(page_idx);
-        if (rebuilt) {
-            counters.restorePage(page_idx, *rebuilt);
-            nvm_.remapToSpare(addr, "counter frame media fault "
-                                    "(recovery)");
-            nvm_.writeFunctional(addr, rebuilt->pack());
-            ++statCounterBlocksRebuilt;
+    const auto tally = [&](FrameFate fate) {
+        if (fate == FrameFate::Repaired) {
             ++res.counterBlocksRepaired;
             ++res.pagesRestored;
         } else {
-            // Don't cascade yet: the shadow table may still hold a
-            // valid image of this page. Resolve after the merge.
-            failed_frames.push_back({addr, page_idx, m.retries});
+            ++res.counterBlocksCascaded;
         }
-    }
-
-    // A media-lost counter frame is only unrecoverable once every
-    // source is exhausted: NVM image (step 1), trial-MAC rebuild, and
-    // the crash-consistency scheme's own image (shadow merge below).
-    const auto resolveFailedFrames = [&] {
-        for (const auto &f : failed_frames) {
-            if (counters.hasPage(f.pageIdx)) {
-                nvm_.remapToSpare(f.addr, "counter frame media fault "
-                                          "(recovery)");
-                nvm_.writeFunctional(f.addr,
-                                     counters.page(f.pageIdx).pack());
-                ++statCounterBlocksRebuilt;
-                ++res.counterBlocksRepaired;
-                ++res.pagesRestored;
-            } else {
-                cascadeQuarantineCounterBlock(f.addr, f.retries);
-                ++res.counterBlocksCascaded;
-            }
-        }
-        failed_frames.clear();
     };
+
+    // 1. Restore counters from the NVM counter region. Reads pass
+    // through the media-fault model: a crash can land while metadata
+    // frames are worn, and trusting a garbage image would poison the
+    // tree rebuild. Persistent faults take the repair policy. A lost
+    // page is unrecoverable only once every source is exhausted: the
+    // NVM image, the trial-MAC rebuild, and the crash-consistency
+    // scheme's own image (merged below). Until then its frame waits.
+    std::vector<std::pair<Addr, unsigned>> pending;
+    bool media_evidence = false;
+    nvm_.store().walk(
+        AddressMap::counterBase,
+        AddressMap::counterBase + params.map.numPages() * blockSize,
+        [&](Addr addr, const Block &) {
+            MediaRetry m;
+            const Block b = nvm_.readCheckedRetried(addr, m);
+            media_evidence |= m.failed || m.retries;
+            if (!m.failed) {
+                counters.restorePage(AddressMap::pageOfCounterBlock(addr),
+                                     CounterPage::unpack(b));
+                ++res.pagesRestored;
+            } else if (const FrameFate fate =
+                           repairFrame(addr, m.retries, true);
+                       fate == FrameFate::Pending) {
+                pending.emplace_back(addr, m.retries);
+            } else {
+                tally(fate);
+            }
+        });
 
     // 2. Recover the counters that were dirty in the (lost) counter
     // cache, via the configured scheme.
@@ -999,11 +982,13 @@ SecurityEngine::recover()
                 ++res.shadowApplied;
             }
         }
-        resolveFailedFrames();
-    } else {
-        resolveFailedFrames();
-        recoverCountersOsiris(res);
     }
+    // Pending frames settle on the page the merge supplied, or
+    // cascade; Osiris probing then advances the surviving pages.
+    for (const auto &[addr, retries] : pending)
+        tally(settleFrame(addr, retries, true));
+    if (params.crashScheme == CrashScheme::Osiris)
+        recoverCountersOsiris(res);
 
     // 3. Rebuild the integrity tree and authenticate against the
     // eagerly-persisted on-chip root.
@@ -1017,29 +1002,23 @@ SecurityEngine::recover()
         // counter: sweep, repair mismatching pages by trial MAC, and
         // re-check. Without media evidence this path never runs — a
         // clean-boot root mismatch stays tamper.
-        std::vector<Addr> data_blocks;
-        for (const auto &[addr, block] : nvm_.store().raw())
-            if (params.map.isProtectedData(addr) &&
-                !nvm_.isQuarantined(addr))
-                data_blocks.push_back(addr);
-        std::sort(data_blocks.begin(), data_blocks.end());
-        std::unordered_set<Addr> bad_pages;
-        for (const Addr a : data_blocks) {
-            const Block ct = nvm_.readFunctional(a);
-            if (dataMac(a, ct, counters.counterOf(a)) !=
-                loadDataMac(a))
-                bad_pages.insert(AddressMap::pageOf(a));
-        }
-        std::vector<Addr> pages(bad_pages.begin(), bad_pages.end());
-        std::sort(pages.begin(), pages.end());
+        std::vector<Addr> pages; // ascending, as the walk is
+        nvm_.store().walk(0, params.map.protectedBytes,
+                          [&](Addr a, const Block &ct) {
+            const Addr p = AddressMap::pageOf(a);
+            if (!nvm_.isQuarantined(a) &&
+                (pages.empty() || pages.back() != p) &&
+                dataMac(a, ct, counters.counterOf(a)) != loadDataMac(a))
+                pages.push_back(p);
+        });
         for (const Addr p : pages) {
             const auto rebuilt = rebuildCounterPage(p);
             if (rebuilt) {
                 counters.restorePage(p, *rebuilt);
                 ++res.macPinnedRepairs;
             } else {
-                cascadeQuarantineCounterBlock(ctr_lo + p * blockSize,
-                                              0);
+                cascadeQuarantine(AddressMap::counterBase + p * blockSize,
+                                  0);
                 ++res.counterBlocksCascaded;
             }
         }
@@ -1072,19 +1051,14 @@ SecurityEngine::recover()
             AddressMap::counterBase + page_idx * blockSize,
             page.pack());
     }
-    const Addr tree_lo = AddressMap::treeBase;
-    const Addr tree_hi = AddressMap::shadowBase;
-    std::vector<Addr> stale_nodes;
-    for (const auto &[addr, block] : nvm_.store().raw())
-        if (addr >= tree_lo && addr < tree_hi)
-            stale_nodes.push_back(addr);
-    for (const Addr addr : stale_nodes) {
+    nvm_.store().walk(AddressMap::treeBase, AddressMap::shadowBase,
+                      [&](Addr addr, const Block &) {
         const auto [level, idx] = AddressMap::treeNodeOf(addr);
         Block b{};
         const crypto::MacTag tag = tree.nodeTag(level, idx);
         std::memcpy(b.data(), tag.data(), tag.size());
         nvm_.writeFunctional(addr, b);
-    }
+    });
     return res;
 }
 
@@ -1093,54 +1067,27 @@ SecurityEngine::scrubMetadata()
 {
     ScrubReport rep;
     ++statScrubPasses;
-    std::vector<Addr> blocks;
-    for (const auto &[addr, block] : nvm_.store().raw()) {
-        const NvmRegion r = params.map.regionOf(addr);
-        if (r == NvmRegion::Counter || r == NvmRegion::Tree ||
-            r == NvmRegion::Mac)
-            blocks.push_back(addr);
-    }
-    std::sort(blocks.begin(), blocks.end());
-    for (const Addr addr : blocks) {
+    // Counter, MAC and tree frames are [counterBase, shadowBase).
+    nvm_.store().walk(AddressMap::counterBase, AddressMap::shadowBase,
+                      [&](Addr addr, const Block &) {
         if (nvm_.isQuarantined(addr))
-            continue;
+            return;
         ++rep.blocksScanned;
         MediaRetry m;
         nvm_.readCheckedRetried(addr, m);
         if (!m.failed && !m.retries)
-            continue; // the device flagged nothing
+            return; // the device flagged nothing
         ++rep.faultsFound;
-        if (!m.failed) {
-            // A transient disturb error: the retry consumed it and
-            // the underlying cells are intact.
-            ++rep.repaired;
-            ++statScrubRepairs;
-            continue;
-        }
-        bool repaired = true;
-        switch (params.map.regionOf(addr)) {
-          case NvmRegion::Counter:
-            repaired = repairCounterBlock(
-                addr, AddressMap::pageOfCounterBlock(addr), m.retries);
-            break;
-          case NvmRegion::Tree: {
-            const auto [level, idx] = AddressMap::treeNodeOf(addr);
-            repairTreeNode(addr, level, idx, m.retries);
-            break;
-          }
-          case NvmRegion::Mac:
-            repaired = repairMacBlock(addr, m.retries);
-            break;
-          default:
-            break;
-        }
-        if (repaired) {
-            ++rep.repaired;
-            ++statScrubRepairs;
-        } else {
+        // A transient disturb error is consumed by the retry and the
+        // underlying cells are intact.
+        if (m.failed &&
+            repairFrame(addr, m.retries) != FrameFate::Repaired) {
             ++rep.cascaded;
+            return;
         }
-    }
+        ++rep.repaired;
+        ++statScrubRepairs;
+    });
     return rep;
 }
 

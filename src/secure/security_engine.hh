@@ -183,7 +183,7 @@ struct ScrubReport
 {
     std::size_t blocksScanned = 0;
     std::size_t faultsFound = 0;  ///< device-flagged reads seen
-    std::size_t repaired = 0;     ///< rewritten (after remap) in place
+    std::size_t repaired = 0;     ///< rewritten from on-chip state
     std::size_t cascaded = 0;     ///< unrecoverable: quarantine engaged
 };
 
@@ -302,11 +302,12 @@ class SecurityEngine
 
     /**
      * One background scrub pass: walk every stored counter / tree /
-     * MAC metadata block through the device's media-fault model and
-     * route anything the device flags into the corresponding repair
-     * path. Runs automatically every scrubIntervalWrites secure
-     * writes when that knob is nonzero; callable directly for tests
-     * and tools. Functional only — scrub bandwidth is not timed.
+     * MAC metadata block that is not quarantined through the device's
+     * media-fault model and route any frame that fails its retries
+     * into the repair policy (repairFrame). Runs automatically every
+     * scrubIntervalWrites secure writes when that knob is nonzero;
+     * callable directly for tests and tools. Functional only — scrub
+     * bandwidth is not timed.
      */
     ScrubReport scrubMetadata();
 
@@ -413,15 +414,34 @@ class SecurityEngine
      */
     crypto::MacTag loadDataMacHealed(Addr addr);
 
+    /** How repairFrame left a metadata frame. */
+    enum class FrameFate
+    {
+        /// Rewritten from on-chip state, onto a spare row or, with
+        /// none left, behind a quarantined frame.
+        Repaired,
+        Cascaded, ///< content lost: frame and covered data quarantined
+        Pending,  ///< recovery scan: no page image (yet)
+    };
+
     /**
-     * A counter block read came back media-flagged through every
-     * retry: remap to a spare row and rewrite from the volatile
-     * truth if we have it, else reconstruct by trial MAC
-     * (rebuildCounterPage), else cascade-quarantine. Returns false
-     * only when the cascade engaged.
+     * The one metadata-repair policy. A counter, tree or MAC frame
+     * (by AddressMap::regionOf) failed its media retries: rebuild its
+     * content (a counter page with no on-chip copy by trial MAC), then
+     * settleFrame. With @p recovering, a counter page that cannot be
+     * rebuilt stays Pending: the crash scheme may still supply it.
      */
-    bool repairCounterBlock(Addr cb_addr, Addr page_idx,
-                            unsigned retries);
+    FrameFate repairFrame(Addr frame, unsigned retries,
+                          bool recovering = false);
+
+    /**
+     * Remap @p frame to a spare row and rewrite it from on-chip state,
+     * counting the repair. With no spare left the frame is
+     * quarantined, and so is the data it covers when its content has
+     * no on-chip home (a MAC frame). A counter frame with no page
+     * image cascades.
+     */
+    FrameFate settleFrame(Addr frame, unsigned retries, bool recovering);
 
     /**
      * Reconstruct a counter page with no volatile copy: for each
@@ -433,26 +453,10 @@ class SecurityEngine
     std::optional<CounterPage> rebuildCounterPage(Addr page_idx);
 
     /**
-     * An interior tree node's NVM copy is media-lost: re-hash it
-     * from its children (repairNode) and rewrite; node-frame loss
-     * never cascades to data.
+     * Quarantine a lost counter or MAC frame and every stored data
+     * block it covered, with the frame as the blocks' cause.
      */
-    void repairTreeNode(Addr node_addr, unsigned level, Addr idx,
-                        unsigned retries);
-
-    /**
-     * A MAC block's frame is media-lost: recompute every stored
-     * covered lane from ciphertext + current counter and rewrite
-     * onto a spare row. Returns false (and cascades) when no spare
-     * frame is left.
-     */
-    bool repairMacBlock(Addr mb_addr, unsigned retries);
-
-    /** Quarantine a counter block and every stored data block it covered. */
-    void cascadeQuarantineCounterBlock(Addr cb_addr, unsigned retries);
-
-    /** Quarantine a MAC block and every stored data block it covered. */
-    void cascadeQuarantineMacBlock(Addr mb_addr, unsigned retries);
+    void cascadeQuarantine(Addr frame, unsigned retries);
 
     /** Data MAC input: ciphertext, counter, address. */
     crypto::MacTag dataMac(Addr addr, const Block &ciphertext,

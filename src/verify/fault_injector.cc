@@ -5,7 +5,6 @@
 
 #include "verify/fault_injector.hh"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "secure/address_map.hh"
@@ -56,18 +55,12 @@ parseFaultKind(const std::string &name)
 std::optional<Addr>
 FaultInjector::pickVictimDataBlock()
 {
-    const AddressMap &map = sys.config().secure.map;
     std::vector<Addr> candidates;
-    for (const auto &[addr, block] : sys.nvmDevice().store().raw()) {
-        (void)block;
-        if (map.isProtectedData(addr))
-            candidates.push_back(addr);
-    }
+    sys.nvmDevice().store().walk(
+        0, sys.config().secure.map.protectedBytes,
+        [&](Addr addr, const Block &) { candidates.push_back(addr); });
     if (candidates.empty())
         return std::nullopt;
-    // The backing store is an unordered_map; sort so the seeded pick
-    // is independent of hash-table iteration order.
-    std::sort(candidates.begin(), candidates.end());
     return candidates[rng.below(candidates.size())];
 }
 
@@ -325,14 +318,13 @@ FaultInjector::injectCounterRollback()
     // treats it as never-written — the stale counter must then be
     // caught by the integrity-tree root comparison, not silently
     // repaired by the shadow merge.
-    std::vector<Addr> shadow_blocks;
-    for (const auto &[addr, block] : sys.nvmDevice().store().raw()) {
-        (void)block;
-        if (addr >= AddressMap::shadowBase && addr < AddressMap::wpqDumpBase)
-            shadow_blocks.push_back(addr);
-    }
-    for (const Addr addr : shadow_blocks)
-        sys.nvmDevice().writeFunctional(addr, zeroBlock());
+    std::size_t scrubbed = 0;
+    sys.nvmDevice().store().walk(
+        AddressMap::shadowBase, AddressMap::wpqDumpBase,
+        [&](Addr addr, const Block &) {
+            sys.nvmDevice().writeFunctional(addr, zeroBlock());
+            ++scrubbed;
+        });
 
     rec.injected = true;
     rec.target = cb_addr;
@@ -342,7 +334,7 @@ FaultInjector::injectCounterRollback()
     std::snprintf(buf, sizeof(buf),
                   "rolled back counter block 0x%llx (byte %d) and "
                   "scrubbed %zu shadow slots",
-                  (unsigned long long)cb_addr, pos, shadow_blocks.size());
+                  (unsigned long long)cb_addr, pos, scrubbed);
     rec.detail = buf;
     return rec;
 }

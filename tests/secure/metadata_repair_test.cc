@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 
 #include "secure/merkle_tree.hh"
 #include "secure/security_engine.hh"
@@ -303,11 +304,11 @@ TEST_F(MetadataRepairTest, WornShadowSlotsSkippedWithoutAlarm)
     writeThrough(0x1000, pt, t);
     eng.crash();
 
-    const AddressMap map = repairParams().map;
     std::vector<Addr> shadow_blocks;
-    for (const auto &kv : nvm.store().raw())
-        if (map.regionOf(kv.first) == NvmRegion::Shadow)
-            shadow_blocks.push_back(kv.first);
+    nvm.store().walk(AddressMap::shadowBase, AddressMap::wpqDumpBase,
+                     [&](Addr a, const Block &) {
+                         shadow_blocks.push_back(a);
+                     });
     ASSERT_FALSE(shadow_blocks.empty());
     for (const Addr a : shadow_blocks)
         stickBit(nvm, a, 7);
@@ -386,5 +387,192 @@ TEST(MetadataRepairPlanted, BadCounterRepairBugTripsTheAlarm)
     eng.secureRead(0x0, 1'000'000'000);
     EXPECT_TRUE(eng.attackDetected());
 }
+
+// --- Repair-outcome table --------------------------------------------
+//
+// One worn frame per row: a counter, tree or MAC frame covering data
+// blocks 0..3, with the default spare rows or none, met on the live
+// path (scrub, demand read, scrub again) or after a crash (recovery,
+// demand read, scrub). Each row pins every outcome the damage report
+// shows. A frame with no spare left is quarantined; its covered data
+// cascades only when the frame's content has no on-chip home (a MAC
+// frame) or cannot be reconstructed.
+
+enum class RepairPath
+{
+    Live,
+    Recovery,
+};
+
+struct RepairRow
+{
+    const char *name;
+    NvmRegion region;
+    bool spares;
+    RepairPath path;
+
+    std::uint64_t metaMediaFaults;
+    std::uint64_t counterBlocksRebuilt;
+    std::uint64_t treeNodesRepaired;
+    std::uint64_t macBlocksRebuilt;
+    std::uint64_t cascadedBlocks;
+    std::uint64_t scrubRepairs;
+    std::size_t spareRemaps;
+    std::size_t recoveryRepaired; ///< counterBlocksRepaired of the last boot
+    /** Quarantine log as "addr/reason/retries/cause", address order. */
+    std::vector<std::string> quarantined;
+    bool dataLost; ///< block 0 reads back as poison
+};
+
+void
+PrintTo(const RepairRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
+/** One quarantine record as the table compares it. */
+std::string
+record(Addr addr, const char *reason, const std::string &cause = "")
+{
+    std::ostringstream os;
+    dolosDescribeValue(os, QuarantineRecord{addr, reason, 3, cause});
+    return os.str();
+}
+
+Addr
+wornFrame(NvmRegion region)
+{
+    switch (region) {
+      case NvmRegion::Counter:
+        return AddressMap::counterBlockAddr(0);
+      case NvmRegion::Tree:
+        return AddressMap::treeNodeAddr(1, 0);
+      default:
+        return AddressMap::macBlockAddr(0);
+    }
+}
+
+std::vector<std::string>
+macCascade()
+{
+    const Addr mb = AddressMap::macBlockAddr(0);
+    std::vector<std::string> q;
+    for (Addr a = 0; a < 4 * blockSize; a += blockSize)
+        q.push_back(record(a, "covering MAC block unrecoverable",
+                           causeOf("mac_block", mb)));
+    q.push_back(record(mb, "MAC block media fault (no spare frame left)"));
+    return q;
+}
+
+const std::string retiredCounter =
+    record(AddressMap::counterBlockAddr(0),
+           "counter frame unrecoverable (no spare frame left)");
+const std::string retiredTree =
+    record(AddressMap::treeNodeAddr(1, 0), "tree node frame unrecoverable");
+
+// A retired counter or tree frame keeps its stuck cell, so the demand
+// read after it fails its retries again and repairs from the on-chip
+// copy a second time; the scrub after that skips the frame.
+const RepairRow repairRows[] = {
+    {"CounterLive", NvmRegion::Counter, true, RepairPath::Live,
+     1, 1, 0, 0, 0, 1, 1, 0, {}, false},
+    {"CounterLiveNoSpare", NvmRegion::Counter, false, RepairPath::Live,
+     2, 2, 0, 0, 0, 1, 0, 0, {retiredCounter}, false},
+    {"CounterRecovery", NvmRegion::Counter, true, RepairPath::Recovery,
+     1, 1, 0, 0, 0, 0, 1, 1, {}, false},
+    {"CounterRecoveryNoSpare", NvmRegion::Counter, false,
+     RepairPath::Recovery, 2, 2, 0, 0, 0, 0, 0, 1, {retiredCounter},
+     false},
+    {"TreeLive", NvmRegion::Tree, true, RepairPath::Live,
+     1, 0, 1, 0, 0, 1, 1, 0, {}, false},
+    {"TreeLiveNoSpare", NvmRegion::Tree, false, RepairPath::Live,
+     2, 0, 2, 0, 0, 1, 0, 0, {retiredTree}, false},
+    {"TreeRecovery", NvmRegion::Tree, true, RepairPath::Recovery,
+     1, 0, 1, 0, 0, 0, 1, 0, {}, false},
+    {"TreeRecoveryNoSpare", NvmRegion::Tree, false, RepairPath::Recovery,
+     1, 0, 1, 0, 0, 0, 0, 0, {retiredTree}, false},
+    {"MacLive", NvmRegion::Mac, true, RepairPath::Live,
+     1, 0, 0, 1, 0, 1, 1, 0, {}, false},
+    {"MacLiveNoSpare", NvmRegion::Mac, false, RepairPath::Live,
+     1, 0, 0, 0, 4, 0, 0, 0, macCascade(), true},
+    {"MacRecovery", NvmRegion::Mac, true, RepairPath::Recovery,
+     1, 0, 0, 1, 0, 0, 1, 0, {}, false},
+    {"MacRecoveryNoSpare", NvmRegion::Mac, false, RepairPath::Recovery,
+     1, 0, 0, 0, 4, 0, 0, 0, macCascade(), true},
+};
+
+struct RepairTable : ::testing::TestWithParam<RepairRow>
+{
+};
+
+TEST_P(RepairTable, OutcomeMatchesTheRow)
+{
+    const RepairRow &row = GetParam();
+    NvmParams np;
+    if (!row.spares)
+        np.spareBlocks = 0;
+    NvmDevice nvm(np);
+    auto p = repairParams();
+    // One two-line, direct-mapped tree cache: inserting node (2, 0)
+    // evicts node (1, 0), so the worn tree frame is stored in NVM and
+    // the scrub walk sees it like the counter and MAC frames.
+    p.mtCache = {"mtCache", 2 * blockSize, 1};
+    SecurityEngine eng(p, nvm);
+
+    Tick t = 0;
+    for (unsigned i = 0; i < 4; ++i) {
+        const auto r = eng.secureWrite(i * blockSize,
+                                       pattern(std::uint8_t(i)), t);
+        t = eng.writeCiphertext(i * blockSize, r.ciphertext, r.doneTick);
+    }
+    eng.crash();
+    SecureRecoveryResult boot = eng.recover();
+    ASSERT_TRUE(boot.rootVerified);
+    const Addr frame = wornFrame(row.region);
+    ASSERT_TRUE(nvm.store().contains(frame));
+    stickBit(nvm, frame, 9);
+
+    if (row.path == RepairPath::Live) {
+        eng.scrubMetadata();
+    } else {
+        eng.crash();
+        boot = eng.recover();
+        EXPECT_TRUE(boot.rootVerified);
+        EXPECT_FALSE(boot.rootReanchored);
+    }
+    const auto rd = eng.secureRead(0x0, 1'000'000'000);
+    EXPECT_EQ(rd.data, row.dataLost ? zeroBlock() : pattern(0));
+    eng.scrubMetadata();
+
+    EXPECT_EQ(eng.metaMediaFaults(), row.metaMediaFaults);
+    EXPECT_EQ(eng.counterBlocksRebuilt(), row.counterBlocksRebuilt);
+    EXPECT_EQ(eng.treeNodesRepaired(), row.treeNodesRepaired);
+    EXPECT_EQ(eng.macBlocksRebuilt(), row.macBlocksRebuilt);
+    EXPECT_EQ(eng.cascadedBlocks(), row.cascadedBlocks);
+    EXPECT_EQ(eng.scrubRepairs(), row.scrubRepairs);
+    EXPECT_EQ(eng.shadowSlotsSkipped(), 0u);
+    EXPECT_EQ(eng.rootReanchors(), 0u);
+    EXPECT_EQ(eng.scrubPasses(), row.path == RepairPath::Live ? 2u : 1u);
+    EXPECT_EQ(nvm.remapLog().size(), row.spareRemaps);
+    EXPECT_EQ(boot.counterBlocksRepaired, row.recoveryRepaired);
+    EXPECT_EQ(boot.counterBlocksCascaded, 0u);
+
+    std::vector<std::string> log;
+    for (const auto &[addr, rec] : nvm.quarantineLog()) {
+        std::ostringstream os;
+        dolosDescribeValue(os, rec);
+        log.push_back(os.str());
+    }
+    EXPECT_EQ(log, row.quarantined);
+    // System::unrecoverableMedia is exactly "anything quarantined".
+    EXPECT_EQ(nvm.quarantineCount() != 0, !row.quarantined.empty());
+    EXPECT_FALSE(eng.attackDetected());
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, RepairTable,
+                         ::testing::ValuesIn(repairRows),
+                         [](const auto &info) {
+                             return std::string(info.param.name);
+                         });
 
 } // namespace

@@ -19,10 +19,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "dolos/system.hh"
 #include "verify/sweep_driver.hh"
@@ -63,9 +61,9 @@ std::size_t
 storedTreeNodes(System &sys)
 {
     std::size_t n = 0;
-    for (const auto &[addr, block] : sys.nvmDevice().store().raw())
-        if (addr >= AddressMap::treeBase && addr < AddressMap::shadowBase)
-            ++n;
+    sys.nvmDevice().store().walk(AddressMap::treeBase,
+                                 AddressMap::shadowBase,
+                                 [&](Addr, const Block &) { ++n; });
     return n;
 }
 
@@ -84,16 +82,12 @@ runDigest(const SystemConfig &cfg, std::size_t *tree_nodes = nullptr)
     if (tree_nodes)
         *tree_nodes = storedTreeNodes(sys);
 
-    std::vector<std::pair<Addr, const Block *>> blocks;
-    for (const auto &[addr, block] : sys.nvmDevice().store().raw())
-        blocks.emplace_back(addr, &block);
-    std::sort(blocks.begin(), blocks.end());
-
     Fnv1a d;
-    for (const auto &[addr, block] : blocks) {
-        d.add(addr);
-        d.add(block->data(), block->size());
-    }
+    sys.nvmDevice().store().walk(
+        0, BackingStore::allAddrs, [&](Addr addr, const Block &block) {
+            d.add(addr);
+            d.add(block.data(), block.size());
+        });
     const auto root = sys.engine().persistentRoot();
     d.add(root.data(), root.size());
     crypto::MacTag misu_root{};
