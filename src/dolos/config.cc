@@ -9,6 +9,7 @@
 #include <iterator>
 #include <string>
 
+#include "mem/tag_array.hh"
 #include "sim/logging.hh"
 
 namespace dolos
@@ -149,17 +150,11 @@ validateConfig(const SystemConfig &cfg)
          sp.counterCache.assoc},
         {"secure.mtCache", sp.mtCache.sizeBytes, sp.mtCache.assoc},
     };
-    for (const auto &c : caches) {
-        const std::string name = c.name;
-        if (c.sizeBytes == 0)
-            return name + ".sizeBytes must be nonzero";
-        if (c.assoc == 0)
-            return name + ".assoc must be nonzero";
-        if (c.sizeBytes % (blockSize * c.assoc) != 0)
-            return name + ".sizeBytes (" + std::to_string(c.sizeBytes) +
-                   ") must be a multiple of 64 x assoc (" +
-                   std::to_string(blockSize * c.assoc) + ")";
-    }
+    for (const auto &c : caches)
+        if (const std::string bad = TagArray::geometryError(c.sizeBytes,
+                                                            c.assoc);
+            !bad.empty())
+            return std::string(c.name) + "." + bad;
     if (cfg.secure.functionalLeaves == 0)
         return "secure.functionalLeaves must be nonzero";
     if (cfg.secure.map.protectedBytes == 0)

@@ -199,9 +199,9 @@ System::collectStateManifests() const
     out.push_back(stateManifest());
     out.push_back(core_->stateManifest());
     out.push_back(hier->stateManifest());
-    out.push_back(hier->l1().stateManifest("l1"));
-    out.push_back(hier->l2().stateManifest("l2"));
-    out.push_back(hier->llc().stateManifest("llc"));
+    hier->l1().collectStateManifests(out, "l1");
+    hier->l2().collectStateManifests(out, "l2");
+    hier->llc().collectStateManifests(out, "llc");
     mc->collectStateManifests(out);
     eng->collectStateManifests(out);
     out.push_back(nvm->stateManifest());

@@ -5,8 +5,6 @@
 
 #include "mem/cache.hh"
 
-#include "sim/logging.hh"
-
 namespace dolos
 {
 
@@ -25,15 +23,9 @@ ValueStore::add(Addr addr, const Block &data)
 
 Cache::Cache(const CacheParams &p, ValueStore &store, MemDevice &mem,
              Cache *next)
-    : params(p), values(store), memory(mem), below(next), stats_(p.name)
+    : params(p), values(store), memory(mem), below(next),
+      tags(p.name, p.sizeBytes, p.assoc), stats_(p.name)
 {
-    DOLOS_ASSERT(p.assoc > 0 && p.sizeBytes > 0 &&
-                     p.sizeBytes % (blockSize * p.assoc) == 0,
-                 "cache %s: size not divisible by way size",
-                 p.name.c_str());
-    numSets = p.sizeBytes / (blockSize * p.assoc);
-    lines.resize(numSets * p.assoc);
-
     stats_.addScalar(&statHits, "hits", "read/write hits");
     stats_.addScalar(&statMisses, "misses", "read misses");
     stats_.addScalar(&statWritebacks, "writebacks",
@@ -44,99 +36,71 @@ Cache::Cache(const CacheParams &p, ValueStore &store, MemDevice &mem,
                         "cycles to fill a read miss from downstream");
 }
 
-std::size_t
-Cache::setIndex(Addr addr) const
+void
+Cache::fill(Addr tag, ValueStore::Slot slot, bool dirty, Tick now)
 {
-    return (addr / blockSize) % numSets;
-}
-
-Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    const Addr tag = blockAlign(addr);
-    auto *set = const_cast<Line *>(&lines[setIndex(addr) * params.assoc]);
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return &set[w];
+    const Line victim = tags.insert(tag, dirty, slot);
+    if (!victim.valid)
+        return;
+    ++statEvictions;
+    if (victim.dirty) {
+        ++statWritebacks;
+        if (below)
+            below->writeback(victim.tag, victim.slot, now);
+        else
+            memory.writebackBlock(victim.tag, values.value(victim.slot),
+                                  now);
     }
-    return nullptr;
-}
-
-Cache::Line &
-Cache::allocate(Addr addr, Tick now)
-{
-    Line *set = &lines[setIndex(addr) * params.assoc];
-    Line *victim = &set[0];
-    for (unsigned w = 1; w < params.assoc; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lastUse < victim->lastUse && victim->valid)
-            victim = &set[w];
-    }
-    if (victim->valid) {
-        ++statEvictions;
-        if (victim->dirty) {
-            ++statWritebacks;
-            if (below)
-                below->writeback(victim->tag, victim->slot, now);
-            else
-                memory.writebackBlock(victim->tag,
-                                      values.value(victim->slot), now);
-        }
-        values.drop(victim->slot);
-    }
-    return *victim;
+    values.drop(victim.slot);
 }
 
 Cache::Access
 Cache::access(Addr addr, Tick now, bool store)
 {
     const Addr tag = blockAlign(addr);
-    if (Line *line = findLine(tag)) {
+    if (Line *line = tags.find(tag)) {
         ++statHits;
-        line->lastUse = ++useClock;
+        tags.touch(*line);
         line->dirty |= store;
         return {line->slot, now + params.latency};
     }
     ++statMisses;
-    // Hold the value before allocating: the victim's writeback may
-    // push the block out of the level that just supplied it.
-    Access fill;
+    // Hold the value before filling: the victim's writeback may push
+    // the block out of the level that just supplied it.
+    Access fetched;
     if (below) {
-        fill = below->access(tag, now + params.latency);
-        values.hold(fill.slot);
+        fetched = below->access(tag, now + params.latency);
+        values.hold(fetched.slot);
     } else {
         const ReadResult r = memory.readBlock(tag, now + params.latency);
-        fill = {values.add(tag, r.data), r.completeTick};
+        fetched = {values.add(tag, r.data), r.completeTick};
     }
-    statMissLatency.sample(double(fill.done - now));
-    allocate(tag, fill.done) = {tag, ++useClock, fill.slot, true, store};
-    return fill;
+    statMissLatency.sample(double(fetched.done - now));
+    fill(tag, fetched.slot, store, fetched.done);
+    return fetched;
 }
 
 Tick
 Cache::writeback(Addr tag, ValueStore::Slot slot, Tick now)
 {
     const Tick done = now + params.latency;
-    if (Line *line = findLine(tag)) {
+    if (Line *line = tags.find(tag)) {
         // Every level holding a block shares its slot: nothing to copy.
         ++statHits;
         line->dirty = true;
-        line->lastUse = ++useClock;
+        tags.touch(*line);
         return done;
     }
     values.hold(slot);
-    allocate(tag, done) = {tag, ++useClock, slot, true, true};
+    fill(tag, slot, true, done);
     return done;
 }
 
 void
 Cache::clean(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->lastUse = ++useClock;
+    if (Line *line = tags.find(addr)) {
+        tags.touch(*line);
         line->dirty = false;
     }
 }
@@ -144,18 +108,15 @@ Cache::clean(Addr addr)
 void
 Cache::invalidateAll()
 {
-    // Only resident blocks have lines to reset, so a crash costs what
-    // the run touched, not the cache's capacity.
-    values.forEach([&](Addr addr, const Block &) {
-        if (Line *line = findLine(addr)) {
-            values.drop(line->slot);
-            *line = Line{};
-        }
-    });
-    // The LRU clock is volatile state too: a rebooted machine starts
-    // at zero, and a survivor here would leak pre-crash recency into
-    // post-recovery victim selection.
-    useClock = 0;
+    tags.reset([&](const Line &line) { values.drop(line.slot); });
+}
+
+void
+Cache::collectStateManifests(std::vector<persist::StateManifest> &out,
+                             const std::string &instance) const
+{
+    out.push_back(stateManifest(instance));
+    out.push_back(tags.stateManifest(instance, persist::Kind::EadrFlushed));
 }
 
 persist::StateManifest
@@ -166,9 +127,7 @@ Cache::stateManifest(std::string instance) const
     DOLOS_MF_CONST(m, values);
     DOLOS_MF_CONST(m, memory);
     DOLOS_MF_CONST(m, below);
-    DOLOS_MF_CONST(m, numSets);
-    DOLOS_MF_EADR_FLUSHED(m, lines);
-    DOLOS_MF_V(m, useClock);
+    DOLOS_MF_DELEGATED_V(m, tags);
     DOLOS_MF_CONST(m, stats_);
     DOLOS_MF_P(m, statHits);
     DOLOS_MF_P(m, statMisses);

@@ -3,14 +3,15 @@
  * Set-associative writeback cache with LRU replacement, and the store
  * of block values its levels share.
  *
- * A cache line holds only what timing reads: the tag, the valid and
- * dirty bits, the LRU stamp, and the slot of its block's value in a
- * ValueStore. Every level holding a block shares that one value, so a
- * store is seen by all of them at once and a dirty line evicted from
- * any level writes back the newest data. Dirty lines that were never
- * written back are still genuinely lost on a crash — which is exactly
- * why persistent workloads flush. Timing is a fixed per-level lookup
- * latency (Table 1) plus downstream time on misses.
+ * A cache line (a TagArray line) holds only what timing reads: the
+ * tag, the valid and dirty bits, the LRU stamp, and the slot of its
+ * block's value in a ValueStore. Every level holding a block shares
+ * that one value, so a store is seen by all of them at once and a
+ * dirty line evicted from any level writes back the newest data.
+ * Dirty lines that were never written back are still genuinely lost
+ * on a crash — which is exactly why persistent workloads flush.
+ * Timing is a fixed per-level lookup latency (Table 1) plus
+ * downstream time on misses.
  */
 
 #ifndef DOLOS_MEM_CACHE_HH
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "mem/mem_iface.hh"
+#include "mem/tag_array.hh"
 #include "sim/persist_annotations.hh"
 #include "sim/stats.hh"
 
@@ -114,21 +116,7 @@ class ValueStore
 class Cache
 {
   public:
-    struct Line
-    {
-        Addr tag = 0; ///< full block address
-        std::uint64_t lastUse = 0;
-        ValueStore::Slot slot = 0; ///< where the block's value lives
-        bool valid = false;
-        bool dirty = false;
-
-        friend void
-        dolosDescribeValue(std::ostream &os, const Line &l)
-        {
-            os << l.valid << '/' << l.dirty << '/' << l.tag << '/'
-               << l.lastUse << '/' << l.slot;
-        }
-    };
+    using Line = TagArray::Line;
 
     /** A timed access: the block's value slot and its ready tick. */
     struct Access
@@ -148,23 +136,17 @@ class Cache
     Access access(Addr addr, Tick now, bool store = false);
 
     /** The line holding @p addr, or nullptr; no timing side effects. */
-    const Line *find(Addr addr) const { return findLine(addr); }
+    const Line *find(Addr addr) const { return tags.find(addr); }
 
     /** Its value was written back: touch the line, clear dirty. */
     void clean(Addr addr);
 
-    /**
-     * Visit every valid line in set-major index order (set 0 way 0
-     * first) — the deterministic walk order the eADR holdup flush
-     * and the software flushAll() rely on.
-     */
+    /** Visit every valid line in set-major index order. */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (const auto &line : lines)
-            if (line.valid)
-                fn(line);
+        tags.forEachLine(fn);
     }
 
     /** Drop everything (crash / power loss). */
@@ -178,34 +160,31 @@ class Cache
     std::uint64_t hits() const { return statHits.value(); }
     std::uint64_t misses() const { return statMisses.value(); }
 
-    /** Register every member into the crash-state manifest. */
-    persist::StateManifest stateManifest(std::string instance) const;
+    /** Append this level's crash-state manifest and its tag array's. */
+    void collectStateManifests(std::vector<persist::StateManifest> &out,
+                               const std::string &instance) const;
 
   private:
-    std::size_t setIndex(Addr addr) const;
-    Line *findLine(Addr addr) const;
+    persist::StateManifest stateManifest(std::string instance) const;
 
     /** A dirty block from the level above lands here. */
     Tick writeback(Addr tag, ValueStore::Slot slot, Tick now);
 
     /**
-     * Choose a victim in the set of @p addr, writing it back
-     * downstream if dirty and dropping its value.
-     *
-     * @return the victim line, ready for refill.
+     * Fill @p tag, holding the value in @p slot, into its set; the
+     * displaced line is written back downstream if dirty and its
+     * value dropped.
      */
-    Line &allocate(Addr addr, Tick now);
+    void fill(Addr tag, ValueStore::Slot slot, bool dirty, Tick now);
 
     CacheParams params;
     ValueStore &values;
     MemDevice &memory;
     Cache *below;
-    std::size_t numSets;
-    // numSets x assoc, set-major. Cache contents sit in the eADR
-    // persistence domain: drained to NVM by the holdup flush when the
-    // machine runs in EadrSecure mode, plain volatile loss elsewhere.
-    std::vector<Line> lines;
-    std::uint64_t useClock = 0;
+    // Cache contents sit in the eADR persistence domain: drained to
+    // NVM by the holdup flush when the machine runs in EadrSecure
+    // mode, plain volatile loss elsewhere.
+    TagArray tags;
 
     stats::StatGroup stats_;
     stats::Scalar statHits;

@@ -17,6 +17,64 @@
 namespace dolos
 {
 
+MetaCache::MetaCache(const MetaCacheParams &p)
+    : tags(p.name, p.sizeBytes, p.assoc), stats_(p.name)
+{
+    stats_.addScalar(&statHits, "hits", "metadata lookups that hit");
+    stats_.addScalar(&statMisses, "misses", "metadata lookups that missed");
+    stats_.addScalar(&statDirtyEv, "dirtyEvictions",
+                     "dirty metadata blocks evicted");
+}
+
+bool
+MetaCache::lookup(Addr addr)
+{
+    if (TagArray::Line *line = tags.find(addr)) {
+        ++statHits;
+        tags.touch(*line);
+        return true;
+    }
+    ++statMisses;
+    return false;
+}
+
+std::optional<Addr>
+MetaCache::insert(Addr addr, bool dirty)
+{
+    const TagArray::Line victim = tags.insert(addr, dirty);
+    if (!victim.valid || !victim.dirty)
+        return std::nullopt;
+    ++statDirtyEv;
+    return victim.tag;
+}
+
+void
+MetaCache::markDirty(Addr addr)
+{
+    if (TagArray::Line *line = tags.find(addr))
+        line->dirty = true;
+}
+
+void
+MetaCache::collectStateManifests(std::vector<persist::StateManifest> &out,
+                                 const std::string &instance) const
+{
+    out.push_back(stateManifest(instance));
+    out.push_back(tags.stateManifest(instance, persist::Kind::Volatile));
+}
+
+persist::StateManifest
+MetaCache::stateManifest(std::string instance) const
+{
+    persist::StateManifest m("MetaCache", std::move(instance));
+    DOLOS_MF_DELEGATED_V(m, tags);
+    DOLOS_MF_CONST(m, stats_);
+    DOLOS_MF_P(m, statHits);
+    DOLOS_MF_P(m, statMisses);
+    DOLOS_MF_P(m, statDirtyEv);
+    return m;
+}
+
 SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
     : params(p),
       nvm_(nvm),
@@ -422,11 +480,20 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
         return start;
     }
 
+    const Addr page_idx = AddressMap::pageOf(addr);
+    if (nvm_.isQuarantined(cb_addr) && counters.hasPage(page_idx)) {
+        // A retired frame: its page lives on-chip. Re-reading the worn
+        // frame would only fail its retries and repair it again, and
+        // nothing fetched needs the tree's verification.
+        if (const auto ev = ctrCache.insert(cb_addr, for_write))
+            evictCounterBlock(*ev, start);
+        return start;
+    }
+
     // Miss: fetch the counter block from NVM. A device-flagged read
     // is suspect cells, not evidence of tamper: retry with doubling
     // backoff, and if the fault persists take the repair path instead
     // of comparing known-garbage against the truth.
-    const Addr page_idx = AddressMap::pageOf(addr);
     MediaRetry cb_media;
     const ReadResult r = nvm_.readRetried(cb_addr, start, cb_media);
     Tick t = r.completeTick;
@@ -451,15 +518,16 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
         }
     }
 
-    // Walk the tree upward until a cached (trusted) level; each
-    // missing level costs an NVM fetch plus a MAC verification. The
-    // root itself lives in an on-chip register and is never fetched.
+    // Walk the tree upward until a trusted level: a cached node, or a
+    // retired one that lives on-chip. Each missing level costs an NVM
+    // fetch plus a MAC verification. The root itself lives in an
+    // on-chip register and is never fetched.
     unsigned walked = 0;
     Addr idx = page_idx;
     for (unsigned lvl = 1; lvl + 1 < tree.numLevels(); ++lvl) {
         idx /= MerkleTree::arity;
         const Addr node_addr = AddressMap::treeNodeAddr(lvl, idx);
-        if (mtCache.lookup(node_addr))
+        if (mtCache.lookup(node_addr) || nvm_.isQuarantined(node_addr))
             break;
         ++walked;
         MediaRetry node_media;
@@ -477,12 +545,12 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
             }
         }
         if (const auto ev = mtCache.insert(node_addr, false))
-            evictTreeNode(ev->addr, t);
+            evictTreeNode(*ev, t);
     }
     statTreeWalkLevels.sample(double(walked));
 
     if (const auto ev = ctrCache.insert(cb_addr, for_write))
-        evictCounterBlock(ev->addr, t);
+        evictCounterBlock(*ev, t);
     return t;
 }
 
@@ -662,7 +730,7 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
         if (mtCache.contains(node_addr)) {
             mtCache.markDirty(node_addr);
         } else if (const auto ev = mtCache.insert(node_addr, true)) {
-            evictTreeNode(ev->addr, t);
+            evictTreeNode(*ev, t);
         }
     }
 
@@ -1149,8 +1217,8 @@ SecurityEngine::collectStateManifests(
     out.push_back(stateManifest());
     out.push_back(counters.stateManifest());
     out.push_back(tree.stateManifest());
-    out.push_back(ctrCache.stateManifest("ctrCache"));
-    out.push_back(mtCache.stateManifest("mtCache"));
+    ctrCache.collectStateManifests(out, "ctrCache");
+    mtCache.collectStateManifests(out, "mtCache");
     out.push_back(shadow.stateManifest());
 }
 

@@ -28,16 +28,81 @@
 #include "crypto/ctr_pad.hh"
 #include "crypto/mac_engine.hh"
 #include "mem/nvm_device.hh"
+#include "mem/tag_array.hh"
 #include "secure/address_map.hh"
 #include "secure/anubis.hh"
 #include "secure/counters.hh"
 #include "secure/merkle_tree.hh"
-#include "secure/tag_cache.hh"
 #include "sim/persist_annotations.hh"
 #include "sim/stats.hh"
 
 namespace dolos
 {
+
+/** Geometry of a metadata cache (Table 1 defaults in SecureParams). */
+struct MetaCacheParams
+{
+    std::string name = "metaCache";
+    std::uint64_t sizeBytes = 128 * 1024;
+    unsigned assoc = 4;
+};
+
+/**
+ * The counter or tree cache. Its contents are the engine's volatile
+ * metadata structures, so it tracks only presence and dirtiness; the
+ * engine fetches and writes back the blocks whose addresses it
+ * reports.
+ */
+class MetaCache
+{
+  public:
+    explicit MetaCache(const MetaCacheParams &params);
+
+    /** True (and LRU-touch) if @p addr is cached; counts the lookup. */
+    bool lookup(Addr addr);
+
+    /** Presence check without LRU side effects. */
+    bool contains(Addr addr) const { return tags.find(addr) != nullptr; }
+
+    /**
+     * Insert @p addr (must not be present). If a dirty victim is
+     * displaced, its address is returned for the caller to write back.
+     */
+    std::optional<Addr> insert(Addr addr, bool dirty);
+
+    /** Mark a present entry dirty (no-op when absent). */
+    void markDirty(Addr addr);
+
+    /**
+     * Line index of a present entry, used by Anubis to mirror the
+     * cache geometry in its shadow table.
+     */
+    std::size_t slotOf(Addr addr) const { return tags.slotOf(addr); }
+
+    /** Total number of lines (sets x ways). */
+    std::size_t numSlots() const { return tags.numSlots(); }
+
+    /** Drop everything (crash). */
+    void invalidateAll() { tags.reset([](const TagArray::Line &) {}); }
+
+    std::uint64_t hits() const { return statHits.value(); }
+    std::uint64_t misses() const { return statMisses.value(); }
+    stats::StatGroup &statGroup() { return stats_; }
+
+    /** Append this cache's crash-state manifest and its tag array's. */
+    void collectStateManifests(std::vector<persist::StateManifest> &out,
+                               const std::string &instance) const;
+
+  private:
+    persist::StateManifest stateManifest(std::string instance) const;
+
+    TagArray tags;
+
+    stats::StatGroup stats_;
+    stats::Scalar statHits;
+    stats::Scalar statMisses;
+    stats::Scalar statDirtyEv;
+};
 
 /** Integrity-tree timing policy (paper Table 1). */
 enum class TreeUpdatePolicy
@@ -126,8 +191,8 @@ struct SecureParams
     bool plantCounterRepairBug = false;
 
     TreeUpdatePolicy treePolicy = TreeUpdatePolicy::EagerMerkle;
-    TagCacheParams counterCache{"counterCache", 128 * 1024, 4};
-    TagCacheParams mtCache{"mtCache", 256 * 1024, 8};
+    MetaCacheParams counterCache{"counterCache", 128 * 1024, 4};
+    MetaCacheParams mtCache{"mtCache", 256 * 1024, 8};
     crypto::MacKind macKind = crypto::MacKind::SipHash24;
     crypto::AesKey dataKey{};
     std::array<std::uint8_t, 16> macKey{};
@@ -475,8 +540,8 @@ class SecurityEngine
 
     CounterStore counters;
     MerkleTree tree;
-    TagCache ctrCache;
-    TagCache mtCache;
+    MetaCache ctrCache;
+    MetaCache mtCache;
     AnubisShadow shadow;
 
     mutable crypto::MacTag rootRegister{}; ///< on-chip persistent

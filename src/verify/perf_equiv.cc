@@ -21,35 +21,19 @@ namespace
 {
 
 /**
- * A deliberately small machine: the tiny metadata caches and heap
- * keep runs fast *and* put real pressure on the lever (climbs
+ * The crash-test machine, made smaller still: the tiny metadata caches
+ * and heap keep runs fast *and* put real pressure on the lever (climbs
  * overlap, dirty metadata is evicted, same-line writes recur).
  */
 SystemConfig
 equivConfig(SecurityMode mode)
 {
-    auto cfg = SystemConfig::paperDefault();
-    cfg.mode = mode;
+    auto cfg = crashTestConfig(mode);
     cfg.secure.functionalLeaves = 2048;
     cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
     cfg.secure.counterCache = {"counterCache", 8 * 1024, 4};
     cfg.secure.mtCache = {"mtCache", 16 * 1024, 8};
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
     return cfg;
-}
-
-workloads::WorkloadParams
-equivParams(std::uint64_t seed)
-{
-    workloads::WorkloadParams p;
-    p.txSize = 256;
-    p.numKeys = 48;
-    p.thinkTime = 400;
-    p.readsPerTx = 1;
-    p.seed = seed;
-    return p;
 }
 
 /** Everything one leg (off or on) contributes to the comparison. */
@@ -173,7 +157,7 @@ verifyPerfEquiv(SecurityMode mode, const std::string &workload,
     r.mode = mode;
     r.workload = workload;
 
-    const workloads::WorkloadParams params = equivParams(seed);
+    const workloads::WorkloadParams params = crashTestParams(seed);
     // The lever defaults on since the microstep-sweep flip, so the
     // "off" leg must force it off explicitly — it models the paper's
     // unoptimized machine, not the build defaults.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "sim/crash_points.hh"
 #include "sim/heartbeat.hh"
@@ -34,18 +35,58 @@ configFor(const SweepOptions &opt)
 constexpr std::uint64_t kFlushAnchorShift = 24;
 constexpr std::uint64_t kFlushFiringMask = (1ull << kFlushAnchorShift) - 1;
 
+/**
+ * A probe machine: the sweep's machine and workload, set up and ready
+ * for the measured run. Probes replay the same deterministic machine
+ * the crash points later arm against, and count from the end of setup,
+ * the same origin runWorkload arms against.
+ */
+struct Probe
+{
+    explicit Probe(const SweepOptions &opt)
+        : sys(configFor(opt)),
+          workload(workloads::makeWorkload(opt.workload, opt.params)),
+          env(sys)
+    {
+        workload->setup(env);
+        ops0 = env.opCount();
+    }
+
+    /** Environment operations of the measured run so far. */
+    std::uint64_t ops() const { return env.opCount() - ops0; }
+
+    /**
+     * Run the measured transactions under the installed op hook, if
+     * any. Returns false when the hook stopped the run with
+     * CrashRequested.
+     */
+    bool
+    run(std::uint64_t num_tx)
+    {
+        bool finished = true;
+        try {
+            for (std::uint64_t i = 0; i < num_tx; ++i)
+                workload->transaction(env, i);
+        } catch (const workloads::CrashRequested &) {
+            finished = false;
+        }
+        env.setOpHook(nullptr);
+        return finished;
+    }
+
+    System sys;
+    std::unique_ptr<workloads::Workload> workload;
+    workloads::PmemEnv env;
+    std::uint64_t ops0 = 0;
+};
+
 /** Probe run: total environment operations of the measured run. */
 std::uint64_t
 measuredOps(const SweepOptions &opt)
 {
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-    const std::uint64_t ops0 = env.opCount();
-    for (std::uint64_t i = 0; i < opt.numTx; ++i)
-        workload->transaction(env, i);
-    return env.opCount() - ops0;
+    Probe probe(opt);
+    probe.run(opt.numTx);
+    return probe.ops();
 }
 
 /**
@@ -59,29 +100,17 @@ measuredOps(const SweepOptions &opt)
 std::uint64_t
 probeFlushFirings(const SweepOptions &opt, std::uint64_t anchor_op)
 {
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-    const std::uint64_t ops0 = env.opCount();
-    env.setOpHook([&env, ops0, anchor_op] {
-        if (env.opCount() - ops0 >= anchor_op)
+    Probe probe(opt);
+    probe.env.setOpHook([&probe, anchor_op] {
+        if (probe.ops() >= anchor_op)
             throw workloads::CrashRequested{};
     });
-    bool reached = false;
-    try {
-        for (std::uint64_t i = 0; i < opt.numTx; ++i)
-            workload->transaction(env, i);
-    } catch (const workloads::CrashRequested &) {
-        reached = true;
-    }
-    env.setOpHook(nullptr);
-    if (!reached)
+    if (probe.run(opt.numTx))
         return 0;
     auto &reg = crashpoint::Registry::instance();
     reg.reset();
     reg.enableCounting();
-    sys.crash(/*mid_operation=*/false);
+    probe.sys.crash(/*mid_operation=*/false);
     const std::uint64_t firings = reg.firings();
     reg.reset();
     return firings;
@@ -168,26 +197,19 @@ describeSweep(const SweepOptions &opt)
 std::vector<std::uint64_t>
 enumerateWpqBoundaries(const SweepOptions &opt)
 {
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-
     // Record, during the measured run only, every environment
     // operation after which the controller had accepted new writes.
+    Probe probe(opt);
     std::vector<std::uint64_t> boundaries;
-    const std::uint64_t ops0 = env.opCount();
-    std::uint64_t writes_seen = sys.controller().writeRequests();
-    env.setOpHook([&] {
-        const std::uint64_t w = sys.controller().writeRequests();
+    std::uint64_t writes_seen = probe.sys.controller().writeRequests();
+    probe.env.setOpHook([&] {
+        const std::uint64_t w = probe.sys.controller().writeRequests();
         if (w != writes_seen) {
             writes_seen = w;
-            boundaries.push_back(env.opCount() - ops0);
+            boundaries.push_back(probe.ops());
         }
     });
-    for (std::uint64_t i = 0; i < opt.numTx; ++i)
-        workload->transaction(env, i);
-    env.setOpHook(nullptr);
+    probe.run(opt.numTx);
     return boundaries;
 }
 
@@ -232,19 +254,12 @@ enumerateCrashPoints(const SweepOptions &opt)
     if (opt.pointSet == CrashPoints::Microstep) {
         // Probe run with the crash-point registry counting (never
         // throwing): every firing index it records is a valid arm()
-        // target, because the crash run replays the identical
-        // deterministic machine. Count from the end of setup, the
-        // same origin runWorkload arms against.
+        // target.
         auto &reg = crashpoint::Registry::instance();
-        System sys(configFor(opt));
-        const auto workload =
-            workloads::makeWorkload(opt.workload, opt.params);
-        workloads::PmemEnv env(sys);
-        workload->setup(env);
+        Probe probe(opt);
         reg.reset();
         reg.enableCounting();
-        for (std::uint64_t i = 0; i < opt.numTx; ++i)
-            workload->transaction(env, i);
+        probe.run(opt.numTx);
         const std::uint64_t total = reg.firings();
         reg.reset();
 

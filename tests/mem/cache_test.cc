@@ -199,7 +199,7 @@ TEST(CacheDeath, BadGeometryPanics)
     FakeMemory mem;
     ValueStore values(1);
     CacheParams p{"bad", 100, 3, 1}; // not divisible
-    EXPECT_DEATH(Cache(p, values, mem), "size not divisible");
+    EXPECT_DEATH(Cache(p, values, mem), "bad geometry");
 }
 
 } // namespace

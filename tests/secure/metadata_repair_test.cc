@@ -412,6 +412,7 @@ struct RepairRow
     RepairPath path;
 
     std::uint64_t metaMediaFaults;
+    std::uint64_t mediaRetries; ///< nvm.mediaRetries: 3 per failed read
     std::uint64_t counterBlocksRebuilt;
     std::uint64_t treeNodesRepaired;
     std::uint64_t macBlocksRebuilt;
@@ -470,35 +471,37 @@ const std::string retiredCounter =
 const std::string retiredTree =
     record(AddressMap::treeNodeAddr(1, 0), "tree node frame unrecoverable");
 
-// A retired counter or tree frame keeps its stuck cell, so the demand
-// read after it fails its retries again and repairs from the on-chip
-// copy a second time; the scrub after that skips the frame.
+// A retired counter or tree frame keeps its stuck cell, but its content
+// lives on-chip: the demand read after it is served from that copy
+// without reading the frame again, and the scrub after that skips the
+// frame. A frame read again would fail its retries once more, so the
+// media-retry column catches it.
 const RepairRow repairRows[] = {
     {"CounterLive", NvmRegion::Counter, true, RepairPath::Live,
-     1, 1, 0, 0, 0, 1, 1, 0, {}, false},
+     1, 3, 1, 0, 0, 0, 1, 1, 0, {}, false},
     {"CounterLiveNoSpare", NvmRegion::Counter, false, RepairPath::Live,
-     2, 2, 0, 0, 0, 1, 0, 0, {retiredCounter}, false},
+     1, 3, 1, 0, 0, 0, 1, 0, 0, {retiredCounter}, false},
     {"CounterRecovery", NvmRegion::Counter, true, RepairPath::Recovery,
-     1, 1, 0, 0, 0, 0, 1, 1, {}, false},
+     1, 3, 1, 0, 0, 0, 0, 1, 1, {}, false},
     {"CounterRecoveryNoSpare", NvmRegion::Counter, false,
-     RepairPath::Recovery, 2, 2, 0, 0, 0, 0, 0, 1, {retiredCounter},
+     RepairPath::Recovery, 1, 3, 1, 0, 0, 0, 0, 0, 1, {retiredCounter},
      false},
     {"TreeLive", NvmRegion::Tree, true, RepairPath::Live,
-     1, 0, 1, 0, 0, 1, 1, 0, {}, false},
+     1, 3, 0, 1, 0, 0, 1, 1, 0, {}, false},
     {"TreeLiveNoSpare", NvmRegion::Tree, false, RepairPath::Live,
-     2, 0, 2, 0, 0, 1, 0, 0, {retiredTree}, false},
+     1, 3, 0, 1, 0, 0, 1, 0, 0, {retiredTree}, false},
     {"TreeRecovery", NvmRegion::Tree, true, RepairPath::Recovery,
-     1, 0, 1, 0, 0, 0, 1, 0, {}, false},
+     1, 3, 0, 1, 0, 0, 0, 1, 0, {}, false},
     {"TreeRecoveryNoSpare", NvmRegion::Tree, false, RepairPath::Recovery,
-     1, 0, 1, 0, 0, 0, 0, 0, {retiredTree}, false},
+     1, 3, 0, 1, 0, 0, 0, 0, 0, {retiredTree}, false},
     {"MacLive", NvmRegion::Mac, true, RepairPath::Live,
-     1, 0, 0, 1, 0, 1, 1, 0, {}, false},
+     1, 3, 0, 0, 1, 0, 1, 1, 0, {}, false},
     {"MacLiveNoSpare", NvmRegion::Mac, false, RepairPath::Live,
-     1, 0, 0, 0, 4, 0, 0, 0, macCascade(), true},
+     1, 3, 0, 0, 0, 4, 0, 0, 0, macCascade(), true},
     {"MacRecovery", NvmRegion::Mac, true, RepairPath::Recovery,
-     1, 0, 0, 1, 0, 0, 1, 0, {}, false},
+     1, 3, 0, 0, 1, 0, 0, 1, 0, {}, false},
     {"MacRecoveryNoSpare", NvmRegion::Mac, false, RepairPath::Recovery,
-     1, 0, 0, 0, 4, 0, 0, 0, macCascade(), true},
+     1, 3, 0, 0, 0, 4, 0, 0, 0, macCascade(), true},
 };
 
 struct RepairTable : ::testing::TestWithParam<RepairRow>
@@ -545,6 +548,7 @@ TEST_P(RepairTable, OutcomeMatchesTheRow)
     eng.scrubMetadata();
 
     EXPECT_EQ(eng.metaMediaFaults(), row.metaMediaFaults);
+    EXPECT_EQ(nvm.mediaRetries(), row.mediaRetries);
     EXPECT_EQ(eng.counterBlocksRebuilt(), row.counterBlocksRebuilt);
     EXPECT_EQ(eng.treeNodesRepaired(), row.treeNodesRepaired);
     EXPECT_EQ(eng.macBlocksRebuilt(), row.macBlocksRebuilt);

@@ -124,15 +124,18 @@ TEST(ManifestTopology, EveryStateClassRegisters)
     }
     // The full Dolos machine: System, SimpleCore, CacheHierarchy,
     // Cache x3, SecureMemController, MiSu, RedoLogBuffer,
-    // SecurityEngine, CounterStore, MerkleTree, TagCache x2,
-    // AnubisShadow, NvmDevice, BackingStore.
-    EXPECT_EQ(manifests.size(), 17u);
+    // SecurityEngine, CounterStore, MerkleTree, MetaCache x2,
+    // AnubisShadow, NvmDevice, BackingStore, and a TagArray for each
+    // of the five caches.
+    EXPECT_EQ(manifests.size(), 22u);
     for (const char *expected :
          {"System", "SimpleCore", "CacheHierarchy", "Cache(l1)",
           "Cache(l2)", "Cache(llc)", "SecureMemController", "MiSu",
           "RedoLogBuffer", "SecurityEngine", "CounterStore",
-          "MerkleTree", "TagCache(ctrCache)", "TagCache(mtCache)",
-          "AnubisShadow", "NvmDevice", "BackingStore"})
+          "MerkleTree", "MetaCache(ctrCache)", "MetaCache(mtCache)",
+          "AnubisShadow", "NvmDevice", "BackingStore", "TagArray(l1)",
+          "TagArray(l2)", "TagArray(llc)", "TagArray(ctrCache)",
+          "TagArray(mtCache)"})
         EXPECT_TRUE(names.count(expected)) << "missing " << expected;
 }
 
@@ -162,7 +165,7 @@ expectDifferentialPasses(SecurityMode mode, std::uint64_t seed)
     const auto res = verify::verifyCrashManifest(mode, seed);
     EXPECT_TRUE(res.ok()) << verify::formatManifestReport(res);
     EXPECT_TRUE(res.recoveryVerified);
-    EXPECT_EQ(res.manifests, 17u);
+    EXPECT_EQ(res.manifests, 22u);
     // Well over a hundred individually checked fields; delegation
     // covers the rest through their own manifests.
     EXPECT_GT(res.fieldsChecked, 100u);

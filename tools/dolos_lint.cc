@@ -456,7 +456,7 @@ std::map<std::string, std::vector<ManifestInfo>> g_manifests;
 const std::set<std::string> g_requiredStateClasses = {
     "MiSu",          "SecureMemController", "RedoLogBuffer",
     "SecurityEngine", "CounterStore",       "MerkleTree",
-    "TagCache",      "AnubisShadow",        "NvmDevice",
+    "TagArray",      "AnubisShadow",        "NvmDevice",
     "BackingStore",  "SimpleCore",          "Cache",
     "CacheHierarchy", "System",
 };
