@@ -153,6 +153,25 @@ endif()
 expect_rc(0 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --media-fault transient)
 
+# 0: with a scrub interval, a metadata fault strikes before the
+# measured transactions, so the scrubber meets and repairs it. The
+# fault is on a MAC frame: the run stores those with every write,
+# while counter and tree frames reach NVM only when a metadata cache
+# evicts them, which no run this short does.
+execute_process(
+    COMMAND "${SIM}" --workload hashmap --mode dolos-partial
+            --txns 40 --keys 64 --media-fault stuck --media-region mac
+            --scrub-interval 50
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "scrub: [0-9]+ passes, [1-9][0-9]* repairs")
+    message(FATAL_ERROR
+        "exit_codes_smoke: --scrub-interval 50 with a stuck MAC frame: "
+        "expected rc=0 and at least one scrub repair, got rc=${rc}\n"
+        "${out}\n${err}")
+endif()
+
 # Torture driver speaks the same contract.
 expect_rc(0 "${TORTURE}" --replay w:1:7,f:1,s,c)
 expect_rc(2 "${TORTURE}" --mode not-a-mode)

@@ -154,6 +154,12 @@ if(LANE STREQUAL "sanitize")
     expect_rc(0 "${torture}" --sweep --points microstep --budget 2
                 --txns 2 --mode eadr)
 
+    # The oracle's violation path: a planted dropped CLWB makes the
+    # golden model adjudicate 63 wrong bytes, so its byte-mask
+    # arithmetic and diagnostic formatting run under the sanitizers.
+    expect_rc(1 "${torture}" --mode dolos-partial --plant-bug drop-clwb:0
+                --opt-knobs all --replay w:15:15,f:15,s,c)
+
     # Starved holdup budget through the replay driver: the quarantined
     # tail and the unrecoverable-media exit path under ASan.
     expect_rc(4 "${torture}" --mode eadr --eadr-budget 1

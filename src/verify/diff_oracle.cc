@@ -50,19 +50,10 @@ checkAgainstGolden(System &sys, GoldenModel &golden,
         });
     }
     for (const Addr block : tracked) {
-        for (unsigned i = 0; i < blockSize; ++i) {
-            switch (golden.classify(block + i)) {
-              case ByteClass::Committed:
-                ++report.committedBytes;
-                break;
-              case ByteClass::InFlight:
-                ++report.inFlightBytes;
-                break;
-              case ByteClass::Untouched:
-                ++report.untouchedBytes;
-                break;
-            }
-        }
+        const BlockCensus c = golden.census(block);
+        report.committedBytes += c.committed;
+        report.inFlightBytes += c.inFlight;
+        report.untouchedBytes += c.untouched;
     }
 
     // The sweep: every tracked block read through the real core; the

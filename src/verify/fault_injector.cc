@@ -437,6 +437,18 @@ FaultEpisode::arm()
     }
 }
 
+void
+FaultEpisode::strikeMetadataEarly()
+{
+    if (region == NvmRegion::Data || (kind != FaultKind::MediaTransient &&
+                                      kind != FaultKind::MediaStuck))
+        return;
+    rec = kind == FaultKind::MediaTransient
+              ? inj.injectMediaTransient(region)
+              : inj.injectMediaStuck(region);
+    struckEarly = true;
+}
+
 const InjectionRecord &
 FaultEpisode::strike(bool run_crashed)
 {
@@ -458,9 +470,10 @@ FaultEpisode::strike(bool run_crashed)
       case FaultKind::MediaTransient:
       case FaultKind::MediaStuck:
         if (region != NvmRegion::Data) {
-            rec = kind == FaultKind::MediaTransient
-                      ? inj.injectMediaTransient(region)
-                      : inj.injectMediaStuck(region);
+            if (!struckEarly)
+                rec = kind == FaultKind::MediaTransient
+                          ? inj.injectMediaTransient(region)
+                          : inj.injectMediaStuck(region);
             sys.crash();
             sys.recoverToCompletion();
             provoke();

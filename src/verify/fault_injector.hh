@@ -177,6 +177,14 @@ class FaultEpisode
     void arm();
 
     /**
+     * After setup, before the measured transactions: land a media
+     * fault on a metadata region now (no-op for the rest), so a
+     * background scrub can meet it during the run. strike() then
+     * power-cycles and provokes it without injecting a second one.
+     */
+    void strikeMetadataEarly();
+
+    /**
      * After the run: inject and provoke. @p run_crashed says whether
      * the run's own crash fired; if not, an armed ADR tear is fired by
      * one extra power cycle so the episode still tests it.
@@ -208,6 +216,7 @@ class FaultEpisode
     std::uint64_t seed;
     NvmRegion region;
     InjectionRecord rec;
+    bool struckEarly = false; ///< strikeMetadataEarly() injected rec
 };
 
 } // namespace dolos::verify

@@ -6,6 +6,8 @@
 #include "verify/golden_model.hh"
 
 #include <algorithm>
+#include <bit>
+#include <bitset>
 #include <cstdio>
 
 namespace dolos::verify
@@ -25,48 +27,66 @@ describeMismatch(Addr addr, std::uint8_t observed, const char *expect)
     return buf;
 }
 
+/** Bits off .. off + n - 1 of a block byte mask. */
+std::uint64_t
+byteMask(unsigned off, unsigned n)
+{
+    return (n == blockSize ? ~0ULL : (1ULL << n) - 1) << off;
+}
+
+/** Copy the bytes of @p src that @p mask selects into @p dst. */
+void
+copyMasked(Block &dst, const Block &src, std::uint64_t mask)
+{
+    for (; mask; mask &= mask - 1) {
+        const unsigned i = unsigned(std::countr_zero(mask));
+        dst[i] = src[i];
+    }
+}
+
+/**
+ * Walk @p addr .. @p addr + size - 1 one block at a time:
+ * fn(block base, offset in block, byte count, bytes done before).
+ */
+template <typename Fn>
+void
+forEachBlockSpan(Addr addr, unsigned size, Fn &&fn)
+{
+    for (unsigned done = 0; done < size;) {
+        const Addr base = blockAlign(addr + done);
+        const unsigned off = unsigned(addr + done - base);
+        const unsigned n = std::min(size - done, blockSize - off);
+        fn(base, off, n, done);
+        done += n;
+    }
+}
+
 } // namespace
-
-GoldenModel::ByteState *
-GoldenModel::find(Addr addr)
-{
-    const auto it = blocks.find(blockAlign(addr));
-    if (it == blocks.end())
-        return nullptr;
-    return &it->second[addr % blockSize];
-}
-
-const GoldenModel::ByteState *
-GoldenModel::find(Addr addr) const
-{
-    const auto it = blocks.find(blockAlign(addr));
-    if (it == blocks.end())
-        return nullptr;
-    return &it->second[addr % blockSize];
-}
-
-GoldenModel::ByteState &
-GoldenModel::touch(Addr addr)
-{
-    return blocks[blockAlign(addr)][addr % blockSize];
-}
 
 void
 GoldenModel::recordViolation(Addr addr, std::uint8_t observed,
-                             const ByteState *state)
+                             const BlockState *b)
 {
     ++violations_;
     if (diagnostics_.size() >= 16)
         return;
-    if (!state || !state->written) {
+    const unsigned i = unsigned(addr % blockSize);
+    const std::uint64_t bit = 1ULL << i;
+    if (!b || !(b->written & bit)) {
         diagnostics_.push_back(
             describeMismatch(addr, observed, "0x00 (untouched)"));
         return;
     }
     char expect[96];
-    if (state->ambiguous && state->pending.empty()) {
+    if (b->inFlight() & bit) {
+        // The admissible set in first-admitted order, each value once.
         std::string set;
-        for (std::uint8_t v : state->admissible) {
+        std::bitset<256> listed;
+        for (const BlockImage &img : b->admissible) {
+            const std::uint8_t v = img.bytes[i];
+            if (!(img.mask & bit) || listed.test(v))
+                continue;
+            listed.set(v);
             char e[8];
             std::snprintf(e, sizeof(e), "%s0x%02x",
                           set.empty() ? "" : ",", v);
@@ -76,8 +96,8 @@ GoldenModel::recordViolation(Addr addr, std::uint8_t observed,
                       set.c_str());
     } else {
         std::snprintf(expect, sizeof(expect), "0x%02x (%s)",
-                      state->currentValue(),
-                      state->pending.empty() ? "committed" : "dirty");
+                      b->current[i],
+                      b->pending & bit ? "dirty" : "committed");
     }
     diagnostics_.push_back(describeMismatch(addr, observed, expect));
 }
@@ -87,11 +107,17 @@ GoldenModel::onStore(Addr addr, const void *data, unsigned size)
 {
     ++seq;
     const auto *bytes = static_cast<const std::uint8_t *>(data);
-    for (unsigned i = 0; i < size; ++i) {
-        ByteState &b = touch(addr + i);
-        b.written = true;
-        b.pending.emplace_back(seq, bytes[i]);
-    }
+    forEachBlockSpan(addr, size, [&](Addr base, unsigned off, unsigned n,
+                                     unsigned done) {
+        BlockState &b = blocks[base];
+        BlockImage &s = b.stores.emplace_back();
+        s.seq = seq;
+        s.mask = byteMask(off, n);
+        std::copy_n(bytes + done, n, s.bytes.begin() + off);
+        std::copy_n(bytes + done, n, b.current.begin() + off);
+        b.written |= s.mask;
+        b.pending |= s.mask;
+    });
 }
 
 void
@@ -99,32 +125,51 @@ GoldenModel::onClwb(Addr addr)
 {
     // Snapshot the block's program-order position; the fence that
     // retires this CLWB commits the content as of this point.
-    flushSnaps[blockAlign(addr)] = seq;
+    flushSnaps.emplace_back(blockAlign(addr), seq);
+}
+
+void
+GoldenModel::settle(BlockState &b, std::uint64_t settled)
+{
+    b.ambiguous &= ~settled;
+    for (BlockImage &img : b.admissible)
+        img.mask &= ~settled;
+    std::erase_if(b.admissible,
+                  [](const BlockImage &img) { return img.mask == 0; });
+}
+
+void
+GoldenModel::commitThrough(BlockState &b, std::uint64_t snap)
+{
+    // The stores at or before the snapshot are a prefix of `stores`.
+    // Each byte's latest value among them becomes its durable floor;
+    // older values are dead (the WPQ drains in FIFO order, so nothing
+    // can resurrect them past this fence).
+    auto last = b.stores.begin();
+    std::uint64_t committed = 0;
+    for (; last != b.stores.end() && last->seq <= snap; ++last) {
+        copyMasked(b.floor, last->bytes, last->mask);
+        committed |= last->mask;
+    }
+    if (!committed)
+        return;
+    b.stores.erase(b.stores.begin(), last);
+    b.pending = 0;
+    for (const BlockImage &s : b.stores)
+        b.pending |= s.mask;
+    if (b.ambiguous & committed)
+        settle(b, committed);
 }
 
 void
 GoldenModel::onSfence()
 {
+    // A block flushed twice commits through its later snapshot; the
+    // earlier one commits a prefix of that, so order is harmless.
     for (const auto &[block, snap] : flushSnaps) {
         const auto it = blocks.find(block);
-        if (it == blocks.end())
-            continue;
-        for (ByteState &b : it->second) {
-            // Latest pending value at or before the snapshot becomes
-            // the durable floor; older pending values are dead (the
-            // WPQ drains in FIFO order, so nothing can resurrect
-            // them past this fence).
-            auto last = b.pending.end();
-            for (auto p = b.pending.begin(); p != b.pending.end(); ++p)
-                if (p->first <= snap)
-                    last = p;
-            if (last == b.pending.end())
-                continue;
-            b.floorValue = last->second;
-            b.pending.erase(b.pending.begin(), last + 1);
-            b.ambiguous = false;
-            b.admissible.clear();
-        }
+        if (it != blocks.end())
+            commitThrough(it->second, snap);
     }
     flushSnaps.clear();
 }
@@ -134,59 +179,74 @@ GoldenModel::onCrash()
 {
     ++crashes_;
     flushSnaps.clear();
-    for (auto &[block, state] : blocks) {
-        for (ByteState &b : state) {
-            if (!b.written)
-                continue;
-            if (b.pending.empty() && !b.ambiguous)
-                continue; // exact durable value: survives as-is
-            // Fork the admissible set: the floor (or the previous
-            // set, if still unresolved) plus every value stored
-            // since — an eviction may have persisted any of them.
-            if (!b.ambiguous) {
-                b.admissible.clear();
-                b.admissible.push_back(b.floorValue);
-            }
-            for (const auto &[s, v] : b.pending) {
-                (void)s;
-                if (std::find(b.admissible.begin(), b.admissible.end(),
-                              v) == b.admissible.end())
-                    b.admissible.push_back(v);
-            }
-            b.pending.clear();
-            b.ambiguous = true;
-        }
+    for (auto &[block, b] : blocks) {
+        if (!b.pending)
+            continue; // every byte durable or already forked
+        // Fork the admissible sets: the floor of each byte not yet
+        // ambiguous (an ambiguous byte keeps its previous set), plus
+        // every value stored since — an eviction may have persisted
+        // any of them.
+        const std::uint64_t fresh = b.pending & ~b.ambiguous;
+        if (fresh)
+            b.admissible.push_back({0, fresh, b.floor});
+        b.admissible.insert(b.admissible.end(), b.stores.begin(),
+                            b.stores.end());
+        b.stores.clear();
+        b.ambiguous |= b.pending;
+        b.pending = 0;
     }
+}
+
+void
+GoldenModel::checkLoad(BlockState &b, Addr addr, unsigned off,
+                       const std::uint8_t *bytes, unsigned n)
+{
+    const std::uint64_t open = b.inFlight() & byteMask(off, n);
+    if (!open && std::equal(bytes, bytes + n, b.current.begin() + off))
+        return;
+    std::uint64_t pinned = 0;
+    for (unsigned k = 0; k < n; ++k) {
+        const unsigned i = off + k;
+        const std::uint64_t bit = 1ULL << i;
+        if (!(open & bit)) {
+            if (bytes[k] != b.current[i])
+                recordViolation(addr + k, bytes[k], &b);
+            continue;
+        }
+        // First observation after a crash: the machine reveals which
+        // admissible value survived; pin it.
+        const bool admitted = std::any_of(
+            b.admissible.begin(), b.admissible.end(),
+            [&](const BlockImage &img) {
+                return (img.mask & bit) && img.bytes[i] == bytes[k];
+            });
+        if (!admitted) {
+            recordViolation(addr + k, bytes[k], &b);
+            continue;
+        }
+        b.floor[i] = b.current[i] = bytes[k];
+        pinned |= bit;
+    }
+    if (pinned)
+        settle(b, pinned);
 }
 
 void
 GoldenModel::onLoad(Addr addr, const void *data, unsigned size)
 {
+    checkedLoads_ += size;
     const auto *bytes = static_cast<const std::uint8_t *>(data);
-    for (unsigned i = 0; i < size; ++i) {
-        ++checkedLoads_;
-        ByteState *b = find(addr + i);
-        if (!b || !b->written) {
-            if (bytes[i] != 0)
-                recordViolation(addr + i, bytes[i], b);
-            continue;
+    forEachBlockSpan(addr, size, [&](Addr base, unsigned off, unsigned n,
+                                     unsigned done) {
+        const auto it = blocks.find(base);
+        if (it != blocks.end()) {
+            checkLoad(it->second, addr + done, off, bytes + done, n);
+            return;
         }
-        if (b->ambiguous && b->pending.empty()) {
-            // First observation after a crash: the machine reveals
-            // which admissible value survived; pin it.
-            if (std::find(b->admissible.begin(), b->admissible.end(),
-                          bytes[i]) == b->admissible.end()) {
-                recordViolation(addr + i, bytes[i], b);
-                continue;
-            }
-            b->floorValue = bytes[i];
-            b->ambiguous = false;
-            b->admissible.clear();
-            continue;
-        }
-        if (bytes[i] != b->currentValue())
-            recordViolation(addr + i, bytes[i], b);
-    }
+        for (unsigned k = done; k < done + n; ++k)
+            if (bytes[k] != 0)
+                recordViolation(addr + k, bytes[k], nullptr);
+    });
 }
 
 void
@@ -202,12 +262,29 @@ GoldenModel::onBlockLost(Addr addr)
 ByteClass
 GoldenModel::classify(Addr addr) const
 {
-    const ByteState *b = find(addr);
-    if (!b || !b->written)
+    const auto it = blocks.find(blockAlign(addr));
+    const std::uint64_t bit = 1ULL << (addr % blockSize);
+    if (it == blocks.end() || !(it->second.written & bit))
         return ByteClass::Untouched;
-    if (b->ambiguous && b->pending.empty())
+    if (it->second.inFlight() & bit)
         return ByteClass::InFlight;
     return ByteClass::Committed;
+}
+
+BlockCensus
+GoldenModel::census(Addr block) const
+{
+    BlockCensus out;
+    const auto it = blocks.find(blockAlign(block));
+    if (it == blocks.end()) {
+        out.untouched = blockSize;
+        return out;
+    }
+    const BlockState &b = it->second;
+    out.inFlight = unsigned(std::popcount(b.inFlight()));
+    out.committed = unsigned(std::popcount(b.written)) - out.inFlight;
+    out.untouched = blockSize - unsigned(std::popcount(b.written));
+    return out;
 }
 
 std::vector<Addr>

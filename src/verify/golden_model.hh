@@ -3,11 +3,11 @@
  * In-order golden reference machine for differential verification.
  *
  * The GoldenModel attaches to a SimpleCore as a CoreObserver and
- * mirrors every architectural memory operation in a flat byte-exact
- * reference memory that also tracks *persistence* state. From the
- * program-order stream of stores, CLWBs and SFENCEs it derives, per
- * byte, the committed-prefix contract the paper's recovery guarantee
- * promises (PAPER.md §5):
+ * mirrors every architectural memory operation in a byte-exact
+ * reference memory, kept per 64-byte block, that also tracks
+ * *persistence* state. From the program-order stream of stores,
+ * CLWBs and SFENCEs it derives, per byte, the committed-prefix
+ * contract the paper's recovery guarantee promises (PAPER.md §5):
  *
  *  - committed: the byte was covered by a CLWB whose SFENCE
  *    completed. After any crash it must read back exactly.
@@ -29,12 +29,13 @@
 #ifndef DOLOS_VERIFY_GOLDEN_MODEL_HH
 #define DOLOS_VERIFY_GOLDEN_MODEL_HH
 
-#include <array>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "mem/block.hh"
 
 namespace dolos::verify
 {
@@ -45,6 +46,14 @@ enum class ByteClass
     Untouched, ///< never stored; must read zero
     Committed, ///< durable value known exactly
     InFlight,  ///< value within a known admissible set
+};
+
+/** Byte counts per class in one tracked block. */
+struct BlockCensus
+{
+    unsigned committed = 0;
+    unsigned inFlight = 0;
+    unsigned untouched = 0;
 };
 
 /** The reference machine. */
@@ -62,6 +71,9 @@ class GoldenModel : public CoreObserver
 
     /** Classification of @p addr right now. */
     ByteClass classify(Addr addr) const;
+
+    /** classify() of every byte of the block at @p block, counted. */
+    BlockCensus census(Addr block) const;
 
     /** Block-aligned addresses of every block ever stored to. */
     std::vector<Addr> trackedBlocks() const;
@@ -84,38 +96,52 @@ class GoldenModel : public CoreObserver
     unsigned crashesSeen() const { return crashes_; }
 
   private:
-    /**
-     * One byte of reference memory. `pending` holds every value
-     * stored since the byte's durable floor, newest last; `admissible`
-     * holds the post-crash candidate set while the byte is ambiguous.
-     */
-    struct ByteState
+    /** Some bytes of one block, as one store (or a floor) left them. */
+    struct BlockImage
     {
-        std::uint8_t floorValue = 0;
-        bool written = false;
-        bool ambiguous = false;
-        std::vector<std::pair<std::uint64_t, std::uint8_t>> pending;
-        std::vector<std::uint8_t> admissible;
-
-        /** Value a coherent load must observe (pending wins). */
-        std::uint8_t
-        currentValue() const
-        {
-            return pending.empty() ? floorValue : pending.back().second;
-        }
+        std::uint64_t seq = 0;  ///< program-order stamp of the store
+        std::uint64_t mask = 0; ///< bit i: byte i belongs to the image
+        Block bytes{};
     };
 
-    using BlockState = std::array<ByteState, blockSize>;
+    /**
+     * One block of reference memory. Bit i of each mask is byte i.
+     * `stores` holds every store since a byte's durable floor, oldest
+     * first. While a byte is ambiguous (its durable value forked at a
+     * crash), its admissible values are the byte of every
+     * `admissible` image whose mask covers it, in the order they
+     * became admissible.
+     */
+    struct BlockState
+    {
+        Block floor{};   ///< durable value of each non-ambiguous byte
+        Block current{}; ///< value a coherent load observes (0 if unwritten)
+        std::uint64_t written = 0;   ///< ever stored
+        std::uint64_t pending = 0;   ///< covered by some entry of stores
+        std::uint64_t ambiguous = 0; ///< forked by a crash, not pinned
+        std::vector<BlockImage> stores;
+        std::vector<BlockImage> admissible;
 
-    ByteState *find(Addr addr);
-    const ByteState *find(Addr addr) const;
-    ByteState &touch(Addr addr);
+        /** Ambiguous bytes with no store since: the in-flight class. */
+        std::uint64_t inFlight() const { return ambiguous & ~pending; }
+    };
+
+    /** Commit @p b's stores stamped at or before @p snap. */
+    static void commitThrough(BlockState &b, std::uint64_t snap);
+
+    /** The bytes in @p settled are no longer ambiguous. */
+    static void settle(BlockState &b, std::uint64_t settled);
+
+    /** Adjudicate a load of @p n bytes at offset @p off of @p b. */
+    void checkLoad(BlockState &b, Addr addr, unsigned off,
+                   const std::uint8_t *bytes, unsigned n);
 
     void recordViolation(Addr addr, std::uint8_t observed,
-                         const ByteState *state);
+                         const BlockState *b);
 
     std::map<Addr, BlockState> blocks; ///< keyed by block base
-    std::map<Addr, std::uint64_t> flushSnaps; ///< block -> seq at CLWB
+    /** (block, seq at CLWB) since the last SFENCE, in CLWB order. */
+    std::vector<std::pair<Addr, std::uint64_t>> flushSnaps;
     std::uint64_t seq = 0;
     std::uint64_t checkedLoads_ = 0;
     std::uint64_t violations_ = 0;

@@ -173,6 +173,20 @@ SweepResult::firstFailure() const
     return {};
 }
 
+OracleReport
+SweepResult::oracleTotals() const
+{
+    OracleReport total;
+    for (const auto &p : points) {
+        total.blocksScanned += p.oracle.blocksScanned;
+        total.committedBytes += p.oracle.committedBytes;
+        total.inFlightBytes += p.oracle.inFlightBytes;
+        total.untouchedBytes += p.oracle.untouchedBytes;
+        total.violations += p.oracle.violations;
+    }
+    return total;
+}
+
 std::string
 describeSweep(const SweepOptions &opt)
 {

@@ -180,6 +180,9 @@ struct SweepResult
 
     bool allPassed() const { return failures() == 0; }
 
+    /** Every point's oracle counts summed (diagnostics left empty). */
+    OracleReport oracleTotals() const;
+
     /** Diagnostic for the first failing point (empty if none). */
     std::string firstFailure() const;
 };

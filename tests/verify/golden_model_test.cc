@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dolos/system.hh"
 #include "tests/integration/integration_common.hh"
 #include "verify/diff_oracle.hh"
@@ -123,6 +125,157 @@ TEST(GoldenModel, RepeatedCrashesKeepPriorAdmissibleValues)
     m.onCrash(); // admissible {0x00, 0x01, 0x02}
     load8(m, 0x40, 0x01);
     EXPECT_TRUE(m.clean());
+}
+
+TEST(GoldenModel, StoreStraddlingTwoBlocksTracksBoth)
+{
+    GoldenModel m;
+    const std::uint8_t v[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    m.onStore(0x3C, v, sizeof(v)); // 0x3C..0x43: two blocks
+    m.onClwb(0x00);                // only the lower block is flushed
+    m.onSfence();
+    const std::vector<Addr> blocks{0x00, 0x40};
+    EXPECT_EQ(m.trackedBlocks(), blocks);
+    m.onCrash();
+    EXPECT_EQ(m.classify(0x3B), ByteClass::Untouched);
+    EXPECT_EQ(m.classify(0x3C), ByteClass::Committed);
+    EXPECT_EQ(m.classify(0x3F), ByteClass::Committed);
+    EXPECT_EQ(m.classify(0x40), ByteClass::InFlight);
+    EXPECT_EQ(m.classify(0x43), ByteClass::InFlight);
+    EXPECT_EQ(m.classify(0x44), ByteClass::Untouched);
+
+    // The upper half may have been lost (reads its zero floor), the
+    // committed lower half may not.
+    const std::uint8_t seen[8] = {1, 2, 3, 4, 0, 0, 7, 8};
+    m.onLoad(0x3C, seen, sizeof(seen));
+    EXPECT_TRUE(m.clean());
+    EXPECT_EQ(m.checkedLoads(), 8u);
+    const std::uint8_t lost[8] = {1, 2, 0, 4, 0, 0, 7, 8};
+    m.onLoad(0x3C, lost, sizeof(lost));
+    EXPECT_EQ(m.violationCount(), 1u);
+    ASSERT_EQ(m.diagnostics().size(), 1u);
+    EXPECT_EQ(m.diagnostics()[0],
+              "addr 0x3e: observed 0x00, expected 0x03 (committed)");
+}
+
+TEST(GoldenModel, ClwbSnapshotCommitsOnlyTheEarlierOverlappingStore)
+{
+    GoldenModel m;
+    const std::uint8_t a[4] = {0x11, 0x11, 0x11, 0x11};
+    const std::uint8_t b[4] = {0x22, 0x22, 0x22, 0x22};
+    m.onStore(0x80, a, sizeof(a)); // 0x80..0x83
+    m.onClwb(0x80);
+    m.onStore(0x82, b, sizeof(b)); // 0x82..0x85, after the snapshot
+    m.onSfence();
+
+    // Coherent view: the later store wins where they overlap, and a
+    // stale read of an overlapped byte names it dirty.
+    const std::uint8_t now[6] = {0x11, 0x11, 0x22, 0x22, 0x22, 0x22};
+    m.onLoad(0x80, now, sizeof(now));
+    EXPECT_TRUE(m.clean());
+    load8(m, 0x82, 0x11);
+    ASSERT_EQ(m.diagnostics().size(), 1u);
+    EXPECT_EQ(m.diagnostics()[0],
+              "addr 0x82: observed 0x11, expected 0x22 (dirty)");
+
+    m.onCrash();
+    EXPECT_EQ(m.classify(0x80), ByteClass::Committed);
+    EXPECT_EQ(m.classify(0x81), ByteClass::Committed);
+    EXPECT_EQ(m.classify(0x82), ByteClass::InFlight);
+    EXPECT_EQ(m.classify(0x85), ByteClass::InFlight);
+    // 0x82: the fence made 0x11 durable, so zero is gone for good.
+    load8(m, 0x82, 0x00);
+    ASSERT_EQ(m.diagnostics().size(), 2u);
+    EXPECT_EQ(m.diagnostics()[1], "addr 0x82: observed 0x00, expected "
+                                  "one of {0x11,0x22} (in-flight)");
+    // 0x84 was never committed: its zero floor is still admissible.
+    load8(m, 0x84, 0x00);
+    load8(m, 0x83, 0x11);
+    EXPECT_EQ(m.violationCount(), 2u);
+}
+
+TEST(GoldenModel, PostCrashStoreToInFlightByteKeepsTheOldSet)
+{
+    GoldenModel m;
+    store8(m, 0x40, 0x01);
+    m.onCrash(); // admissible {0x00, 0x01}
+    store8(m, 0x40, 0x02);
+    // A coherent load sees the new store, not the admissible set.
+    EXPECT_EQ(m.classify(0x40), ByteClass::Committed);
+    load8(m, 0x40, 0x02);
+    EXPECT_TRUE(m.clean());
+    m.onCrash(); // the old set is kept, the new value is added
+    EXPECT_EQ(m.classify(0x40), ByteClass::InFlight);
+    EXPECT_EQ(m.crashesSeen(), 2u);
+    load8(m, 0x40, 0x03);
+    ASSERT_EQ(m.diagnostics().size(), 1u);
+    EXPECT_EQ(m.diagnostics()[0], "addr 0x40: observed 0x03, expected "
+                                  "one of {0x00,0x01,0x02} (in-flight)");
+    // A rejected value pins nothing; the oldest value still fits.
+    load8(m, 0x40, 0x00);
+    EXPECT_EQ(m.violationCount(), 1u);
+    EXPECT_EQ(m.classify(0x40), ByteClass::Committed);
+}
+
+TEST(GoldenModel, InFlightDiagnosticListsTheSetInOrder)
+{
+    GoldenModel m;
+    store8(m, 0xC0, 0x01);
+    m.onClwb(0xC0);
+    m.onSfence();
+    store8(m, 0xC0, 0x02);
+    store8(m, 0xC0, 0x01); // a repeat adds nothing to the set
+    m.onCrash();
+    load8(m, 0xC0, 0x03);
+    load8(m, 0x1000, 0x7F);
+    ASSERT_EQ(m.diagnostics().size(), 2u);
+    EXPECT_EQ(m.diagnostics()[0], "addr 0xc0: observed 0x03, expected "
+                                  "one of {0x01,0x02} (in-flight)");
+    EXPECT_EQ(m.diagnostics()[1],
+              "addr 0x1000: observed 0x7f, expected 0x00 (untouched)");
+}
+
+TEST(GoldenModel, LostBlockStartsAfreshOnTheNextStore)
+{
+    GoldenModel m;
+    store8(m, 0x100, 0x11);
+    store8(m, 0x140, 0x33);
+    m.onClwb(0x100);
+    m.onSfence();
+    m.onBlockLost(0x100);
+    EXPECT_EQ(m.classify(0x100), ByteClass::Untouched);
+    EXPECT_EQ(m.trackedBlocks(), std::vector<Addr>{0x140});
+    load8(m, 0x100, 0x00); // the loss reads as zero
+    EXPECT_TRUE(m.clean());
+
+    store8(m, 0x101, 0x22);
+    EXPECT_EQ(m.trackedBlocks(), (std::vector<Addr>{0x100, 0x140}));
+    EXPECT_EQ(m.classify(0x100), ByteClass::Untouched);
+    EXPECT_EQ(m.classify(0x101), ByteClass::Committed);
+    m.onCrash();
+    EXPECT_EQ(m.classify(0x101), ByteClass::InFlight);
+    load8(m, 0x101, 0x11); // the lost floor is not admissible
+    ASSERT_EQ(m.diagnostics().size(), 1u);
+    EXPECT_EQ(m.diagnostics()[0], "addr 0x101: observed 0x11, expected "
+                                  "one of {0x00,0x22} (in-flight)");
+    load8(m, 0x100, 0x11);
+    EXPECT_EQ(m.violationCount(), 2u);
+}
+
+TEST(GoldenModel, DiagnosticsAreCappedAtSixteen)
+{
+    GoldenModel m;
+    std::uint8_t junk[20];
+    for (unsigned i = 0; i < sizeof(junk); ++i)
+        junk[i] = std::uint8_t(i + 1);
+    m.onLoad(0x3F0, junk, sizeof(junk)); // untouched, crosses a block
+    EXPECT_EQ(m.violationCount(), 20u);
+    EXPECT_EQ(m.checkedLoads(), 20u);
+    ASSERT_EQ(m.diagnostics().size(), 16u);
+    EXPECT_EQ(m.diagnostics().front(),
+              "addr 0x3f0: observed 0x01, expected 0x00 (untouched)");
+    EXPECT_EQ(m.diagnostics().back(),
+              "addr 0x3ff: observed 0x10, expected 0x00 (untouched)");
 }
 
 TEST(GoldenModelSystem, CleanRunThroughRealMachineStaysClean)

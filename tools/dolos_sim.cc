@@ -108,7 +108,9 @@ usage(int code)
         "  --media-region R    data|counter|tree|mac — which region a\n"
         "                      media transient/stuck fault lands in\n"
         "                      (metadata faults inject BEFORE the\n"
-        "                      crash so recovery must repair them)\n"
+        "                      crash so recovery must repair them;\n"
+        "                      with --scrub-interval, before the\n"
+        "                      measured transactions)\n"
         "  --scrub-interval N  opt-in background metadata scrub every\n"
         "                      N secure writes (0 = off)\n"
         "  --spares N          NVM spare frames for remapping worn\n"
@@ -405,6 +407,11 @@ main(int argc, char **argv)
         fault.emplace(sys, *o.injectFault, o.seed, o.mediaRegion);
         fault->arm();
     }
+    // The scrubber runs only while the workload writes, so a metadata
+    // fault meant for it lands after setup, before the measured
+    // transactions. Every other fault strikes after the run.
+    const bool strikeBeforeRun =
+        fault && o.scrubInterval && o.mediaRegion != NvmRegion::Data;
 
     // --stats / --stats-json also report the run's host cost, so the
     // profile always comes from the machine the options describe.
@@ -414,7 +421,13 @@ main(int argc, char **argv)
     const auto host_start = std::chrono::steady_clock::now();
     RunResult res;
     try {
-        res = runWorkload(sys, *wl, o.txns, crash);
+        if (strikeBeforeRun) {
+            PmemEnv env(sys);
+            wl->setup(env);
+            fault->strikeMetadataEarly();
+        }
+        res = runWorkload(sys, *wl, o.txns, crash,
+                          /*do_setup=*/!strikeBeforeRun);
     } catch (const std::invalid_argument &e) {
         // The workload outgrew a fixed region (undo log, heap): the
         // options asked for a machine that cannot run it.

@@ -959,6 +959,7 @@ main(int argc, char **argv)
                     describeSweep(opt).c_str(),
                     result.boundaries.size(), result.points.size(),
                     result.failures());
+        std::printf("sweep %s\n", result.oracleTotals().summary().c_str());
         if (!writeSummary(summaryJson, result.summary))
             return ExitUsage;
         if (!result.allPassed()) {
