@@ -23,8 +23,7 @@ main(int argc, char **argv)
                 "80Bx10",
                 opts);
 
-    auto mac = crypto::makeMacEngine(crypto::MacKind::SipHash24,
-                                     {1, 2, 3, 4});
+    const crypto::MacEngine mac{{1, 2, 3, 4}};
     const crypto::AesKey key{{5, 6, 7, 8}};
 
     const auto wpq = SystemConfig::paperDefault().wpq;
@@ -36,7 +35,7 @@ main(int argc, char **argv)
                             SecurityMode::DolosPostWpq}) {
         const unsigned entries = wpq.entriesFor(mode);
         MiSu misu(modeTraits(mode), entries, wpq.misuMacLatency, key,
-                  *mac);
+                  mac);
         const auto o = misu.storageOverhead();
         char pads[32];
         std::snprintf(pads, sizeof(pads), "%uB x %u",

@@ -1,13 +1,12 @@
 /**
  * @file
- * Pluggable MAC engine used by both security units.
+ * The MAC engine used by both security units: SipHash-2-4.
  *
  * The paper's secure units compute 8-byte MACs over (ciphertext,
- * counter, address) tuples. The engine is pluggable: SipHash-2-4 is
- * the default (SecureParams::macKind); HMAC-SHA256 truncated to 64
- * bits is the stronger, slower alternative with the same functional
- * tamper-detection behaviour. Simulated MAC latency (Table 1: 160
- * cycles) is a property of the timing model, not the engine.
+ * counter, address) tuples. Every data MAC, tree node, Anubis shadow
+ * entry and Mi-SU entry tag is a keyed SipHash-2-4 tag, stored least-
+ * significant byte first. Simulated MAC latency (Table 1: 160 cycles)
+ * is a property of the timing model, not of the engine.
  */
 
 #ifndef DOLOS_CRYPTO_MAC_ENGINE_HH
@@ -19,7 +18,8 @@
 #include <initializer_list>
 #include <memory>
 #include <utility>
-#include <vector>
+
+#include "crypto/siphash.hh"
 
 namespace dolos::crypto
 {
@@ -30,13 +30,11 @@ using MacTag = std::array<std::uint8_t, 8>;
 /** One segment of a multi-part MAC input. */
 using MacSegment = std::pair<const void *, std::size_t>;
 
-/**
- * Abstract keyed-MAC engine.
- */
+/** Keyed SipHash-2-4 MAC engine. */
 class MacEngine
 {
   public:
-    virtual ~MacEngine() = default;
+    explicit MacEngine(const std::array<std::uint8_t, 16> &key) : key(key) {}
 
     /** Compute a tag over a single contiguous buffer. */
     MacTag compute(const void *data, std::size_t len) const;
@@ -44,36 +42,23 @@ class MacEngine
     /**
      * Compute a tag over the concatenation of several segments
      * (address, counter, ciphertext, ...), without the caller having
-     * to materialize the concatenation.
+     * to materialize the concatenation. The segments total at most
+     * 256 bytes.
      */
     MacTag computeParts(std::initializer_list<MacSegment> parts) const;
 
-    /** Constant-time verification of @p tag over @p data. */
-    bool verify(const void *data, std::size_t len,
-                const MacTag &tag) const;
-
-  protected:
-    /**
-     * The engine's keyed function. compute() and computeParts() wrap
-     * it in exactly one profiler scope, so each MAC counts once.
-     */
-    virtual MacTag tagOf(const void *data, std::size_t len) const = 0;
+  private:
+    SipKey key;
 };
 
-/** Which concrete MAC engine to instantiate. */
+// The benchmark program (perfbench/) builds an engine through this
+// factory from SecureParams::macKind; MacKind, makeMacEngine and that
+// constant exist only for it.
 enum class MacKind
 {
-    HmacSha256Truncated, ///< strongest, slowest
-    SipHash24,           ///< default: fast, still a real keyed PRF
+    SipHash24,
 };
 
-/**
- * Create a MAC engine with the given key material.
- *
- * @param kind Engine selection.
- * @param key Key bytes (16 bytes are used; longer keys are hashed
- *            down by the HMAC engine per RFC 2104).
- */
 std::unique_ptr<MacEngine> makeMacEngine(
     MacKind kind, const std::array<std::uint8_t, 16> &key);
 

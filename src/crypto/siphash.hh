@@ -2,11 +2,10 @@
  * @file
  * SipHash-2-4 (Aumasson & Bernstein), from scratch.
  *
- * The default MAC engine (MacKind::SipHash24): every data MAC, tree
- * node, Anubis shadow entry and Mi-SU entry tag goes through it.
- * SipHash is a real keyed PRF, so tamper detection is genuine; only
- * the cryptographic strength margin differs from HMAC-SHA256.
- * Simulated latency is identical (it is configured, not measured).
+ * The keyed function of the MAC engine (mac_engine.hh): every data
+ * MAC, tree node, Anubis shadow entry and Mi-SU entry tag goes
+ * through it. SipHash is a real keyed PRF, so tamper detection is
+ * genuine. Simulated MAC latency is configured, not measured.
  */
 
 #ifndef DOLOS_CRYPTO_SIPHASH_HH

@@ -58,8 +58,6 @@ SecureMemController::SecureMemController(const SystemConfig &cfg,
                       "WPQ entries in use at insertion");
     stats_.addAverage(&statDrainLatency, "drainLatency",
                       "cycles from persist to Ma-SU clear");
-    stats_.addHistogram(&statPersistLatencyHist, "persistLatencyHist",
-                        "distribution of arrival-to-persist cycles");
     stats_.addHistogram(&statStallHist, "wpqStallHist",
                         "distribution of full-WPQ stall cycles");
     if (misu_)
@@ -219,7 +217,6 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
             t = misuProtect(*e, addr, data, t);
             e->persistTick = std::max(e->persistTick, t);
             statPersistLatency.sample(double(e->persistTick - now));
-            statPersistLatencyHist.sample(double(e->persistTick - now));
             DOLOS_TRACE(trace::Stage::WpqCoalesce, now, e->persistTick,
                         e->addr, e->id);
             return {now + cfg.wpq.mcTransitLatency, e->persistTick};
@@ -260,7 +257,6 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
     tagArray[e.addr] = e.id;
 
     statPersistLatency.sample(double(e.persistTick - now));
-    statPersistLatencyHist.sample(double(e.persistTick - now));
     DOLOS_TRACE(trace::Stage::WpqInsert, now, e.persistTick, e.addr,
                 e.id);
     return {now + cfg.wpq.mcTransitLatency, e.persistTick};
@@ -794,7 +790,6 @@ SecureMemController::stateManifest() const
     DOLOS_MF_P(m, statPersistLatency);
     DOLOS_MF_P(m, statOccupancy);
     DOLOS_MF_P(m, statDrainLatency);
-    DOLOS_MF_P(m, statPersistLatencyHist);
     DOLOS_MF_P(m, statStallHist);
     return m;
 }

@@ -300,7 +300,6 @@ class SecureMemController : public PersistController
     stats::Average statPersistLatency;
     stats::Average statOccupancy;
     stats::Average statDrainLatency;
-    stats::Histogram statPersistLatencyHist{100.0, 32};
     stats::Histogram statStallHist{500.0, 16};
 };
 

@@ -35,8 +35,6 @@ NvmDevice::NvmDevice(const NvmParams &p)
                       "cycles reads waited for a busy bank");
     stats_.addAverage(&statWriteQueueing, "writeQueueing",
                       "cycles writes waited for a busy bank");
-    stats_.addHistogram(&statWriteQueueingHist, "writeQueueingHist",
-                        "distribution of write bank-queueing cycles");
 }
 
 std::size_t
@@ -72,7 +70,6 @@ NvmDevice::write(Addr addr, const Block &block, Tick now)
     Tick &bank = bankBusyUntil[bankIndex(addr)];
     const Tick start = std::max(now, bank);
     statWriteQueueing.sample(double(start - now));
-    statWriteQueueingHist.sample(double(start - now));
     if (start > now)
         ++statBankConflicts;
     bank = start + params.writeLatency;
@@ -335,7 +332,6 @@ NvmDevice::stateManifest() const
     DOLOS_MF_P(m, statBankConflicts);
     DOLOS_MF_P(m, statReadQueueing);
     DOLOS_MF_P(m, statWriteQueueing);
-    DOLOS_MF_P(m, statWriteQueueingHist);
     return m;
 }
 

@@ -318,7 +318,6 @@ class NvmDevice
     stats::Scalar statBankConflicts;
     stats::Average statReadQueueing;
     stats::Average statWriteQueueing;
-    stats::Histogram statWriteQueueingHist{500.0, 16};
 };
 
 } // namespace dolos

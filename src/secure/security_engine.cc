@@ -78,12 +78,12 @@ MetaCache::stateManifest(std::string instance) const
 SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
     : params(p),
       nvm_(nvm),
-      mac(crypto::makeMacEngine(p.macKind, p.macKey)),
+      mac(p.macKey),
       padGen(p.dataKey),
-      tree(p.functionalLeaves, *mac),
+      tree(p.functionalLeaves, mac),
       ctrCache(p.counterCache),
       mtCache(p.mtCache),
-      shadow(ctrCache.numSlots(), nvm, *mac),
+      shadow(ctrCache.numSlots(), nvm, mac),
       stats_("secEngine")
 {
     rootRegister = tree.root();
@@ -139,10 +139,6 @@ SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
                       "cycles per secure read");
     stats_.addAverage(&statTreeWalkLevels, "treeWalkLevels",
                       "tree levels fetched per counter miss");
-    stats_.addHistogram(&statWriteLatencyHist, "writeLatencyHist",
-                        "distribution of security-op cycles per write");
-    stats_.addHistogram(&statReadLatencyHist, "readLatencyHist",
-                        "distribution of cycles per secure read");
     stats_.addChild(&ctrCache.statGroup());
     stats_.addChild(&mtCache.statGroup());
     stats_.addChild(&shadow.statGroup());
@@ -178,9 +174,9 @@ crypto::MacTag
 SecurityEngine::dataMac(Addr addr, const Block &ciphertext,
                         std::uint64_t counter) const
 {
-    return mac->computeParts({{&addr, sizeof(addr)},
-                              {&counter, sizeof(counter)},
-                              {ciphertext.data(), ciphertext.size()}});
+    return mac.computeParts({{&addr, sizeof(addr)},
+                             {&counter, sizeof(counter)},
+                             {ciphertext.data(), ciphertext.size()}});
 }
 
 void
@@ -782,7 +778,6 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
 
     res.doneTick = t;
     statWriteLatency.sample(double(t - arrival));
-    statWriteLatencyHist.sample(double(t - arrival));
     debugPrintf("MaSu", "write addr=0x%llx arrival=%llu done=%llu",
                 (unsigned long long)addr, (unsigned long long)arrival,
                 (unsigned long long)t);
@@ -804,7 +799,6 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
         ++statQuarantineReads;
         const Tick t = arrival + nvm_.config().readLatency;
         statReadLatency.sample(double(t - arrival));
-        statReadLatencyHist.sample(double(t - arrival));
         return {zeroBlock(), t};
     }
 
@@ -813,7 +807,6 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
         ++statColdReads;
         const ReadResult r = nvm_.read(addr, arrival);
         statReadLatency.sample(double(r.completeTick - arrival));
-        statReadLatencyHist.sample(double(r.completeTick - arrival));
         return {zeroBlock(), r.completeTick};
     }
 
@@ -832,7 +825,6 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     if (nvm_.isQuarantined(addr)) {
         ++statQuarantineReads;
         statReadLatency.sample(double(t - arrival));
-        statReadLatencyHist.sample(double(t - arrival));
         return {zeroBlock(), t};
     }
 
@@ -841,7 +833,6 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     if (nvm_.isQuarantined(addr)) {
         ++statQuarantineReads;
         statReadLatency.sample(double(t - arrival));
-        statReadLatencyHist.sample(double(t - arrival));
         return {zeroBlock(), t};
     }
     const bool mac_ok = dataMac(addr, data.data, counter) == stored_mac;
@@ -869,7 +860,6 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
                  "retries",
                  (unsigned long long)addr, m.retries);
             statReadLatency.sample(double(t - arrival));
-            statReadLatencyHist.sample(double(t - arrival));
             return {zeroBlock(), t};
         }
     } else if (!mac_ok) {
@@ -882,7 +872,6 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     applyPad(plaintext, addr, counter);
 
     statReadLatency.sample(double(t - arrival));
-    statReadLatencyHist.sample(double(t - arrival));
     return {plaintext, t};
 }
 
@@ -1205,8 +1194,6 @@ SecurityEngine::stateManifest() const
     DOLOS_MF_P(m, statWriteLatency);
     DOLOS_MF_P(m, statReadLatency);
     DOLOS_MF_P(m, statTreeWalkLevels);
-    DOLOS_MF_P(m, statWriteLatencyHist);
-    DOLOS_MF_P(m, statReadLatencyHist);
     return m;
 }
 

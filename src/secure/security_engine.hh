@@ -21,7 +21,6 @@
 #ifndef DOLOS_SECURE_SECURITY_ENGINE_HH
 #define DOLOS_SECURE_SECURITY_ENGINE_HH
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -193,7 +192,8 @@ struct SecureParams
     TreeUpdatePolicy treePolicy = TreeUpdatePolicy::EagerMerkle;
     MetaCacheParams counterCache{"counterCache", 128 * 1024, 4};
     MetaCacheParams mtCache{"mtCache", 256 * 1024, 8};
-    crypto::MacKind macKind = crypto::MacKind::SipHash24;
+    /** A constant, not a setting (see crypto::makeMacEngine). */
+    static constexpr crypto::MacKind macKind = crypto::MacKind::SipHash24;
     crypto::AesKey dataKey{};
     std::array<std::uint8_t, 16> macKey{};
 
@@ -261,6 +261,11 @@ class SecurityEngine
   public:
     SecurityEngine(const SecureParams &params, NvmDevice &nvm);
 
+    // Neither copyable nor movable: the tree, the shadow and the Mi-SU
+    // hold references to mac.
+    SecurityEngine(const SecurityEngine &) = delete;
+    SecurityEngine &operator=(const SecurityEngine &) = delete;
+
     /**
      * Process one write's security work: fetch/bump counter, pad,
      * encrypt, data MAC, tree update, Anubis shadow persist.
@@ -320,7 +325,7 @@ class SecurityEngine
     }
 
     const SecureParams &config() const { return params; }
-    const crypto::MacEngine &macEngine() const { return *mac; }
+    const crypto::MacEngine &macEngine() const { return mac; }
     NvmDevice &nvm() { return nvm_; }
     stats::StatGroup &statGroup() { return stats_; }
 
@@ -535,7 +540,7 @@ class SecurityEngine
 
     SecureParams params;
     NvmDevice &nvm_;
-    std::unique_ptr<crypto::MacEngine> mac;
+    crypto::MacEngine mac;
     crypto::CtrPadGenerator padGen;
 
     CounterStore counters;
@@ -580,8 +585,6 @@ class SecurityEngine
     stats::Average statWriteLatency;
     stats::Average statReadLatency;
     stats::Average statTreeWalkLevels;
-    stats::Histogram statWriteLatencyHist{200.0, 32};
-    stats::Histogram statReadLatencyHist{100.0, 32};
 };
 
 } // namespace dolos

@@ -47,8 +47,8 @@ enum class Comp : std::uint8_t
     Controller,     ///< memory controller + WPQ machinery
     SecurityEngine, ///< Ma-SU orchestration (minus crypto below)
     Aes,            ///< AES block en/decryption
-    Mac,            ///< MAC computation (HMAC/SipHash)
-    Sha,            ///< SHA-256 compression
+    Mac,            ///< MAC computation (SipHash-2-4)
+    Sha,            ///< always 0; kept because perfbench names it
     CtrPad,         ///< counter-mode pad generation
     Nvm,            ///< NVM device timing + backing store
     Verify,         ///< golden-model diff / verify machinery

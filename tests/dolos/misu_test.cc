@@ -15,14 +15,13 @@ using namespace dolos;
 
 struct MisuTest : ::testing::Test
 {
-    std::unique_ptr<crypto::MacEngine> mac = crypto::makeMacEngine(
-        crypto::MacKind::SipHash24, {1, 2, 3});
+    crypto::MacEngine mac{{1, 2, 3}};
     crypto::AesKey key{{9, 8, 7, 6}};
 
     MiSu
     make(SecurityMode mode, unsigned cap)
     {
-        return MiSu(modeTraits(mode), cap, 160, key, *mac);
+        return MiSu(modeTraits(mode), cap, 160, key, mac);
     }
 
     Block

@@ -16,9 +16,8 @@ using namespace dolos;
 struct AnubisTest : ::testing::Test
 {
     NvmDevice nvm{NvmParams{}};
-    std::unique_ptr<crypto::MacEngine> mac = crypto::makeMacEngine(
-        crypto::MacKind::SipHash24, {7, 7, 7, 7});
-    AnubisShadow shadow{16, nvm, *mac};
+    crypto::MacEngine mac{{7, 7, 7, 7}};
+    AnubisShadow shadow{16, nvm, mac};
 
     CounterPage
     page(std::uint64_t major, std::uint8_t minor0) const

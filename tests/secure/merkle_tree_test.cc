@@ -20,13 +20,12 @@ using namespace dolos;
 
 struct MerkleTreeTest : ::testing::Test
 {
-    std::unique_ptr<crypto::MacEngine> mac = crypto::makeMacEngine(
-        crypto::MacKind::SipHash24, {1, 2, 3, 4, 5, 6, 7, 8});
+    crypto::MacEngine mac{{1, 2, 3, 4, 5, 6, 7, 8}};
 };
 
 TEST_F(MerkleTreeTest, GeometryForPowerOfEight)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     ASSERT_EQ(t.numLevels(), 3u);
     EXPECT_EQ(t.levelSize(0), 64u);
     EXPECT_EQ(t.levelSize(1), 8u);
@@ -35,7 +34,7 @@ TEST_F(MerkleTreeTest, GeometryForPowerOfEight)
 
 TEST_F(MerkleTreeTest, GeometryForRaggedLeafCount)
 {
-    MerkleTree t(100, *mac);
+    MerkleTree t(100, mac);
     ASSERT_EQ(t.numLevels(), 4u);
     EXPECT_EQ(t.levelSize(1), 13u);
     EXPECT_EQ(t.levelSize(2), 2u);
@@ -44,7 +43,7 @@ TEST_F(MerkleTreeTest, GeometryForRaggedLeafCount)
 
 TEST_F(MerkleTreeTest, SingleLeafTreeIsJustRoot)
 {
-    MerkleTree t(1, *mac);
+    MerkleTree t(1, mac);
     EXPECT_EQ(t.numLevels(), 1u);
     CounterPage p;
     p.major = 1;
@@ -54,7 +53,7 @@ TEST_F(MerkleTreeTest, SingleLeafTreeIsJustRoot)
 
 TEST_F(MerkleTreeTest, EmptyTreeUsesDefaults)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     EXPECT_EQ(t.numStoredNodes(), 0u);
     EXPECT_EQ(t.root(), t.defaultTag(2));
     EXPECT_EQ(t.nodeTag(0, 5), t.defaultTag(0));
@@ -62,7 +61,7 @@ TEST_F(MerkleTreeTest, EmptyTreeUsesDefaults)
 
 TEST_F(MerkleTreeTest, UpdateLeafChangesRoot)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     const auto root0 = t.root();
     CounterPage p;
     p.minors[0] = 1;
@@ -72,7 +71,7 @@ TEST_F(MerkleTreeTest, UpdateLeafChangesRoot)
 
 TEST_F(MerkleTreeTest, UpdateOnlyAffectsOwnPath)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     CounterPage p;
     p.minors[0] = 1;
     t.updateLeaf(0, p.pack()); // path: leaf 0, node (1,0)
@@ -82,7 +81,7 @@ TEST_F(MerkleTreeTest, UpdateOnlyAffectsOwnPath)
 
 TEST_F(MerkleTreeTest, SameContentSameRoot)
 {
-    MerkleTree a(64, *mac), b(64, *mac);
+    MerkleTree a(64, mac), b(64, mac);
     CounterPage p;
     p.major = 5;
     a.updateLeaf(10, p.pack());
@@ -94,7 +93,7 @@ TEST_F(MerkleTreeTest, DifferentLeafPositionDifferentRoot)
 {
     // Relocation: the same page content installed at another leaf
     // must produce a different root.
-    MerkleTree a(64, *mac), b(64, *mac);
+    MerkleTree a(64, mac), b(64, mac);
     CounterPage p;
     p.major = 5;
     a.updateLeaf(10, p.pack());
@@ -104,7 +103,7 @@ TEST_F(MerkleTreeTest, DifferentLeafPositionDifferentRoot)
 
 TEST_F(MerkleTreeTest, RebuildMatchesIncrementalUpdates)
 {
-    MerkleTree inc(512, *mac), reb(512, *mac);
+    MerkleTree inc(512, mac), reb(512, mac);
     std::unordered_map<Addr, CounterPage> pages;
     for (Addr i = 0; i < 20; ++i) {
         CounterPage p;
@@ -119,7 +118,7 @@ TEST_F(MerkleTreeTest, RebuildMatchesIncrementalUpdates)
 
 TEST_F(MerkleTreeTest, RebuildAfterClearRestoresRoot)
 {
-    MerkleTree t(512, *mac);
+    MerkleTree t(512, mac);
     std::unordered_map<Addr, CounterPage> pages;
     for (Addr i = 0; i < 10; ++i) {
         CounterPage p;
@@ -135,14 +134,14 @@ TEST_F(MerkleTreeTest, RebuildAfterClearRestoresRoot)
 
 TEST_F(MerkleTreeTest, TamperedPageChangesRootOnRebuild)
 {
-    MerkleTree t(512, *mac);
+    MerkleTree t(512, mac);
     std::unordered_map<Addr, CounterPage> pages;
     CounterPage p;
     p.minors[7] = 3;
     t.updateLeaf(100, p.pack());
     pages[100] = p;
     pages[100].minors[7] = 4; // attacker rolls the counter forward
-    MerkleTree t2(512, *mac);
+    MerkleTree t2(512, mac);
     t2.rebuild(pages);
     EXPECT_NE(t.root(), t2.root());
 }
@@ -151,15 +150,14 @@ TEST_F(MerkleTreeTest, LevelTagPreventsHeightConfusion)
 {
     // A node's tag at level 1 over default children differs from the
     // level-2 tag over default children: level is bound into the MAC.
-    MerkleTree t(4096, *mac); // levels: 4096, 512, 64, 8, 1
+    MerkleTree t(4096, mac); // levels: 4096, 512, 64, 8, 1
     EXPECT_NE(t.defaultTag(1), t.defaultTag(2));
 }
 
 TEST_F(MerkleTreeTest, MacKeyBindsTree)
 {
-    auto mac2 = crypto::makeMacEngine(crypto::MacKind::SipHash24,
-                                      {9, 9, 9, 9});
-    MerkleTree a(64, *mac), b(64, *mac2);
+    const crypto::MacEngine mac2{{9, 9, 9, 9}};
+    MerkleTree a(64, mac), b(64, mac2);
     EXPECT_NE(a.root(), b.root());
 }
 
@@ -208,18 +206,18 @@ checkIncrementalMatchesRebuild(const crypto::MacEngine &mac, Addr leaves,
 
 TEST_F(MerkleTreeTest, RandomUpdatesMatchRebuildOnRaggedTree)
 {
-    checkIncrementalMatchesRebuild(*mac, 100, 300, 11);
+    checkIncrementalMatchesRebuild(mac, 100, 300, 11);
 }
 
 TEST_F(MerkleTreeTest, RandomUpdatesMatchRebuildAcrossChunks)
 {
     // 5000 leaves span many chunks on the two lowest levels.
-    checkIncrementalMatchesRebuild(*mac, 5000, 300, 12);
+    checkIncrementalMatchesRebuild(mac, 5000, 300, 12);
 }
 
 TEST_F(MerkleTreeTest, ClearReturnsEveryNodeToDefault)
 {
-    MerkleTree t(5000, *mac);
+    MerkleTree t(5000, mac);
     Random rng(13);
     for (int i = 0; i < 200; ++i)
         t.updateLeaf(rng.below(5000), randomPage(rng).pack());
@@ -234,7 +232,7 @@ TEST_F(MerkleTreeTest, ClearReturnsEveryNodeToDefault)
 
 TEST_F(MerkleTreeTest, StoredNodesCountsNonDefaultTags)
 {
-    MerkleTree t(5000, *mac); // levels: 5000, 625, 79, 10, 2, 1
+    MerkleTree t(5000, mac); // levels: 5000, 625, 79, 10, 2, 1
     CounterPage p;
     p.minors[1] = 1;
     t.updateLeaf(4321, p.pack());
@@ -252,7 +250,7 @@ TEST_F(MerkleTreeTest, RebuildOfLastPartialGroupMatchesEagerUpdates)
 {
     // 100 leaves: the last level-1 group holds leaves 96..99 only,
     // and level 1 (13 nodes) ends in a partial group of its own.
-    MerkleTree eager(100, *mac), reb(100, *mac);
+    MerkleTree eager(100, mac), reb(100, mac);
     std::unordered_map<Addr, CounterPage> pages;
     for (const Addr leaf : {Addr(99), Addr(96), Addr(97), Addr(3)}) {
         CounterPage p;
@@ -459,12 +457,12 @@ checkDeferredMatchesEager(const crypto::MacEngine &mac, Addr leaves,
 
 TEST_F(MerkleTreeTest, DeferredMatchesEagerOnRaggedTree)
 {
-    checkDeferredMatchesEager(*mac, 100, 3000, 21);
+    checkDeferredMatchesEager(mac, 100, 3000, 21);
 }
 
 TEST_F(MerkleTreeTest, DeferredMatchesEagerAcrossChunks)
 {
-    checkDeferredMatchesEager(*mac, 5000, 3000, 22);
+    checkDeferredMatchesEager(mac, 5000, 3000, 22);
 }
 
 TEST_F(MerkleTreeTest, DeferredMatchesEagerAcrossFlushBound)
@@ -474,8 +472,8 @@ TEST_F(MerkleTreeTest, DeferredMatchesEagerAcrossFlushBound)
     // every node where the eager climb puts it.
     for (const Addr leaves : {Addr(100), Addr(5000)}) {
         Random rng(23 + leaves);
-        MerkleTree tree(leaves, *mac);
-        EagerOracle oracle(leaves, *mac);
+        MerkleTree tree(leaves, mac);
+        EagerOracle oracle(leaves, mac);
         for (std::size_t u = 0; u < 2 * MerkleTree::maxDirty + 123;
              ++u) {
             const Addr leaf = rng.below(leaves);
@@ -490,7 +488,7 @@ TEST_F(MerkleTreeTest, DeferredMatchesEagerAcrossFlushBound)
 
 TEST_F(MerkleTreeTest, DeathOnOutOfRangeLeaf)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     CounterPage p;
     EXPECT_DEATH(t.updateLeaf(64, p.pack()), "out of range");
 }
