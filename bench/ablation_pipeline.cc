@@ -6,7 +6,7 @@
  * that stream overlapping root paths (Freij et al. MICRO'20) and
  * free the engine front one MAC slot after a write's metadata is
  * ready. The driver sweeps bmtPipeline off/on itself, so
- * --opt-knobs (whose only lever is bmtPipeline) does not change it.
+ * --opt-knobs (which sets bmtPipeline) does not change it.
  *
  * Pipelining shrinks the baseline's front-side queueing, so Dolos'
  * advantage contracts — quantifying how much of Dolos' win comes

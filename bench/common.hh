@@ -40,15 +40,15 @@ struct BenchOptions
     bool verify = true;
     bool json = false;     ///< write a BENCH_<name>.json artifact
     std::string jsonFile;  ///< override the artifact path
-    OptKnobs knobs;        ///< persist-path lever (default: on;
-                           ///< --opt-knobs none = the paper's machine)
+    bool bmtPipeline = true; ///< --opt-knobs all|none (none = the
+                             ///< paper's serial Ma-SU)
 
     [[noreturn]] static void
     usage(int code)
     {
         std::printf("options: --txns N | --full | --keys N | --seed N"
                     " | --no-verify | --json [FILE]"
-                    " | --opt-knobs K (none = paper's machine)\n");
+                    " | --opt-knobs all|none (none = paper's machine)\n");
         std::exit(code);
     }
 
@@ -73,7 +73,8 @@ struct BenchOptions
                 // Optional value: a path that names the artifact.
                 o.jsonFile = r.optionalValue().value_or("");
             } else if (r.is("--opt-knobs")) {
-                o.knobs = r.parsed(parseOptKnobs, "bad --opt-knobs spec");
+                o.bmtPipeline =
+                    r.parsed(parsePipelineSpec, "bad --opt-knobs spec");
             } else {
                 r.unknown();
             }
@@ -214,7 +215,7 @@ benchConfig(SecurityMode mode, const BenchOptions &opts,
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.mode = mode;
-    applyOptKnobs(cfg, opts.knobs);
+    cfg.secure.bmtPipeline = opts.bmtPipeline;
     if (tweak)
         tweak(cfg);
     return cfg;

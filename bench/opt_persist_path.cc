@@ -3,12 +3,13 @@
  * Persist-path optimization lever: off-vs-on stall-cycle breakdown
  * per Dolos mode on the heaviest-WPQ-pressure workload (hashmap).
  *
- * The lever (bmtPipeline) is timing-only — `dolos-sim
- * --verify-perf-equiv` proves state equivalence — so this driver
- * reports what it buys: the combined wpqStallCycles + bmtCycles
- * account must drop by at least 10% with the lever on (checked at
- * gate-sized runs), and the recorded baseline locks the per-stage
- * numbers at a 2% drift threshold.
+ * The lever (bmtPipeline) is timing-only — the crash sweeps in
+ * tests/integration/crash_sweep_test.cc run both lever states under
+ * the golden-model oracle — so this driver reports what it buys: the
+ * combined wpqStallCycles + bmtCycles account must drop by at least
+ * 10% with the lever on (checked at gate-sized runs), and the
+ * recorded baseline locks the per-stage numbers at a 2% drift
+ * threshold.
  */
 
 #include "bench/common.hh"
@@ -39,11 +40,11 @@ struct Leg
 
 Leg
 runLeg(const std::string &workload, SecurityMode mode,
-       const BenchOptions &opts, const OptKnobs &knobs)
+       const BenchOptions &opts, bool bmt_pipeline)
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.mode = mode;
-    applyOptKnobs(cfg, knobs);
+    cfg.secure.bmtPipeline = bmt_pipeline;
     System sys(cfg);
     const auto res =
         runVerified(sys, workload, presetFor(workload, opts), opts);
@@ -96,15 +97,11 @@ main(int argc, char **argv)
                  {SecurityMode::DolosPartialWpq, "partial"},
                  {SecurityMode::DolosPostWpq, "post"}};
     const std::string workload = "hashmap";
-    // The lever defaults on since the microstep-sweep flip, so the
-    // "off" leg (the paper's unoptimized machine) is the explicit one.
-    const OptKnobs off{false};
-    const OptKnobs on{};
 
     bool met = true;
     for (const auto &m : modes) {
-        const Leg a = runLeg(workload, m.mode, opts, off);
-        const Leg b = runLeg(workload, m.mode, opts, on);
+        const Leg a = runLeg(workload, m.mode, opts, false);
+        const Leg b = runLeg(workload, m.mode, opts, true);
 
         std::printf("\n%s on %s\n", workload.c_str(),
                     securityModeName(m.mode));

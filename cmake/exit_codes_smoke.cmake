@@ -213,6 +213,12 @@ expect_rc(2 "${TORTURE}" --faults 2 --mode dolos-full)
 expect_rc(2 "${SIM}" --tree lazzy --txns 10)
 expect_rc(2 "${SIM}" --crash-scheme osirs --txns 10)
 
+# 2: --opt-knobs takes exactly "all" or "none" — no retired lever
+#    names or other spellings — in every tool (the drivers exit 1).
+expect_rc(2 "${SIM}" --opt-knobs bmt-pipeline --txns 10)
+expect_rc(2 "${TORTURE}" --campaign 1 --opt-knobs everything)
+expect_rc(1 "${BENCH}" --opt-knobs x)
+
 # A flag without its value is a usage error in every tool; the report
 # tool and the experiment drivers exit 1 on usage errors.
 expect_rc(2 "${SIM}" --txns)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Configuration vocabulary: the security-mode design table, config
- * validation and the --opt-knobs spec.
+ * validation and the --opt-knobs spellings.
  */
 
 #include "dolos/config.hh"
@@ -67,6 +67,9 @@ inEnumOrder()
     return true;
 }
 static_assert(inEnumOrder(), "modeTable rows must follow SecurityMode");
+
+/** The --opt-knobs spellings of bmtPipeline, indexed by its state. */
+constexpr const char *pipelineSpecs[] = {"none", "all"};
 
 } // namespace
 
@@ -165,9 +168,6 @@ validateConfig(const SystemConfig &cfg)
     if (cfg.secure.macOpsEagerWrite == 0 ||
         cfg.secure.macOpsLazyWrite == 0)
         return "secure.macOps per write must be nonzero";
-    if (cfg.secure.bmtPipeline && cfg.secure.bmtPipelineWindow == 0)
-        return "secure.bmtPipelineWindow must be nonzero when "
-               "bmtPipeline is enabled";
     if (modeTraits(cfg.mode).eadrDomain &&
         cfg.eadr.energyBudgetCycles == 0)
         return "eadr.energyBudgetCycles must be nonzero in eADR mode "
@@ -175,29 +175,19 @@ validateConfig(const SystemConfig &cfg)
     return "";
 }
 
-std::optional<OptKnobs>
-parseOptKnobs(const std::string &spec)
+std::optional<bool>
+parsePipelineSpec(const std::string &spec)
 {
-    // The spec names the *exact* lever set — it does not toggle on
-    // top of the defaults, so a repro line parses to the same machine
-    // whatever the defaults of the build that replays it.
-    if (spec == "none")
-        return OptKnobs{false};
-    if (spec == "all" || spec == "bmt-pipeline")
-        return OptKnobs{true};
+    for (const bool on : {false, true})
+        if (spec == pipelineSpecs[on])
+            return on;
     return std::nullopt;
 }
 
-std::string
-formatOptKnobs(const OptKnobs &knobs)
+const char *
+pipelineSpecName(bool bmt_pipeline)
 {
-    return knobs.bmtPipeline ? "all" : "none";
-}
-
-void
-applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs)
-{
-    cfg.secure.bmtPipeline = knobs.bmtPipeline;
+    return pipelineSpecs[bmt_pipeline];
 }
 
 } // namespace dolos

@@ -222,34 +222,20 @@ struct SystemConfig
 std::string validateConfig(const SystemConfig &cfg);
 
 /**
- * The persist-path optimization lever as a bundle, so CLI tools,
- * torture lanes and benches flip it consistently. The lever is on by
- * default (matching SecureParams; it survived the microstep crash
- * sweeps); `--opt-knobs none` reproduces the paper's unoptimized
- * machine.
+ * Parse an --opt-knobs spec into SecureParams::bmtPipeline, the one
+ * persist-path lever: "all" is on, "none" is the paper's serial
+ * Ma-SU. The spec names the lever's state, not a toggle on top of the
+ * build's default. Any other spec yields nullopt; callers must reject
+ * it, never clamp.
  */
-struct OptKnobs
-{
-    bool bmtPipeline = true;
-};
+std::optional<bool> parsePipelineSpec(const std::string &spec);
 
 /**
- * Parse an --opt-knobs spec: "none", or "all" / "bmt-pipeline" (the
- * same machine: the pipeline is the only lever). Any other spec —
- * unknown or retired lever names, lists, the empty string — yields
- * nullopt; callers must reject it, never clamp.
- */
-std::optional<OptKnobs> parseOptKnobs(const std::string &spec);
-
-/**
- * Canonical spec string for a bundle ("all" or "none");
- * parseOptKnobs(formatOptKnobs(k)) == k. Repro lines print this
+ * The --opt-knobs spelling of a lever state ("all" or "none");
+ * parsePipelineSpec(pipelineSpecName(b)) == b. Repro lines print it
  * unconditionally so they replay across default flips.
  */
-std::string formatOptKnobs(const OptKnobs &knobs);
-
-/** Apply a knob bundle to a configuration. */
-void applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs);
+const char *pipelineSpecName(bool bmt_pipeline);
 
 } // namespace dolos
 

@@ -634,7 +634,7 @@ SecurityEngine::chargeBmtClimb(Addr page_idx, Tick start)
 
     if (params.bmtPipeline) {
         bmtInflight.push_back({page_idx, start, done});
-        if (bmtInflight.size() > params.bmtPipelineWindow)
+        if (bmtInflight.size() > bmtWindowClimbs)
             bmtInflight.erase(bmtInflight.begin());
     }
     return done;

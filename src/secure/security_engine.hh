@@ -154,9 +154,6 @@ struct SecureParams
      */
     bool bmtPipeline = true;
 
-    /** In-flight root-path updates tracked when bmtPipeline is on. */
-    unsigned bmtPipelineWindow = 4;
-
     /** Counter crash-consistency mechanism. */
     CrashScheme crashScheme = CrashScheme::Anubis;
 
@@ -265,6 +262,9 @@ class SecurityEngine
     // hold references to mac.
     SecurityEngine(const SecurityEngine &) = delete;
     SecurityEngine &operator=(const SecurityEngine &) = delete;
+
+    /** In-flight root-path updates tracked when bmtPipeline is on. */
+    static constexpr std::size_t bmtWindowClimbs = 4;
 
     /**
      * Process one write's security work: fetch/bump counter, pad,

@@ -246,86 +246,16 @@ TEST(ConfigValidation, ValidConfigConstructs)
     EXPECT_NO_THROW({ System sys(cfg); });
 }
 
-TEST(OptKnobsConfig, LeversDefaultOn)
+TEST(PipelineSpecConfig, FormatParseRoundTrips)
 {
-    // The pipeline survived the microstep crash sweeps and is the
-    // build default on every layer: the bundle and the engine
-    // parameters must agree.
-    const OptKnobs knobs;
-    EXPECT_TRUE(knobs.bmtPipeline);
-    EXPECT_TRUE(SystemConfig::paperDefault().secure.bmtPipeline);
-}
-
-TEST(OptKnobsConfig, ParseNamesTheExactLeverSet)
-{
-    const auto none = parseOptKnobs("none");
-    ASSERT_TRUE(none);
-    EXPECT_FALSE(none->bmtPipeline);
-
-    // "all" and "bmt-pipeline" name the same machine: the pipeline is
-    // the only lever, so repro lines printed with either replay it.
-    for (const char *spec : {"all", "bmt-pipeline"}) {
-        const auto on = parseOptKnobs(spec);
-        ASSERT_TRUE(on) << spec;
-        EXPECT_TRUE(on->bmtPipeline) << spec;
+    // Repro lines print pipelineSpecName unconditionally; the printed
+    // spec must parse back to the identical lever state.
+    for (const bool on : {false, true}) {
+        const std::string spec = pipelineSpecName(on);
+        EXPECT_EQ(parsePipelineSpec(spec), on) << spec;
     }
-}
-
-TEST(OptKnobsConfig, ParseRejectsBadSpecsInsteadOfClamping)
-{
-    // Every malformed spec must yield nullopt (a loud usage error at
-    // the CLI), never a silently-adjusted bundle.
-    EXPECT_EQ(parseOptKnobs(""), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("everything"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-pipeline,bogus"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("BMT-PIPELINE"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-pipeline,"), std::nullopt);
-    // The pipeline window is an engine parameter
-    // (SecureParams::bmtPipelineWindow), not a lever.
-    EXPECT_EQ(parseOptKnobs("bmt-window=4"), std::nullopt);
-    // Retired levers are rejected outright, alone or in a list.
-    EXPECT_EQ(parseOptKnobs("drain-batch"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("tag-prefetch"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-pipeline,tag-prefetch"), std::nullopt);
-}
-
-TEST(OptKnobsConfig, FormatParseRoundTrips)
-{
-    // Repro lines print formatOptKnobs unconditionally; the printed
-    // spec must parse back to the identical bundle.
-    for (const bool bp : {false, true}) {
-        const OptKnobs k{bp};
-        const std::string spec = formatOptKnobs(k);
-        const auto back = parseOptKnobs(spec);
-        ASSERT_TRUE(back) << spec;
-        EXPECT_EQ(back->bmtPipeline, k.bmtPipeline) << spec;
-    }
-    EXPECT_EQ(formatOptKnobs(OptKnobs{}), "all");
-    EXPECT_EQ(formatOptKnobs(OptKnobs{false}), "none");
-}
-
-TEST(OptKnobsConfig, ZeroPipelineWindowIsRejectedByValidation)
-{
-    auto cfg = SystemConfig::paperDefault();
-    cfg.secure.bmtPipeline = true;
-    cfg.secure.bmtPipelineWindow = 0;
-    EXPECT_NE(validateConfig(cfg).find("bmtPipelineWindow"),
-              std::string::npos)
-        << validateConfig(cfg);
-    EXPECT_THROW({ System sys(cfg); }, std::invalid_argument);
-
-    // With the pipeline off the window is dormant and unconstrained.
-    cfg.secure.bmtPipeline = false;
-    EXPECT_EQ(validateConfig(cfg), "");
-}
-
-TEST(OptKnobsConfig, ApplyOverridesEveryLayer)
-{
-    auto cfg = SystemConfig::paperDefault();
-    applyOptKnobs(cfg, OptKnobs{false});
-    EXPECT_FALSE(cfg.secure.bmtPipeline);
-    applyOptKnobs(cfg, OptKnobs{true});
-    EXPECT_TRUE(cfg.secure.bmtPipeline);
+    EXPECT_STREQ(pipelineSpecName(true), "all");
+    EXPECT_STREQ(pipelineSpecName(false), "none");
 }
 
 } // namespace

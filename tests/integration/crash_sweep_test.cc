@@ -5,12 +5,16 @@
  * (SweepDriver) instead of a hard-coded operation list, and every
  * recovery is checked both by the workload's structural verifier and
  * by the golden model's committed-prefix oracle; plus repeated
- * crash/recovery epochs on one machine.
+ * crash/recovery epochs on one machine, and both states of the
+ * timing-only persist-path lever (bmtPipeline) swept side by side.
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "tests/integration/integration_common.hh"
+#include "verify/diff_oracle.hh"
 #include "verify/sweep_driver.hh"
 #include "workloads/runner.hh"
 
@@ -91,6 +95,101 @@ INSTANTIATE_TEST_SUITE_P(Modes, CrashSweepModes,
                          [](const auto &info) {
                              return dolos::test::modeLabel(info.param);
                          });
+
+/**
+ * The lever sweep's machine: the crash-test machine with tiny
+ * metadata caches, so climbs overlap, dirty metadata is evicted and
+ * same-line writes recur — real pressure on the lever.
+ */
+verify::SweepOptions
+leverSweep(SecurityMode mode, const std::string &workload,
+           bool pipeline)
+{
+    auto opt = sweepFor(mode, workload, 7);
+    opt.numTx = 4;
+    opt.base = dolos::test::smallCacheCfgFor(mode);
+    opt.base.secure.counterCache = {"counterCache", 8 * 1024, 4};
+    opt.base.secure.mtCache = {"mtCache", 16 * 1024, 8};
+    opt.base.secure.bmtPipeline = pipeline;
+    return opt;
+}
+
+const SecurityMode dolosModes[] = {SecurityMode::DolosFullWpq,
+                                   SecurityMode::DolosPartialWpq,
+                                   SecurityMode::DolosPostWpq};
+const char *const leverWorkloads[] = {"hashmap", "btree", "ctree",
+                                      "rbtree"};
+
+/**
+ * The lever is timing-only: both states run the same program, so the
+ * serial Ma-SU (off) and the pipelined one (on) must each recover
+ * every sampled WPQ-boundary crash to the committed prefix, with the
+ * oracle clean and no alarm. That implies what an off-vs-on diff
+ * would check: identical plaintext, byte classes and committed bytes.
+ */
+class LeverCrashSweep
+    : public ::testing::TestWithParam<
+          std::tuple<SecurityMode, const char *, bool>>
+{
+};
+
+TEST_P(LeverCrashSweep, EveryBoundarySampleRecoversConsistently)
+{
+    const auto &[mode, workload, pipeline] = GetParam();
+    const auto opt = leverSweep(mode, workload, pipeline);
+    const auto result = verify::sweepCrashPoints(opt);
+    ASSERT_FALSE(result.points.empty());
+    EXPECT_TRUE(result.allPassed())
+        << result.firstFailure() << "\n  repro: "
+        << verify::describeSweep(opt) << " opt-knobs="
+        << pipelineSpecName(pipeline);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DolosModes, LeverCrashSweep,
+    ::testing::Combine(::testing::ValuesIn(dolosModes),
+                       ::testing::ValuesIn(leverWorkloads),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return dolos::test::modeLabel(std::get<0>(info.param)) + "_" +
+               std::get<1>(info.param) + "_" +
+               pipelineSpecName(std::get<2>(info.param));
+    });
+
+/**
+ * One crash-free run of the lever sweep's machine, held to the same
+ * contract (structure verified, oracle clean, no alarm). Returns its
+ * wpqStallCycles + bmtCycles.
+ */
+std::uint64_t
+crashFreeStallPlusBmt(SecurityMode mode, const std::string &workload,
+                      bool pipeline)
+{
+    const auto opt = leverSweep(mode, workload, pipeline);
+    System sys(opt.base);
+    verify::GoldenModel golden;
+    sys.core().setObserver(&golden);
+    auto wl = makeWorkload(workload, opt.params);
+    const auto res = runWorkload(sys, *wl, opt.numTx);
+    const std::uint64_t stall_plus_bmt =
+        sys.controller().wpqStallCycles() + sys.engine().bmtCycles();
+    EXPECT_TRUE(res.verified) << res.verifyDiagnostic;
+    EXPECT_TRUE(verify::checkAgainstGolden(sys, golden).clean());
+    EXPECT_FALSE(sys.attackDetected());
+    sys.core().setObserver(nullptr);
+    return stall_plus_bmt;
+}
+
+TEST(LeverCrashFree, BothStatesCleanAndPipelineNeverAddsStallCycles)
+{
+    for (const SecurityMode mode : dolosModes)
+        for (const char *workload : leverWorkloads) {
+            SCOPED_TRACE(std::string(securityModeName(mode)) + " " +
+                         workload);
+            EXPECT_LE(crashFreeStallPlusBmt(mode, workload, true),
+                      crashFreeStallPlusBmt(mode, workload, false));
+        }
+}
 
 TEST(CrashEpochs, RepeatedCrashesOnOneMachine)
 {

@@ -17,7 +17,7 @@ namespace
 using namespace dolos;
 
 SecureParams
-testParams(bool pipeline, unsigned window = 4)
+testParams(bool pipeline)
 {
     SecureParams p;
     p.functionalLeaves = 256;
@@ -25,7 +25,6 @@ testParams(bool pipeline, unsigned window = 4)
     p.counterCache = {"counterCache", 4 * 1024, 4};
     p.mtCache = {"mtCache", 4 * 1024, 8};
     p.bmtPipeline = pipeline;
-    p.bmtPipelineWindow = window;
     for (int i = 0; i < 16; ++i) {
         p.dataKey[i] = std::uint8_t(i + 1);
         p.macKey[i] = std::uint8_t(0x80 + i);
@@ -48,8 +47,7 @@ constexpr Tick kMac = 160; // SecureParams::macLatency default
 
 struct PipelineRig
 {
-    explicit PipelineRig(bool pipeline, unsigned window = 4)
-        : eng(testParams(pipeline, window), nvm)
+    explicit PipelineRig(bool pipeline) : eng(testParams(pipeline), nvm)
     {
     }
 
@@ -125,27 +123,27 @@ TEST(BmtPipeline, RetiredClimbsDoNotCoalesce)
 
 TEST(BmtPipeline, WindowEvictsOldestClimb)
 {
-    // Window of 1: after writing pages 0 then 8, only page 8's climb
-    // is retained. A third write to page 0 can only join page 8's
-    // path (7 shared levels), not its own earlier full path (9).
-    PipelineRig rig(true, /*window=*/1);
-    const Tick t0 = warmPages(rig, {0x0000, 0x8000});
-    rig.eng.secureWrite(0x0000, pattern(1), t0);
-    rig.eng.secureWrite(0x8000, pattern(2), t0);
-    const auto after_two = rig.eng.bmtCoalescedUpdates();
-    rig.eng.secureWrite(0x0040, pattern(3), t0);
-    EXPECT_EQ(rig.eng.bmtCoalescedUpdates() - after_two,
+    static_assert(SecurityEngine::bmtWindowClimbs == 4);
+    // Pages 8..32 share 7 levels with page 0 (they first meet it at
+    // level 2), so a rewrite of page 0 can join its own earlier climb
+    // (all 9 levels) only while that climb is still in the window.
+    const auto rewriteCoalesces = [](std::initializer_list<Addr> others) {
+        PipelineRig rig(true);
+        const Tick t0 = warmPages(rig, {0x0000, 0x8000, 0x10000,
+                                        0x18000, 0x20000});
+        rig.eng.secureWrite(0x0000, pattern(1), t0);
+        for (const Addr a : others)
+            rig.eng.secureWrite(a, pattern(2), t0);
+        const auto before = rig.eng.bmtCoalescedUpdates();
+        rig.eng.secureWrite(0x0040, pattern(3), t0);
+        return rig.eng.bmtCoalescedUpdates() - before;
+    };
+    // Three later climbs: page 0's is one of the four in flight.
+    EXPECT_EQ(rewriteCoalesces({0x8000, 0x10000, 0x18000}), kBmtLevels);
+    // Four later climbs fill the window and evict page 0's, so the
+    // rewrite can only join one of theirs.
+    EXPECT_EQ(rewriteCoalesces({0x8000, 0x10000, 0x18000, 0x20000}),
               kBmtLevels - 2);
-
-    // A wide window keeps page 0's climb in flight, so the same
-    // third write fully coalesces.
-    PipelineRig wide(true, /*window=*/4);
-    const Tick t1 = warmPages(wide, {0x0000, 0x8000});
-    wide.eng.secureWrite(0x0000, pattern(1), t1);
-    wide.eng.secureWrite(0x8000, pattern(2), t1);
-    const auto wide_two = wide.eng.bmtCoalescedUpdates();
-    wide.eng.secureWrite(0x0040, pattern(3), t1);
-    EXPECT_EQ(wide.eng.bmtCoalescedUpdates() - wide_two, kBmtLevels);
 }
 
 TEST(BmtPipeline, RootIsAlwaysUpdatedLast)

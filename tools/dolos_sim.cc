@@ -29,7 +29,6 @@
 #include "sim/trace.hh"
 #include "verify/fault_injector.hh"
 #include "verify/manifest_check.hh"
-#include "verify/perf_equiv.hh"
 #include "workloads/runner.hh"
 
 using namespace dolos;
@@ -62,8 +61,7 @@ struct Options
     std::optional<unsigned> spares;   ///< --spares: NVM spare frames
     std::optional<std::uint64_t> eadrBudget; ///< --eadr-budget cycles
     bool verifyManifest = false; ///< --verify-manifest: crash-state check
-    bool verifyPerfEquiv = false; ///< --verify-perf-equiv: timing diff
-    std::optional<OptKnobs> optKnobs; ///< --opt-knobs
+    bool bmtPipeline = true; ///< --opt-knobs (none = serial Ma-SU)
     std::uint64_t sampleInterval = 0; ///< --sample-interval (0 = off)
     std::string timelineFile; ///< --stats-timeline (.csv => CSV)
 };
@@ -121,13 +119,8 @@ usage(int code)
         "                      declared crash-state model in the three\n"
         "                      Mi-SU modes plus eadr, then exit "
         "(uses --seed)\n"
-        "  --verify-perf-equiv run the timing-vs-state differential of\n"
-        "                      the persist-path optimization lever\n"
-        "                      (off vs on) over the tier-1 workloads in\n"
-        "                      all three Mi-SU modes, then exit\n"
-        "  --opt-knobs SPEC    persist-path optimization: none|all|\n"
-        "                      bmt-pipeline (all = bmt-pipeline, the\n"
-        "                      only lever; default all)\n"
+        "  --opt-knobs SPEC    BMT update pipeline: all (default) or\n"
+        "                      none (the paper's serial Ma-SU)\n"
         "  --sample-interval N sample the stat tree every N simulated\n"
         "                      cycles into a windowed timeline\n"
         "  --stats-timeline F  write the timeline to F (JSON, or CSV\n"
@@ -215,10 +208,9 @@ parse(int argc, char **argv)
             o.damageJsonFile = r.value();
         else if (r.is("--verify-manifest"))
             o.verifyManifest = true;
-        else if (r.is("--verify-perf-equiv"))
-            o.verifyPerfEquiv = true;
         else if (r.is("--opt-knobs"))
-            o.optKnobs = r.parsed(parseOptKnobs, "unknown opt knob in");
+            o.bmtPipeline =
+                r.parsed(parsePipelineSpec, "unknown opt knob in");
         else if (r.is("--sample-interval"))
             o.sampleInterval = r.number();
         else if (r.is("--stats-timeline"))
@@ -320,17 +312,6 @@ main(int argc, char **argv)
         return ok ? ExitOk : ExitViolation;
     }
 
-    if (o.verifyPerfEquiv) {
-        bool ok = true;
-        for (const auto &res : verify::verifyPerfEquivAll(o.seed)) {
-            std::printf("%s\n",
-                        verify::formatPerfEquivReport(res).c_str());
-            ok = ok && res.ok();
-        }
-        std::printf("verify-perf-equiv   : %s\n", ok ? "PASS" : "FAIL");
-        return ok ? ExitOk : ExitViolation;
-    }
-
     if (!o.traceFile.empty()) {
 #if DOLOS_TRACING
         trace::Tracer::instance().enable();
@@ -364,8 +345,7 @@ main(int argc, char **argv)
     cfg.wpq.postEntries =
         o.wpqBudget > 6 ? eight_ninths - 4 : o.wpqBudget / 2;
     cfg.wpq.coalescing = !o.noCoalescing;
-    if (o.optKnobs)
-        applyOptKnobs(cfg, *o.optKnobs);
+    cfg.secure.bmtPipeline = o.bmtPipeline;
     cfg.secure.scrubIntervalWrites = o.scrubInterval;
     if (o.spares)
         cfg.nvm.spareBlocks = *o.spares;

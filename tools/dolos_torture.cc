@@ -174,8 +174,8 @@ usage(int code)
         "  --plant-bug   drop-clwb:K | bad-counter-repair\n"
         "  --meta-faults (sweep) stick a metadata bit at every crash "
         "point\n"
-        "  --opt-knobs   persist-path lever for every episode: "
-        "none|all|bmt-pipeline (all = bmt-pipeline)\n"
+        "  --opt-knobs   BMT update pipeline for every episode: "
+        "all (default) | none\n"
         "  --heartbeat N emit an NDJSON progress record to stderr "
         "every N cases\n"
         "                (campaigns and sweep; default 5, 0 = off)\n"
@@ -190,12 +190,12 @@ usage(int code)
 }
 
 /**
- * Persist-path optimization lever (--opt-knobs), applied to every
+ * The BMT update pipeline lever (--opt-knobs), applied to every
  * configuration the harness builds: campaigns, replays, planted-bug
- * hunts, sweeps and fault episodes all torture the optimized machine.
+ * hunts, sweeps and fault episodes all torture the same machine.
  */
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
-OptKnobs gOptKnobs;
+bool gBmtPipeline = true;
 
 /**
  * eADR holdup energy budget override (--eadr-budget). Validated
@@ -211,7 +211,7 @@ tortureConfig(SecurityMode mode)
     auto cfg = crashTestConfig(mode);
     if (gEadrBudget)
         cfg.eadr.energyBudgetCycles = *gEadrBudget;
-    applyOptKnobs(cfg, gOptKnobs);
+    cfg.secure.bmtPipeline = gBmtPipeline;
     return cfg;
 }
 
@@ -222,9 +222,9 @@ machineArgs()
     std::string args;
     if (gEadrBudget)
         args = " --eadr-budget " + std::to_string(*gEadrBudget);
-    // Always name the lever set: a repro line recorded before a
+    // Always name the lever state: a repro line recorded before a
     // default flip must rebuild the same machine after it.
-    return args + " --opt-knobs " + formatOptKnobs(gOptKnobs);
+    return args + " --opt-knobs " + pipelineSpecName(gBmtPipeline);
 }
 
 /** A sweep of @p workload on the crash-test machine. */
@@ -723,7 +723,7 @@ runFaultCampaign(unsigned per_combo, std::uint64_t base_seed,
                 "seed %llu, opt-knobs %s, jobs %u (replay: dolos_torture "
                 "--faults %u --seed %llu%s%s)\n",
                 per_combo, (unsigned long long)base_seed,
-                formatOptKnobs(gOptKnobs).c_str(), jobs, per_combo,
+                pipelineSpecName(gBmtPipeline), jobs, per_combo,
                 (unsigned long long)base_seed, txnsArg(txns).c_str(),
                 machineArgs().c_str());
 
@@ -871,7 +871,8 @@ main(int argc, char **argv)
         } else if (r.is("--summary-json")) {
             summaryJson = r.value();
         } else if (r.is("--opt-knobs")) {
-            gOptKnobs = r.parsed(parseOptKnobs, "bad --opt-knobs spec");
+            gBmtPipeline =
+                r.parsed(parsePipelineSpec, "bad --opt-knobs spec");
         } else {
             r.unknown();
         }
@@ -1064,7 +1065,7 @@ main(int argc, char **argv)
                 "base seed %llu, opt-knobs %s, jobs %u\n",
                 *campaign, opsPerEpisode, securityModeName(mode),
                 (unsigned long long)seed,
-                formatOptKnobs(gOptKnobs).c_str(), jobs);
+                pipelineSpecName(gBmtPipeline), jobs);
     // Two phases: episodes run into per-episode slots (each is seeded
     // and self-contained), then failures are reported and minimized
     // in episode order, so stdout is the same for any --jobs.
